@@ -8,11 +8,16 @@
  *     (the cost a reused tick skips entirely), measured per sampled
  *     access at paper-typical per-tick sample sizes;
  *   - AddressStream::next — the address generator inside that walk
- *     (conditional wrap, no modulo on the emitted line).
+ *     (conditional wrap, no modulo on the emitted line);
+ *   - AddressStream::nextRuns — the batched kernel's generation phase,
+ *     per line over the stream shapes that actually run: every kernel
+ *     of the co-runner catalog and every render phase of the page
+ *     corpus (burst probabilities 0.10-0.90), in per-tick-sized calls.
  *
- * Prints machine-readable MEMSAMPLE_WALK_NS_PER_SAMPLE and
- * MEMSAMPLE_STREAM_NEXT_NS lines that scripts/run_benches.sh records in
- * BENCH_parallel.json. Needs no trained models.
+ * Prints machine-readable MEMSAMPLE_WALK_NS_PER_SAMPLE,
+ * MEMSAMPLE_STREAM_NEXT_NS and MEMSAMPLE_NEXTRUNS_NS lines that
+ * scripts/run_benches.sh records in BENCH_parallel.json. Needs no
+ * trained models.
  */
 
 #include <benchmark/benchmark.h>
@@ -22,9 +27,12 @@
 #include <memory>
 #include <vector>
 
+#include "browser/page_corpus.hh"
+#include "browser/render_cost.hh"
 #include "mem/address_stream.hh"
 #include "mem/mem_system.hh"
 #include "obs/trace.hh"
+#include "workloads/kernel.hh"
 
 using namespace dora;
 
@@ -94,6 +102,46 @@ BM_AddressStreamNext(benchmark::State &state)
 }
 BENCHMARK(BM_AddressStreamNext);
 
+/** Stream shapes of every co-runner kernel and page render phase. */
+std::vector<AddressStreamSpec>
+shippedStreamSpecs()
+{
+    std::vector<AddressStreamSpec> specs;
+    for (const KernelSpec &k : KernelCatalog::all())
+        specs.push_back(k.stream);
+    const RenderCostModel render;
+    for (const WebPage &page : PageCorpus::all())
+        for (const RenderPhase &phase : render.phases(page))
+            specs.push_back(phase.stream);
+    return specs;
+}
+
+/** ns per line of nextRuns() over the shipped shapes, equal weight. */
+double
+nextRunsNsPerLine()
+{
+    constexpr uint32_t kCall = 256;  // a typical per-core tick sample
+    constexpr int kCalls = 256;
+    std::vector<uint64_t> out(kCall);
+    uint64_t sink = 0;
+    double ns = 0.0;
+    uint64_t lines = 0;
+    uint64_t seed = 0x9abc;
+    for (const AddressStreamSpec &spec : shippedStreamSpecs()) {
+        AddressStream stream(spec, 0, Rng(seed++));
+        const auto t0 = std::chrono::steady_clock::now();
+        for (int i = 0; i < kCalls; ++i) {
+            stream.nextRuns(out.data(), kCall);
+            sink ^= out[i % kCall];
+        }
+        const auto t1 = std::chrono::steady_clock::now();
+        ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
+        lines += static_cast<uint64_t>(kCalls) * kCall;
+    }
+    benchmark::DoNotOptimize(sink);
+    return ns / static_cast<double>(lines);
+}
+
 /** Machine-readable summary for scripts/run_benches.sh. */
 void
 printSummary()
@@ -128,7 +176,8 @@ printSummary()
         kDraws;
 
     std::cout << "MEMSAMPLE_WALK_NS_PER_SAMPLE " << walk_ns << "\n"
-              << "MEMSAMPLE_STREAM_NEXT_NS " << next_ns << "\n";
+              << "MEMSAMPLE_STREAM_NEXT_NS " << next_ns << "\n"
+              << "MEMSAMPLE_NEXTRUNS_NS " << nextRunsNsPerLine() << "\n";
 }
 
 } // namespace

@@ -8,7 +8,8 @@
 #     adaptive path AND under --exact-ticks (hot-path guards), plus
 #     the aggregate lane-ticks/sec of the lane-batched tier at
 #     N in {1,4,8,16} runs per batch in both modes
-#   - bench/ovh_memsample: ns per sampled cache access + per stream draw
+#   - bench/ovh_memsample: ns per sampled cache access, per stream draw,
+#     and per line of the batched kernel's generation (nextRuns)
 #   - bench/fleet_rollout: fleet campaign devices/s (serial reference
 #     pass) and peak RSS, plus its tier byte-identity +
 #     checkpoint-resume + bounded-memory self-checks
@@ -103,6 +104,8 @@ walk_ns="$(awk '/^MEMSAMPLE_WALK_NS_PER_SAMPLE /{print $2}' \
     "${memsample_log}")"
 next_ns="$(awk '/^MEMSAMPLE_STREAM_NEXT_NS /{print $2}' \
     "${memsample_log}")"
+nextruns_ns="$(awk '/^MEMSAMPLE_NEXTRUNS_NS /{print $2}' \
+    "${memsample_log}")"
 rm -f "${memsample_log}"
 
 time_bench() {
@@ -175,7 +178,8 @@ cat > "${out}" <<EOF
   },
   "ovh_memsample": {
     "walk_ns_per_sample": ${walk_ns},
-    "stream_next_ns": ${next_ns}
+    "stream_next_ns": ${next_ns},
+    "nextruns_ns_per_line": ${nextruns_ns}
   },
   "fleet_rollout": {
     "devices": ${fleet_devices},

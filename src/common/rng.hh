@@ -12,6 +12,7 @@
 #ifndef DORA_COMMON_RNG_HH
 #define DORA_COMMON_RNG_HH
 
+#include <cmath>
 #include <cstdint>
 #include <string_view>
 
@@ -85,13 +86,44 @@ class Rng
     bool chance(double p) { return uniform() < p; }
 
     /**
+     * Integer form of chance(p): chanceBelow(chanceThreshold(p)) makes
+     * the same decision as chance(p) from the same draw, for every p.
+     * uniform() is exactly u * 2^-53 for the 53-bit draw u, so
+     * uniform() < p holds iff u < p * 2^53, i.e. iff u < ceil(p * 2^53)
+     * (the scaling and the ceil are exact in double). NaN and p <= 0
+     * give 0 (never true); p >= 1 gives 2^53 (always true). Hot
+     * loops compute the threshold once per probability and skip the
+     * int-to-double conversion on every draw.
+     */
+    static uint64_t chanceThreshold(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return uint64_t{1} << 53;
+        return static_cast<uint64_t>(std::ceil(p * 0x1.0p53));
+    }
+
+    /** Bernoulli draw against a chanceThreshold(). */
+    bool chanceBelow(uint64_t threshold)
+    {
+        return (next() >> 11) < threshold;
+    }
+
+    /**
      * Geometric-ish burst length in [1, cap]: used by address stream
      * generators to model runs of sequential accesses.
      */
     uint64_t burstLength(double continue_prob, uint64_t cap)
     {
+        return burstLengthBelow(chanceThreshold(continue_prob), cap);
+    }
+
+    /** burstLength() with the continue probability as a threshold. */
+    uint64_t burstLengthBelow(uint64_t continue_threshold, uint64_t cap)
+    {
         uint64_t len = 1;
-        while (len < cap && chance(continue_prob))
+        while (len < cap && chanceBelow(continue_threshold))
             ++len;
         return len;
     }

@@ -6,6 +6,7 @@
 #include "common/logging.hh"
 #include "common/snapshot.hh"
 #include "common/units.hh"
+#include "mem/cache_model.hh"
 
 namespace dora
 {
@@ -39,19 +40,42 @@ AddressStream::AddressStream(const AddressStreamSpec &spec,
 void
 AddressStream::reshape(const AddressStreamSpec &spec)
 {
+    // Negated range tests so a NaN field fails them too.
     if (spec.workingSetBytes < kCacheLineBytes)
         panic("AddressStream: working set smaller than one line");
-    if (spec.hotSetFraction <= 0.0 || spec.hotSetFraction > 1.0)
+    if (!(spec.hotFraction >= 0.0 && spec.hotFraction <= 1.0))
+        panic("AddressStream: hotFraction %g out of [0,1]",
+              spec.hotFraction);
+    if (!(spec.hotSetFraction > 0.0 && spec.hotSetFraction <= 1.0))
         panic("AddressStream: hotSetFraction %g out of (0,1]",
               spec.hotSetFraction);
+    if (!(spec.burstContinueProb >= 0.0 && spec.burstContinueProb <= 1.0))
+        panic("AddressStream: burstContinueProb %g out of [0,1]",
+              spec.burstContinueProb);
+    if (spec.burstCap == 0)
+        panic("AddressStream: burstCap must be at least 1");
+    const uint64_t ws_lines =
+        std::max<uint64_t>(1, spec.workingSetBytes / kCacheLineBytes);
+    // The caches mark invalid ways with a tag no line may equal.
+    if (ws_lines > CacheModel::kInvalidTag - baseLine_)
+        panic("AddressStream: lines from base %llu reach the invalid tag",
+              static_cast<unsigned long long>(baseLine_));
     spec_ = spec;
-    wsLines_ = std::max<uint64_t>(1, spec.workingSetBytes / kCacheLineBytes);
+    wsLines_ = ws_lines;
     hotLines_ = std::max<uint64_t>(
         1, static_cast<uint64_t>(
                static_cast<double>(wsLines_) * spec.hotSetFraction));
+    setThresholds();
     burstLeft_ = 0;
     cursor_ = 0;
     ++generation_;
+}
+
+void
+AddressStream::setThresholds()
+{
+    hotThreshold_ = Rng::chanceThreshold(spec_.hotFraction);
+    burstThreshold_ = Rng::chanceThreshold(spec_.burstContinueProb);
 }
 
 uint64_t
@@ -61,11 +85,10 @@ AddressStream::next()
         // Start a new burst: draw the region and the burst length up
         // front, then pick a random line within the region. The draw
         // is < span <= wsLines_, so the cursor invariant holds.
-        const bool hot = rng_.chance(spec_.hotFraction);
+        const bool hot = rng_.chanceBelow(hotThreshold_);
         const uint64_t span = hot ? hotLines_ : wsLines_;
         cursor_ = rng_.below(span);
-        burstLeft_ = rng_.burstLength(spec_.burstContinueProb,
-                                      spec_.burstCap);
+        burstLeft_ = rng_.burstLengthBelow(burstThreshold_, spec_.burstCap);
     }
     --burstLeft_;
     // cursor_ < wsLines_ by invariant; a conditional wrap keeps it so,
@@ -87,19 +110,24 @@ AddressStream::nextRuns(uint64_t *out, uint32_t n)
     // Instead of re-entering per access, each burst is emitted as up to
     // three capped sequential fills (burst left / request left / lines
     // to the wrap), so the generator state is only touched per burst.
+    // The generator and the draw thresholds live in locals for the whole
+    // call, so the burst draws run in registers rather than through
+    // member loads and stores.
+    Rng rng = rng_;
     uint64_t cur = cursor_;
     uint64_t left = burstLeft_;
     const uint64_t ws = wsLines_;
     const uint64_t hot = hotLines_;
     const uint64_t base = baseLine_;
+    const uint64_t hot_threshold = hotThreshold_;
+    const uint64_t burst_threshold = burstThreshold_;
+    const uint64_t cap = spec_.burstCap;
     uint32_t i = 0;
     while (i < n) {
         if (left == 0) {
-            const uint64_t span = rng_.chance(spec_.hotFraction) ? hot
-                                                                 : ws;
-            cur = rng_.below(span);
-            left = rng_.burstLength(spec_.burstContinueProb,
-                                    spec_.burstCap);
+            const uint64_t span = rng.chanceBelow(hot_threshold) ? hot : ws;
+            cur = rng.below(span);
+            left = rng.burstLengthBelow(burst_threshold, cap);
         }
         uint64_t k = left;
         if (k > n - i)
@@ -115,6 +143,7 @@ AddressStream::nextRuns(uint64_t *out, uint32_t n)
         if (cur == ws)
             cur = 0;
     }
+    rng_ = rng;
     cursor_ = cur;
     burstLeft_ = left;
 }
@@ -168,6 +197,7 @@ AddressStream::tryRestore(SnapshotReader &r)
     baseLine_ = base_line;
     wsLines_ = ws_lines;
     hotLines_ = hot_lines;
+    setThresholds();
     rng_.setState(rng);
     generation_ = generation;
     cursor_ = cursor;

@@ -66,7 +66,9 @@ class AddressStream
     /**
      * @param spec  statistical shape of the stream
      * @param base_line  address-space base, in line units; choose bases
-     *                   at least workingSetBytes/64 apart across streams
+     *                   at least workingSetBytes/64 apart across streams;
+     *                   every emitted line must stay below
+     *                   CacheModel::kInvalidTag (panics otherwise)
      * @param rng   deterministic generator owned by the stream
      */
     AddressStream(const AddressStreamSpec &spec, uint64_t base_line,
@@ -94,7 +96,8 @@ class AddressStream
     /**
      * Replace the statistical shape mid-stream (used when a render task
      * transitions between phases with different locality). Bumps the
-     * phase generation().
+     * phase generation(). Panics on a spec outside its documented
+     * ranges (NaN included) or on a burstCap of 0.
      */
     void reshape(const AddressStreamSpec &spec);
 
@@ -131,10 +134,17 @@ class AddressStream
     [[nodiscard]] bool tryRestore(SnapshotReader &r);
 
   private:
+    /** Recompute the draw thresholds from spec_. */
+    void setThresholds();
+
     AddressStreamSpec spec_;
     uint64_t baseLine_;
     uint64_t wsLines_;
     uint64_t hotLines_;
+    // Rng::chanceThreshold() of spec_.hotFraction / burstContinueProb:
+    // the per-draw compares of next() and nextRuns().
+    uint64_t hotThreshold_ = 0;  // dora:snapshot-exclude(derived from spec_)
+    uint64_t burstThreshold_ = 0;  // dora:snapshot-exclude(derived)
     Rng rng_;
     uint64_t streamId_;
     uint64_t generation_ = 0;

@@ -57,7 +57,7 @@ CacheModel::CacheModel(const CacheConfig &config)
               "associativity <= 32", config.name.c_str());
     const size_t total =
         static_cast<size_t>(numSets_) * config.associativity;
-    tags_.assign(total, 0);
+    tags_.assign(total, kInvalidTag);
     lastUse_.assign(total, 0);
     owners_.assign(total, 0);
     owned_.assign(config.numRequestors, 0);
@@ -160,6 +160,9 @@ CacheModel::access(uint64_t line_addr, uint32_t requestor)
     if (requestor >= stats_.size())
         panic("CacheModel %s: requestor %u out of range",
               config_.name.c_str(), requestor);
+    if (line_addr == kInvalidTag)
+        panic("CacheModel %s: line address equals the invalid tag",
+              config_.name.c_str());
 
     ++accessClock_;
     auto &st = stats_[requestor];
@@ -170,10 +173,10 @@ CacheModel::access(uint64_t line_addr, uint32_t requestor)
     const size_t base = static_cast<size_t>(set) * config_.associativity;
     const uint64_t *tags = &tags_[base];
 
-    // Probe loop touches only the contiguous tag run; validity is
-    // checked afterwards on the single candidate.
+    // Probe loop touches only the contiguous tag run: invalid ways
+    // hold kInvalidTag, so a tag match is a hit.
     for (uint32_t w = 0; w < config_.associativity; ++w) {
-        if (tags[w] == tag && lastUse_[base + w] != 0) {
+        if (tags[w] == tag) {
             // A hit transfers ownership of the line to the requestor.
             uint32_t &owner = owners_[base + w];
             if (owner != requestor) {
@@ -208,8 +211,9 @@ CacheModel::access(uint64_t line_addr, uint32_t requestor)
 void
 CacheModel::flush()
 {
-    // lastUse_ == 0 *is* the invalid marker, so flushing clears the
-    // stamps (and with them all ownership).
+    // Invalid ways carry kInvalidTag and stamp 0; flushing writes both
+    // (and drops all ownership).
+    tags_.assign(tags_.size(), kInvalidTag);
     lastUse_.assign(lastUse_.size(), 0);
     owned_.assign(owned_.size(), 0);
 }
@@ -321,6 +325,14 @@ CacheModel::tryRestore(SnapshotReader &r)
     if (tags.size() != tags_.size() || last_use.size() != tags_.size() ||
         owners.size() != tags_.size() || owned.size() != owned_.size())
         return false;
+    // Snapshots may hold stale tags in invalid ways (stamp 0); the
+    // probes need kInvalidTag there.
+    for (size_t i = 0; i < tags.size(); ++i) {
+        if (last_use[i] == 0)
+            tags[i] = kInvalidTag;
+        else if (tags[i] == kInvalidTag)
+            return false;
+    }
     std::vector<CacheStats> stats(stats_.size());
     for (CacheStats &s : stats)
         if (!r.getU64(&s.accesses) || !r.getU64(&s.misses) ||

@@ -12,8 +12,10 @@
  *
  * Storage is structure-of-arrays: the probe loop walks a contiguous
  * run of tags (one or two cache lines for an 8-way set) and only
- * touches recency/owner metadata on the way that hits or fills. A
- * last-use stamp of 0 doubles as the invalid marker (live ways always
+ * touches recency/owner metadata on the way that hits or fills. An
+ * invalid way is marked twice. Its tag is kInvalidTag, which no line
+ * address may equal, so a tag match alone is a hit and the probe never
+ * reads the recency array. Its last-use stamp is 0 (live ways always
  * carry a stamp >= 1), which makes the LRU victim scan a single
  * branch-free min-reduction: invalid ways rank below every live way
  * and ties break to the lowest index, exactly reproducing the classic
@@ -82,6 +84,12 @@ struct CacheStats
 class CacheModel
 {
   public:
+    /**
+     * Tag of every invalid way. Address streams keep their lines below
+     * it (AddressStream panics otherwise) and access() refuses it.
+     */
+    static constexpr uint64_t kInvalidTag = ~uint64_t{0};
+
     explicit CacheModel(const CacheConfig &config);
 
     /**
@@ -127,8 +135,10 @@ class CacheModel
 
     /**
      * Restore a snapshot taken from a cache with identical geometry.
-     * False (state untouched on the failing field) on section, version,
-     * or geometry mismatch.
+     * Every way whose stamp is 0 gets kInvalidTag, whatever stale tag
+     * the snapshot holds there. False (state untouched on the failing
+     * field) on section, version, or geometry mismatch, or on a valid
+     * way tagged kInvalidTag.
      */
     [[nodiscard]] bool tryRestore(SnapshotReader &r);
 
@@ -151,8 +161,8 @@ class CacheModel
     uint32_t numSets_;  // dora:snapshot-exclude(derived from config)
     /**
      * Way state, split by access pattern (all numSets_*associativity,
-     * row-major by set): the probe loop reads tags_ only; lastUse_ is
-     * the LRU stamp and the validity marker (0 = invalid); owners_ is
+     * row-major by set): the probe loop reads tags_ only (kInvalidTag =
+     * invalid); lastUse_ is the LRU stamp (0 = invalid); owners_ is
      * touched on ownership changes and eviction accounting.
      */
     std::vector<uint64_t> tags_;

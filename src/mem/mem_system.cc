@@ -1,6 +1,7 @@
 #include "mem/mem_system.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -21,7 +22,8 @@ namespace
 
 /**
  * Bitmask of the ways in an 8-way tag row whose tag equals @p tag
- * (validity is the caller's problem). Baseline SSE2 has no 64-bit
+ * (invalid ways hold CacheModel::kInvalidTag, which no line equals, so
+ * at most one way matches). Baseline SSE2 has no 64-bit
  * equality, so each 128-bit lane pair is compared as 32-bit lanes and
  * a 64-bit way matches iff both of its movemask byte-halves are full.
  */
@@ -255,13 +257,14 @@ MemSystem::walkBatched(std::vector<LiveStream> &live)
     // (burst-run fills, same RNG draw order); phase B probes each
     // private L1 stream-at-a-time — legal because an L1 is touched
     // only by its own core, so the interleaved schedule restricted to
-    // one L1 *is* stream order — collecting L1-miss index lists; phase
-    // C drains those misses into the shared L2 along the legacy
-    // round-robin chunk schedule, so the shared-state access order is
-    // untouched. Inner loops run over hoisted raw pointers (enforced
-    // by the dora-perf-lane-alias lint rule). The phase split is also
-    // the fusion point for lane batches: tickSampleMany() runs phases
-    // A+B per lane and interleaves the drains pass by pass.
+    // one L1 *is* stream order — collecting L1-miss index lists and
+    // sorting them into one flat drain list in the legacy round-robin
+    // chunk order; phase C drains that list into the shared L2, so the
+    // shared-state access order is untouched. Inner loops run over
+    // hoisted raw pointers (enforced by the dora-perf-lane-alias lint
+    // rule). The phase split is also the fusion point for lane
+    // batches: tickSampleMany() runs phases A+B per lane and
+    // interleaves the drains pass by pass.
     walkBatchedPrepare(live);
     walkBatchedDrain(live, 0, walkPasses_);
 }
@@ -287,8 +290,6 @@ MemSystem::walkBatchedPrepare(std::vector<LiveStream> &live)
         walkLines_.resize(total);
         walkMiss_.resize(total);
     }
-    walkMissCount_.assign(n_req, 0);
-    walkCursor_.assign(n_req, 0);
     walkPasses_ =
         (static_cast<uint64_t>(max_samples) + chunk - 1) / chunk;
 
@@ -298,9 +299,13 @@ MemSystem::walkBatchedPrepare(std::vector<LiveStream> &live)
             live[r].req->stream->nextRuns(&walkLines_[walkOffsets_[r]],
                                           live[r].req->samples);
 
-    // Phase B: private L1 probes (branchy early-exit scan beats SIMD
-    // here: at typical sampled miss rates the probe usually fails all
-    // four ways and the fill path dominates).
+    // Phase B: private L1 probes. Most probes hit (the sampled L1 miss
+    // rate is ~11 %). Invalid ways hold CacheModel::kInvalidTag and a
+    // line sits in at most one way, so a hit is the one tag match: the
+    // probe reads no stamps (consecutive probes do not wait on the
+    // previous probe's stamp store) and selects the way without a
+    // branch (the hit way is data-dependent, so an early-exit scan
+    // mispredicts on most hits).
     for (size_t r = 0; r < n_req; ++r) {
         const uint32_t samples = live[r].req->samples;
         if (samples == 0)
@@ -323,13 +328,12 @@ MemSystem::walkBatchedPrepare(std::vector<LiveStream> &live)
             const size_t base =
                 (static_cast<uint32_t>(line) & set_mask) *
                 static_cast<size_t>(assoc);
-            uint32_t w = 0;
-            for (; w < assoc; ++w)
-                if (tags[base + w] == line && use[base + w] != 0)
-                    break;
-            if (w < assoc) {
+            uint32_t way = assoc;
+            for (uint32_t w = 0; w < assoc; ++w)
+                way = tags[base + w] == line ? w : way;
+            if (way < assoc) {
                 // Hit: the L1 has one requestor, so no ownership moves.
-                use[base + w] = clock;
+                use[base + way] = clock;
                 continue;
             }
             uint32_t victim = 0;
@@ -355,8 +359,45 @@ MemSystem::walkBatchedPrepare(std::vector<LiveStream> &live)
         // valid-victim fill leaves its owned-line count unchanged.
         st.selfEvictions += self_ev;
         l1.owned_[0] += invalid_fills;
-        walkMissCount_[r] = miss_count;
         live[r].l1Misses = miss_count;
+    }
+
+    // Drain layout: a counting sort of every stream's L1-miss indices
+    // on pass number (index / chunk). Streams scatter in request order
+    // and each stream's indices ascend, so a pass holds its requests
+    // in request order, then index order — the order in which
+    // walkInterleaved() reaches the shared L2.
+    walkPassStart_.assign(walkPasses_ + 1, 0);
+    size_t *start = walkPassStart_.data();
+    for (size_t r = 0; r < n_req; ++r) {
+        const uint64_t count = live[r].l1Misses;
+        if (count == 0)
+            continue;
+        const uint32_t *miss = &walkMiss_[walkOffsets_[r]];
+        // dora:lane-kernel-begin
+        for (uint64_t k = 0; k < count; ++k)
+            ++start[miss[k] / chunk + 1];
+        // dora:lane-kernel-end
+    }
+    std::partial_sum(start, start + walkPasses_ + 1, start);
+    walkPassFill_.assign(start, start + walkPasses_);
+    if (walkDrain_.size() < start[walkPasses_])
+        walkDrain_.resize(start[walkPasses_]);
+    size_t *fill = walkPassFill_.data();
+    DrainEntry *drain = walkDrain_.data();
+    for (size_t r = 0; r < n_req; ++r) {
+        const uint64_t count = live[r].l1Misses;
+        if (count == 0)
+            continue;
+        const uint64_t *lines = &walkLines_[walkOffsets_[r]];
+        const uint32_t *miss = &walkMiss_[walkOffsets_[r]];
+        const uint32_t core = live[r].req->core;
+        const uint32_t stream = static_cast<uint32_t>(r);
+        // dora:lane-kernel-begin
+        for (uint64_t k = 0; k < count; ++k)
+            drain[fill[miss[k] / chunk]++] =
+                DrainEntry{lines[miss[k]], core, stream};
+        // dora:lane-kernel-end
     }
 }
 
@@ -364,11 +405,8 @@ void
 MemSystem::walkBatchedDrain(std::vector<LiveStream> &live,
                             uint64_t pass_begin, uint64_t pass_end)
 {
-    // Phase C: shared-L2 drain along the round-robin chunk schedule.
-    // Pass p admits each stream's access indices below (p+1)*chunk, in
-    // request order — exactly the subsequence of the interleaved
-    // schedule that reached the L2.
-    const uint32_t chunk = std::max<uint32_t>(1, config_.interleaveChunk);
+    // Phase C: shared-L2 drain of the requests prepare laid out for
+    // passes [pass_begin, pass_end), in order.
     const size_t n_req = live.size();
     CacheModel &l2 = l2_;
     const uint32_t assoc2 = l2.config_.associativity;
@@ -379,101 +417,81 @@ MemSystem::walkBatchedDrain(std::vector<LiveStream> &live,
     uint64_t *owned2 = l2.owned_.data();
     CacheStats *stats2 = l2.stats_.data();
     uint64_t clock2 = l2.accessClock_;
-    constexpr uint32_t kPrefetchDist = 8;
+    LiveStream *lv = live.data();
+    const DrainEntry *drain = walkDrain_.data();
+    // Prefetch looks past the end of this call: a per-pass caller
+    // drains the following passes next.
+    const size_t all_end = walkPassStart_[walkPasses_];
+    const size_t end = walkPassStart_[pass_end];
+    constexpr size_t kPrefetchDist = 8;
 
-    for (uint64_t p = pass_begin; p < pass_end; ++p) {
-        const uint64_t window_end =
-            (p + 1) * static_cast<uint64_t>(chunk);
-        for (size_t r = 0; r < n_req; ++r) {
-            const uint32_t core = live[r].req->core;
-            const uint64_t *lines = &walkLines_[walkOffsets_[r]];
-            const uint32_t *miss = &walkMiss_[walkOffsets_[r]];
-            const uint32_t miss_count = walkMissCount_[r];
-            uint32_t cur = walkCursor_[r];
-            uint64_t l2_misses = 0;
-            // dora:lane-kernel-begin
-            while (cur < miss_count && miss[cur] < window_end) {
-                const uint64_t line = lines[miss[cur]];
-                ++cur;
-                if (cur + kPrefetchDist < miss_count) {
-                    const uint64_t pf = lines[miss[cur + kPrefetchDist]];
-                    const size_t pb =
-                        (static_cast<uint32_t>(pf) & set_mask2) *
-                        static_cast<size_t>(assoc2);
-                    __builtin_prefetch(&tags2[pb]);
-                    __builtin_prefetch(&use2[pb]);
-                    __builtin_prefetch(&owners2[pb]);
-                }
-                ++clock2;
-                const size_t base =
-                    (static_cast<uint32_t>(line) & set_mask2) *
-                    static_cast<size_t>(assoc2);
-                uint32_t way = assoc2;
-#if defined(__SSE2__)
-                if (assoc2 == 8) {
-                    uint32_t m = tagMatchMask8(&tags2[base], line);
-                    while (m) {
-                        const uint32_t w =
-                            static_cast<uint32_t>(__builtin_ctz(m));
-                        if (use2[base + w] != 0) {
-                            way = w;
-                            break;
-                        }
-                        m &= m - 1;
-                    }
-                } else
-#endif
-                {
-                    for (uint32_t w = 0; w < assoc2; ++w)
-                        if (tags2[base + w] == line &&
-                            use2[base + w] != 0) {
-                            way = w;
-                            break;
-                        }
-                }
-                if (way < assoc2) {
-                    const uint32_t owner = owners2[base + way];
-                    if (owner != core) {
-                        --owned2[owner];
-                        ++owned2[core];
-                        owners2[base + way] = core;
-                    }
-                    use2[base + way] = clock2;
-                    continue;
-                }
-                ++l2_misses;
-                uint32_t victim = 0;
-                uint64_t best = use2[base];
-                for (uint32_t v = 1; v < assoc2; ++v) {
-                    const bool better = use2[base + v] < best;
-                    best = better ? use2[base + v] : best;
-                    victim = better ? v : victim;
-                }
-                if (best != 0) {
-                    const uint32_t vo = owners2[base + victim];
-                    if (vo == core)
-                        ++stats2[vo].selfEvictions;
-                    else
-                        ++stats2[vo].interferenceEvictions;
-                    --owned2[vo];
-                }
-                ++owned2[core];
-                tags2[base + victim] = line;
-                owners2[base + victim] = core;
-                use2[base + victim] = clock2;
-            }
-            // dora:lane-kernel-end
-            walkCursor_[r] = cur;
-            live[r].l2Misses += l2_misses;
+    // dora:lane-kernel-begin
+    for (size_t i = walkPassStart_[pass_begin]; i < end; ++i) {
+        const uint64_t line = drain[i].line;
+        const uint32_t core = drain[i].core;
+        if (i + kPrefetchDist < all_end) {
+            const uint64_t pf = drain[i + kPrefetchDist].line;
+            const size_t pb = (static_cast<uint32_t>(pf) & set_mask2) *
+                static_cast<size_t>(assoc2);
+            __builtin_prefetch(&tags2[pb]);
+            __builtin_prefetch(&use2[pb]);
+            __builtin_prefetch(&owners2[pb]);
         }
+        ++clock2;
+        const size_t base = (static_cast<uint32_t>(line) & set_mask2) *
+            static_cast<size_t>(assoc2);
+        // Invalid ways hold kInvalidTag, so a tag match is a hit.
+        uint32_t way = assoc2;
+#if defined(__SSE2__)
+        if (assoc2 == 8) {
+            const uint32_t m = tagMatchMask8(&tags2[base], line);
+            if (m)
+                way = static_cast<uint32_t>(__builtin_ctz(m));
+        } else
+#endif
+        {
+            for (uint32_t w = 0; w < assoc2; ++w)
+                way = tags2[base + w] == line ? w : way;
+        }
+        if (way < assoc2) {
+            const uint32_t owner = owners2[base + way];
+            if (owner != core) {
+                --owned2[owner];
+                ++owned2[core];
+                owners2[base + way] = core;
+            }
+            use2[base + way] = clock2;
+            continue;
+        }
+        ++lv[drain[i].stream].l2Misses;
+        uint32_t victim = 0;
+        uint64_t best = use2[base];
+        for (uint32_t v = 1; v < assoc2; ++v) {
+            const bool better = use2[base + v] < best;
+            best = better ? use2[base + v] : best;
+            victim = better ? v : victim;
+        }
+        if (best != 0) {
+            const uint32_t vo = owners2[base + victim];
+            if (vo == core)
+                ++stats2[vo].selfEvictions;
+            else
+                ++stats2[vo].interferenceEvictions;
+            --owned2[vo];
+        }
+        ++owned2[core];
+        tags2[base + victim] = line;
+        owners2[base + victim] = core;
+        use2[base + victim] = clock2;
     }
+    // dora:lane-kernel-end
     l2.accessClock_ = clock2;
     // Stats commit exactly once per walk, after the final pass (drains
     // may arrive one pass at a time through tickSampleMany()).
     if (pass_end >= walkPasses_) {
         for (size_t r = 0; r < n_req; ++r) {
             CacheStats &st = stats2[live[r].req->core];
-            st.accesses += walkMissCount_[r];
+            st.accesses += live[r].l1Misses;
             st.misses += live[r].l2Misses;
         }
     }

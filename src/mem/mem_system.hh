@@ -137,9 +137,9 @@ class MemSystem
      * Select the batched walk kernel for subsequent ticks. The kernel
      * generates each stream's sample up front (AddressStream::nextRuns),
      * probes the private L1s stream-at-a-time, and drains L1 misses
-     * into the shared L2 along the legacy round-robin chunk schedule
-     * with hoisted raw-pointer loops, SIMD tag compares, and next-miss
-     * prefetch (DESIGN.md §5g). Results are bit-identical to the
+     * into the shared L2 from one flat list laid out in the legacy
+     * round-robin chunk order, with hoisted raw-pointer loops, SIMD
+     * tag compares, and next-miss prefetch (DESIGN.md §5g). Results are bit-identical to the
      * per-access walk; ticks fall back to it automatically whenever a
      * request shape or replacement policy the kernel does not cover
      * shows up. On by default (the per-access walk remains the
@@ -211,10 +211,18 @@ class MemSystem
      */
     void walkBatched(std::vector<LiveStream> &live);
 
+    /** One shared-L2 request of the batched drain. */
+    struct DrainEntry
+    {
+        uint64_t line = 0;
+        uint32_t core = 0;    //!< requestor (L2 owner on fill)
+        uint32_t stream = 0;  //!< live slot its L2 miss counts against
+    };
+
     /**
      * Phases A+B of walkBatched(): generate every stream's sample,
-     * probe the private L1s, and size the shared-L2 drain (the pass
-     * count lands in walkPasses_).
+     * probe the private L1s, and lay out the shared-L2 drain (the
+     * pass count lands in walkPasses_, the requests in walkDrain_).
      */
     void walkBatchedPrepare(std::vector<LiveStream> &live);
 
@@ -245,12 +253,16 @@ class MemSystem
 
     // Batched-walk scratch, reused across ticks: the generated lines
     // and per-stream L1-miss index lists live in flat 64B-aligned
-    // buffers sliced by walkOffsets_.
+    // buffers sliced by walkOffsets_. walkDrain_ holds the tick's
+    // shared-L2 requests in drain order, pass p at
+    // [walkPassStart_[p], walkPassStart_[p + 1]); walkPassFill_ is the
+    // counting sort's per-pass write cursor.
     AlignedVec<uint64_t> walkLines_;  // dora:snapshot-exclude(scratch)
     AlignedVec<uint32_t> walkMiss_;  // dora:snapshot-exclude(scratch)
+    AlignedVec<DrainEntry> walkDrain_;  // dora:snapshot-exclude(scratch)
     std::vector<size_t> walkOffsets_;  // dora:snapshot-exclude(scratch)
-    std::vector<uint32_t> walkMissCount_;  // dora:snapshot-exclude(scratch)
-    std::vector<uint32_t> walkCursor_;  // dora:snapshot-exclude(scratch)
+    std::vector<size_t> walkPassStart_;  // dora:snapshot-exclude(scratch)
+    std::vector<size_t> walkPassFill_;  // dora:snapshot-exclude(scratch)
     // dora:snapshot-exclude(scratch sizing, recomputed by prepare)
     uint64_t walkPasses_ = 0;  //!< drain passes sized by prepare
 };

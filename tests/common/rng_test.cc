@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "common/rng.hh"
@@ -126,6 +127,47 @@ TEST(Rng, ChanceExtremes)
     for (int i = 0; i < 100; ++i) {
         EXPECT_FALSE(rng.chance(0.0));
         EXPECT_TRUE(rng.chance(1.0));
+    }
+}
+
+TEST(Rng, ChanceThresholdMatchesUniformCompare)
+{
+    // chanceBelow(chanceThreshold(p)) must decide exactly as
+    // uniform() < p on every draw, at the edges and in between.
+    const double ps[] = {-0.0, 0.0, 0x1.0p-60, 0x1.0p-53, 0.5,
+                         std::nextafter(1.0, 0.0), 1.0, 1.5,
+                         std::nan(""), -0.25, 0.3, 0.9};
+    for (double p : ps) {
+        const uint64_t threshold = Rng::chanceThreshold(p);
+        Rng a(18), b(18);
+        for (int i = 0; i < 100000; ++i)
+            ASSERT_EQ(a.chanceBelow(threshold), b.uniform() < p)
+                << "p=" << p << " draw " << i;
+    }
+    // The draws an exact compare hinges on: u = 0 is the only 53-bit
+    // draw below 2^-60, and u = 2^53 - 1 is the only one not below
+    // nextafter(1, 0).
+    EXPECT_EQ(Rng::chanceThreshold(0x1.0p-60), 1u);
+    EXPECT_EQ(Rng::chanceThreshold(std::nextafter(1.0, 0.0)),
+              (uint64_t{1} << 53) - 1);
+    EXPECT_EQ(Rng::chanceThreshold(1.0), uint64_t{1} << 53);
+    EXPECT_EQ(Rng::chanceThreshold(-0.0), 0u);
+    EXPECT_EQ(Rng::chanceThreshold(std::nan("")), 0u);
+}
+
+TEST(Rng, BurstLengthBelowMatchesChanceLoop)
+{
+    // burstLength() draws through the threshold helper; it must equal
+    // the plain chance() loop draw for draw.
+    for (double p : {0.0, 0.1, 0.5, 0.9, 1.0}) {
+        Rng a(19), b(19);
+        for (int i = 0; i < 20000; ++i) {
+            uint64_t len = 1;
+            while (len < 32 && b.chance(p))
+                ++len;
+            ASSERT_EQ(a.burstLength(p, 32), len) << "p=" << p;
+        }
+        EXPECT_EQ(a.next(), b.next());
     }
 }
 

@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 
 #include "common/rng.hh"
 #include "common/units.hh"
 #include "mem/address_stream.hh"
+#include "mem/cache_model.hh"
 
 namespace dora
 {
@@ -171,6 +173,55 @@ TEST(AddressStream, StreamIdentityAndGenerations)
     EXPECT_EQ(a.generation(), 1u);
     a.reshape(spec);
     EXPECT_EQ(a.generation(), 2u);
+}
+
+TEST(AddressStreamDeathTest, ReshapeRejectsInvalidSpecs)
+{
+    AddressStream stream(basicSpec(), 0, Rng(30));
+    const double nan = std::nan("");
+    AddressStreamSpec spec = basicSpec();
+    for (double bad : {nan, -0.1, 1.5}) {
+        spec = basicSpec();
+        spec.hotFraction = bad;
+        EXPECT_DEATH(stream.reshape(spec), "hotFraction");
+        spec = basicSpec();
+        spec.burstContinueProb = bad;
+        EXPECT_DEATH(stream.reshape(spec), "burstContinueProb");
+    }
+    spec = basicSpec();
+    spec.hotSetFraction = nan;
+    EXPECT_DEATH(stream.reshape(spec), "hotSetFraction");
+    spec = basicSpec();
+    spec.burstCap = 0;
+    EXPECT_DEATH(stream.reshape(spec), "burstCap");
+    // The construction path validates through reshape() too.
+    EXPECT_DEATH(AddressStream(spec, 0, Rng(30)), "burstCap");
+    // The range edges stay legal.
+    spec = basicSpec();
+    spec.hotFraction = 1.0;
+    spec.burstContinueProb = 0.0;
+    spec.burstCap = 1;
+    stream.reshape(spec);
+    spec.hotFraction = -0.0;
+    spec.burstContinueProb = 1.0;
+    stream.reshape(spec);
+}
+
+TEST(AddressStreamDeathTest, LinesMustStayBelowTheInvalidTag)
+{
+    const AddressStreamSpec spec = basicSpec();
+    const uint64_t ws_lines = spec.workingSetBytes / kCacheLineBytes;
+    EXPECT_DEATH(AddressStream(spec, CacheModel::kInvalidTag - ws_lines + 1,
+                               Rng(31)),
+                 "invalid tag");
+    // One line lower the top line is kInvalidTag - 1: legal.
+    AddressStream top(spec, CacheModel::kInvalidTag - ws_lines, Rng(31));
+    for (int i = 0; i < 10000; ++i)
+        ASSERT_LT(top.next(), CacheModel::kInvalidTag);
+    // A reshape that grows the working set past the tag panics too.
+    AddressStreamSpec bigger = spec;
+    bigger.workingSetBytes *= 2;
+    EXPECT_DEATH(top.reshape(bigger), "invalid tag");
 }
 
 /** Property sweep: every spec shape keeps addresses in range. */

@@ -174,6 +174,247 @@ TEST(BatchedWalk, NextRunsMatchesPerAccessNext)
         EXPECT_EQ(a.next(), b.next());
 }
 
+/** Snapshot of the streams' draw state, for replaying their lines. */
+std::string
+streamBytes(const std::vector<std::unique_ptr<AddressStream>> &streams)
+{
+    SnapshotWriter w;
+    for (const auto &s : streams)
+        s->snapshot(w);
+    return w.finish();
+}
+
+void
+rewindStreams(const std::vector<std::unique_ptr<AddressStream>> &streams,
+              const std::string &bytes)
+{
+    SnapshotReader r(bytes);
+    for (const auto &s : streams)
+        ASSERT_TRUE(s->tryRestore(r));
+}
+
+std::vector<MemSampleRequest>
+uniformRequests(const Rig &rig, uint32_t samples)
+{
+    std::vector<MemSampleRequest> reqs;
+    for (uint32_t c = 0; c < rig.streams.size(); ++c)
+        reqs.push_back(MemSampleRequest{c, rig.streams[c].get(), samples});
+    return reqs;
+}
+
+void
+expectSameResults(const std::vector<MemSampleResult> &a,
+                  const std::vector<MemSampleResult> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].l1MissRate, b[i].l1MissRate) << "request " << i;
+        EXPECT_EQ(a[i].l2LocalMissRate, b[i].l2LocalMissRate)
+            << "request " << i;
+    }
+}
+
+TEST(BatchedWalk, ResetThenRewalkMissesOnInvalidatedTags)
+{
+    // After reset() every cached line is invalid, so replaying the
+    // lines a cold walk just cached must miss exactly as that cold
+    // walk did — in both walks, even though each invalidated way last
+    // held one of those very lines.
+    MemSystemConfig config;
+    config.l1.sizeBytes = 4 * 1024;
+    config.l2.sizeBytes = 64 * 1024;
+    std::vector<MemSampleResult> cold_by_mode[2];
+    for (bool batched : {false, true}) {
+        Rig rig(config, batched);
+        const std::string start = streamBytes(rig.streams);
+        const std::vector<MemSampleRequest> reqs = uniformRequests(rig, 600);
+        std::vector<MemSampleResult> cold;
+        std::vector<MemSampleResult> rewalk;
+        rig.mem.tickSample(reqs, cold);
+        std::vector<uint64_t> l1_misses;
+        std::vector<uint64_t> l2_misses;
+        for (uint32_t c = 0; c < config.numCores; ++c) {
+            l1_misses.push_back(rig.mem.l1(c).stats(0).misses);
+            l2_misses.push_back(rig.mem.l2().stats(c).misses);
+        }
+        rig.mem.reset();
+        rewindStreams(rig.streams, start);
+        rig.mem.tickSample(reqs, rewalk);
+        expectSameResults(cold, rewalk);
+        for (uint32_t c = 0; c < config.numCores; ++c) {
+            EXPECT_GT(l1_misses[c], 0u);
+            EXPECT_EQ(rig.mem.l1(c).stats(0).misses, l1_misses[c]);
+            EXPECT_EQ(rig.mem.l2().stats(c).misses, l2_misses[c]);
+        }
+        cold_by_mode[batched] = cold;
+    }
+    expectSameResults(cold_by_mode[0], cold_by_mode[1]);
+}
+
+/** One `cach` section whose ways are all invalid but hold @p stale. */
+void
+putStaleCache(SnapshotWriter &w, const CacheModel &cache,
+              const std::vector<uint64_t> &stale)
+{
+    const CacheConfig &cfg = cache.config();
+    const size_t ways = static_cast<size_t>(cache.numSets()) *
+        cfg.associativity;
+    w.beginSection("cach", 1);
+    w.putU64(cfg.sizeBytes);
+    w.putU32(cfg.associativity);
+    w.putU32(cfg.lineBytes);
+    w.putU32(cfg.numRequestors);
+    w.putU8(static_cast<uint8_t>(cfg.policy));
+    // Way tags: each stale line goes to the next free way of its set.
+    std::vector<uint64_t> tags(ways, 0);
+    std::vector<uint32_t> fill(cache.numSets(), 0);
+    for (uint64_t line : stale) {
+        const uint32_t set =
+            static_cast<uint32_t>(line) & (cache.numSets() - 1);
+        if (fill[set] < cfg.associativity)
+            tags[static_cast<size_t>(set) * cfg.associativity +
+                 fill[set]++] = line;
+    }
+    w.putU64s(tags);
+    w.putU64s(std::vector<uint64_t>(ways, 0));  // every stamp 0: invalid
+    w.putU32s(std::vector<uint32_t>(ways, 0));
+    w.putU64s(std::vector<uint64_t>(cfg.numRequestors, 0));
+    for (uint32_t r = 0; r < cfg.numRequestors; ++r)
+        for (int field = 0; field < 4; ++field)
+            w.putU64(0);
+    w.putU32s({});  // LRU: no PLRU bits
+    w.putU64(0);    // access clock
+    w.putU64(1);    // random-policy state (unused by LRU)
+}
+
+TEST(BatchedWalk, StaleTagsInInvalidWaysRestoreAsInvalid)
+{
+    // A snapshot may carry old tags in invalid ways (stamp 0): caches
+    // that predate the invalid-tag marker left them there. Restored,
+    // those ways must stay invalid: a walk over exactly those lines
+    // misses as on a fresh hierarchy, in both walks.
+    MemSystemConfig config;
+    config.l1.sizeBytes = 4 * 1024;
+    config.l2.sizeBytes = 64 * 1024;
+    constexpr uint32_t kSamples = 500;
+    Rig fresh(config, true);
+    const std::string start = streamBytes(fresh.streams);
+    const std::vector<MemSampleRequest> fresh_reqs =
+        uniformRequests(fresh, kSamples);
+
+    // The lines the walk is about to touch, per core.
+    std::vector<std::vector<uint64_t>> lines(config.numCores);
+    std::vector<uint64_t> all_lines;
+    for (uint32_t c = 0; c < config.numCores; ++c) {
+        lines[c].resize(kSamples);
+        fresh.streams[c]->nextRuns(lines[c].data(), kSamples);
+        all_lines.insert(all_lines.end(), lines[c].begin(), lines[c].end());
+    }
+    rewindStreams(fresh.streams, start);
+
+    SnapshotWriter w;
+    w.beginSection("mems", 1);
+    w.putSize(config.numCores);
+    for (uint32_t c = 0; c < config.numCores; ++c)
+        putStaleCache(w, fresh.mem.l1(c), lines[c]);
+    putStaleCache(w, fresh.mem.l2(), all_lines);
+    DramModel(config.dram).snapshot(w);
+    w.putSize(config.numCores);
+    for (uint32_t c = 0; c < config.numCores * 4; ++c)
+        w.putDouble(0.0);
+    const std::string stale = w.finish();
+
+    std::vector<MemSampleResult> want;
+    fresh.mem.tickSample(fresh_reqs, want);
+    for (bool batched : {false, true}) {
+        Rig rig(config, batched);
+        SnapshotReader r(stale);
+        ASSERT_TRUE(rig.mem.tryRestore(r));
+        std::vector<MemSampleResult> got;
+        rig.mem.tickSample(uniformRequests(rig, kSamples), got);
+        expectSameResults(want, got);
+        for (uint32_t c = 0; c < config.numCores; ++c) {
+            EXPECT_EQ(rig.mem.l2().stats(c).misses,
+                      fresh.mem.l2().stats(c).misses);
+            EXPECT_EQ(rig.mem.l2().ownedLines(c),
+                      fresh.mem.l2().ownedLines(c));
+        }
+    }
+}
+
+TEST(BatchedWalk, TickSampleManyMatchesPerSystemTickSample)
+{
+    // Fused drains over systems whose pass counts differ (different
+    // largest samples per tick) plus one the kernel does not cover
+    // (random L2): every system must end exactly where a standalone
+    // tickSample() sequence leaves its twin.
+    MemSystemConfig config;
+    config.l1.sizeBytes = 4 * 1024;
+    config.l2.sizeBytes = 64 * 1024;
+    MemSystemConfig random_l2 = config;
+    random_l2.l2.policy = ReplacementPolicy::Random;
+    const MemSystemConfig *configs[] = {&config, &config, &random_l2,
+                                        &config};
+    constexpr size_t kSystems = 4;
+    std::vector<std::unique_ptr<Rig>> fused;
+    std::vector<std::unique_ptr<Rig>> alone;
+    for (size_t j = 0; j < kSystems; ++j) {
+        fused.push_back(std::make_unique<Rig>(*configs[j], true));
+        alone.push_back(std::make_unique<Rig>(*configs[j], true));
+    }
+    const uint32_t scale[kSystems] = {1, 7, 3, 20};
+    std::vector<std::vector<MemSampleRequest>> reqs_f(kSystems);
+    std::vector<std::vector<MemSampleRequest>> reqs_a(kSystems);
+    std::vector<std::vector<MemSampleResult>> res_f(kSystems);
+    std::vector<std::vector<MemSampleResult>> res_a(kSystems);
+    for (uint32_t tick = 0; tick < 6; ++tick) {
+        std::vector<MemSystem::WalkJob> jobs(kSystems);
+        for (size_t j = 0; j < kSystems; ++j) {
+            reqs_f[j].clear();
+            reqs_a[j].clear();
+            for (uint32_t c = 0; c < config.numCores; ++c) {
+                // Idle cores on some ticks; sample counts vary by
+                // system, tick and core, so pass counts differ.
+                const uint32_t n =
+                    (tick + c + j) % 5 == 0 ? 0
+                                            : scale[j] * (9 + 13 * c + tick);
+                reqs_f[j].push_back(
+                    MemSampleRequest{c, fused[j]->streams[c].get(), n});
+                reqs_a[j].push_back(
+                    MemSampleRequest{c, alone[j]->streams[c].get(), n});
+            }
+            jobs[j] = MemSystem::WalkJob{&fused[j]->mem, &reqs_f[j],
+                                         &res_f[j]};
+            alone[j]->mem.tickSample(reqs_a[j], res_a[j]);
+        }
+        MemSystem::tickSampleMany(jobs.data(), jobs.size());
+        for (size_t j = 0; j < kSystems; ++j) {
+            EXPECT_EQ(jobs[j].fused, j != 2) << "system " << j;
+            expectSameResults(res_a[j], res_f[j]);
+            for (uint32_t c = 0; c < config.numCores; ++c) {
+                const CacheStats &a = alone[j]->mem.l2().stats(c);
+                const CacheStats &f = fused[j]->mem.l2().stats(c);
+                EXPECT_EQ(a.accesses, f.accesses);
+                EXPECT_EQ(a.misses, f.misses);
+                EXPECT_EQ(a.interferenceEvictions, f.interferenceEvictions);
+                EXPECT_EQ(a.selfEvictions, f.selfEvictions);
+            }
+        }
+    }
+    // Whole-state identity: caches, DRAM, counters and streams.
+    for (size_t j = 0; j < kSystems; ++j) {
+        SnapshotWriter wa;
+        SnapshotWriter wf;
+        alone[j]->mem.snapshot(wa);
+        fused[j]->mem.snapshot(wf);
+        EXPECT_EQ(wa.finish(), wf.finish()) << "system " << j;
+        for (uint32_t c = 0; c < config.numCores; ++c)
+            for (int i = 0; i < 16; ++i)
+                EXPECT_EQ(alone[j]->streams[c]->next(),
+                          fused[j]->streams[c]->next());
+    }
+}
+
 /** Snapshot round-trip still byte-stable with the kernel enabled. */
 TEST(BatchedWalk, SnapshotAgreesAfterBatchedTicks)
 {

@@ -138,6 +138,14 @@ TEST(CacheModel, FlushInvalidatesButKeepsStats)
     EXPECT_EQ(cache.stats(0).misses, 2u);
 }
 
+TEST(CacheModelDeathTest, InvalidTagIsNotALineAddress)
+{
+    CacheModel cache(tinyCache());
+    EXPECT_DEATH(cache.access(CacheModel::kInvalidTag, 0), "invalid tag");
+    EXPECT_FALSE(cache.access(CacheModel::kInvalidTag - 1, 0));
+    EXPECT_TRUE(cache.access(CacheModel::kInvalidTag - 1, 0));
+}
+
 TEST(CacheModel, ResetStatsKeepsContents)
 {
     CacheModel cache(tinyCache());
