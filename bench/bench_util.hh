@@ -70,10 +70,10 @@ benchWorkers(int argc, char **argv)
 /**
  * Resolve and announce the lane-batch width of a bench binary:
  * `--lanes N` / `--lanes=N` on the command line, else $DORA_LANES,
- * else 1 (the exact legacy per-run path). Results are bit-identical
- * at any lane count; lanes > 1 advances that many independent runs
- * interleaved per thread so memory-walk miss chains overlap (see
- * sim/lane_batch.hh).
+ * else 1 (one-lane batches: the plain per-run loop). Results are
+ * bit-identical at any lane count; lanes > 1 advances that many
+ * independent runs interleaved per thread so memory-walk miss chains
+ * overlap (see sim/lane_batch.hh).
  */
 inline unsigned
 benchLanes(int argc, char **argv)

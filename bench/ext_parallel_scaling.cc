@@ -4,7 +4,7 @@
  *
  * Runs a small Fig. 7-style slice (a handful of workloads under the
  * kernel governors) twice through ComparisonHarness::runAll — once at
- * jobs=1 (the exact legacy serial path) and once at jobs=N — and
+ * jobs=1 (the cell executor's serial loop) and once at jobs=N — and
  *
  *   1. asserts that every measurement is BYTE-IDENTICAL between the
  *      two (via runMeasurementText, which renders all doubles as hex

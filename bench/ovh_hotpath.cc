@@ -17,7 +17,6 @@
 #include <iostream>
 
 #include "common/exact_ticks.hh"
-#include "common/rng.hh"
 #include "governor/governor.hh"
 #include "mem/cache_model.hh"
 #include "soc/freq_table.hh"
@@ -170,23 +169,15 @@ printLaneRate(unsigned lanes)
         KernelCatalog::representative(MemIntensity::High);
     const size_t top = FreqTable::msm8974().maxIndex();
 
-    std::vector<std::unique_ptr<CorunTask>> coruns;
-    std::vector<std::unique_ptr<Governor>> governors;
+    const WorkloadSpec spec = WorkloadSets::kernelOnly(kernel);
+    std::vector<RunCell> cells;
     std::vector<RunContext::Params> specs;
     for (unsigned i = 0; i < lanes; ++i) {
-        const WorkloadSpec spec = WorkloadSets::kernelOnly(kernel);
-        const uint64_t salt =
-            // dora:stream-tag-shared(same workload, same corun stream)
-            hashLabel("corun:" + spec.label()) % 4096;
-        coruns.push_back(
-            std::make_unique<CorunTask>(*spec.kernel, salt));
-        governors.push_back(std::make_unique<FixedGovernor>(top));
-        RunContext::Params p;
-        p.corun = coruns.back().get();
-        p.label = spec.label();
-        p.governor = governors.back().get();
-        p.initialFreq = top;
-        specs.push_back(std::move(p));
+        cells.push_back(makeRunCell(config, spec.page, spec.kernel,
+                                    spec.label(),
+                                    std::make_unique<FixedGovernor>(top),
+                                    top));
+        specs.push_back(cells.back().params);
     }
     // Equal work per timed window — every rep simulates at least 8
     // runs' worth of ticks regardless of lane count, so small-N and

@@ -68,7 +68,10 @@ if [[ "${sanitize}" == "thread" && ${#ctest_args[@]} -eq 0 ]]; then
     # Default TSan scope: the concurrency-bearing suites. ParallelMap
     # also matches ParallelMapCdf — the regression test for the old
     # lazily-sorting-under-const EmpiricalCdf race (stats/cdf.hh).
-    # Pass explicit ctest args to widen it.
-    ctest_args=(-R 'JobCount|ParallelFor|ParallelMap|ThreadPool|ParallelDeterminism|ProcSupervisorTest|KillResume')
+    # LaneBatch, FleetDeterminism and CellExecutor drive the cell
+    # executor's one threaded dispatch (sim/cell_executor.hh), which
+    # the harness, trainer and fleet share. Pass explicit ctest args
+    # to widen it.
+    ctest_args=(-R 'JobCount|ParallelFor|ParallelMap|ThreadPool|ParallelDeterminism|LaneBatch|FleetDeterminism|CellExecutor|ProcSupervisorTest|KillResume')
 fi
 ctest --output-on-failure "${ctest_args[@]}"

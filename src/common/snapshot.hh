@@ -69,11 +69,15 @@ class SnapshotWriter
  * returns false on exhaustion or type/tag mismatch and leaves @p out
  * untouched; callers must check (the lint rule enforces it for the
  * tryRestore entry points).
+ *
+ * The reader is a view: the buffer must outlive it. Binding it to a
+ * temporary string would dangle, so that constructor is deleted.
  */
 class SnapshotReader
 {
   public:
     explicit SnapshotReader(std::string_view bytes) : bytes_(bytes) {}
+    explicit SnapshotReader(std::string &&bytes) = delete;
 
     /**
      * Validate the trailing checksum. Call once before restoring;

@@ -64,11 +64,11 @@ struct TrainerConfig
     size_t maxTrainingWorkloads = 0;
 
     /**
-     * Parallelism for the measurement campaign and the idle grid
-     * (0 = defaultJobCount(); 1 = legacy serial path). Results are
-     * bit-identical at every job count, so this field is deliberately
-     * excluded from trainingConfigHash(): a bundle trained at any
-     * parallelism stays cache-valid.
+     * Threads for the measurement campaign and the idle grid
+     * (0 = defaultJobCount()). Results are bit-identical at every job
+     * count, so this field is deliberately excluded from
+     * trainingConfigHash(): a bundle trained at any parallelism stays
+     * cache-valid.
      */
     unsigned jobs = 0;  // dora:hash-exclude(bit-identical at any job count)
 
@@ -85,9 +85,8 @@ struct TrainerConfig
      * cells are packed into batches of this many runs advanced
      * interleaved on one thread. Composes with jobs (each pool job
      * runs a batch) and workers (each worker unit is a batch).
-     * 0 = $DORA_LANES (see common/lanes.hh); <= 1 is the exact legacy
-     * per-cell path. Bit-identical at every lane count and, like jobs,
-     * excluded from trainingConfigHash().
+     * 0 = $DORA_LANES (see common/lanes.hh). Bit-identical at every
+     * lane count and, like jobs, excluded from trainingConfigHash().
      */
     unsigned lanes = 0;  // dora:hash-exclude(bit-identical at any lane count)
 

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <map>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -14,13 +12,8 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/snapshot.hh"
-#include "exec/proc/supervisor.hh"
-#include "exec/thread_pool.hh"
-#include "fault/fault_injector.hh"
 #include "harness/comparison.hh"
 #include "obs/trace.hh"
-#include "sim/lane_batch.hh"
-#include "workloads/corun_task.hh"
 
 namespace dora
 {
@@ -180,25 +173,14 @@ fleetCampaignHash(const FleetCampaignConfig &config)
     return hashLabel(text);
 }
 
-/** Owned per-cell objects — the cell's device in a box. */
-struct FleetEngine::DeviceCell
-{
-    ExperimentConfig config;
-    const WebPage *page = nullptr;
-    std::string label;
-    std::unique_ptr<CorunTask> corun;
-    std::unique_ptr<Governor> governor;
-    std::unique_ptr<FaultInjector> fault;
-};
-
 FleetEngine::FleetEngine(FleetCampaignConfig config)
-    : config_(std::move(config))
+    : config_(std::move(config)),
+      executor_({config_.jobs, config_.workers, config_.lanes,
+                 config_.journalStem})
 {
     validateFleetSpec(config_.spec);
     if (config_.governors.empty())
         fatal("FleetEngine: empty governor list");
-    if (config_.lanes == 0)
-        config_.lanes = 1;
     if (config_.chunkDevices == 0)
         config_.chunkDevices = 1;
     if (config_.checkpointIntervalChunks == 0)
@@ -218,81 +200,29 @@ FleetEngine::chunkCount() const
     return (config_.spec.devices + per - 1) / per;
 }
 
-FleetEngine::DeviceCell
+RunCell
 FleetEngine::makeCell(size_t cell_index, const DeviceSpec &sampled) const
 {
-    const size_t gcount = config_.governors.size();
-    const std::string &governor = config_.governors[cell_index % gcount];
-
-    DeviceCell cell;
-    cell.config = config_.base;
-    cell.config.freqScale = sampled.freqScale;
-    cell.config.voltageScale = sampled.voltageScale;
-    cell.config.thermalResistanceScale = sampled.thermalResistanceScale;
-    cell.config.ambientC = sampled.ambientC;
-
-    cell.page = &PageCorpus::byName(sampled.page);
+    ExperimentConfig config = config_.base;
+    config.freqScale = sampled.freqScale;
+    config.voltageScale = sampled.voltageScale;
+    config.thermalResistanceScale = sampled.thermalResistanceScale;
+    config.ambientC = sampled.ambientC;
+    const KernelSpec *kernel = sampled.corun == MemIntensity::None
+        ? nullptr
+        : &KernelCatalog::representative(sampled.corun);
+    const FaultSchedule faults =
+        FaultSchedule::combined(sampled.faultSeed);
     // The label omits the governor on purpose: it salts the page and
     // co-runner RNG streams, and every governor must see the same
     // device behaving the same way (exactly like the harness labels).
-    cell.label = sampled.label(config_.spec.seed);
-    if (sampled.corun != MemIntensity::None) {
-        const KernelSpec &kernel =
-            KernelCatalog::representative(sampled.corun);
-        // Same "corun:" decorrelation recipe as ExperimentRunner.
-        // dora:stream-tag-shared(same workload, same corun stream)
-        const uint64_t salt = hashLabel("corun:" + cell.label) % 4096;
-        cell.corun = std::make_unique<CorunTask>(kernel, salt);
-    }
-    cell.governor = makeNamedGovernor(governor, config_.models);
-    if (sampled.faulty)
-        cell.fault = std::make_unique<FaultInjector>(
-            FaultSchedule::combined(sampled.faultSeed));
-    return cell;
-}
-
-std::vector<RunMeasurement>
-FleetEngine::runLaneBatch(size_t first, size_t count,
-                          const std::vector<DeviceSpec> &devices,
-                          size_t first_device) const
-{
-    const size_t gcount = config_.governors.size();
-    std::vector<DeviceCell> cells;
-    std::vector<LaneBatchSimulator::LaneSpec> specs;
-    cells.reserve(count);
-    specs.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-        const size_t cell_index = first + i;
-        cells.push_back(makeCell(
-            cell_index, devices[cell_index / gcount - first_device]));
-        const DeviceCell &cell = cells.back();
-        LaneBatchSimulator::LaneSpec spec;
-        spec.config = cell.config;
-        spec.params.page = cell.page;
-        spec.params.corun = cell.corun.get();
-        spec.params.label = cell.label;
-        spec.params.governor = cell.governor.get();
-        spec.params.fault = cell.fault.get();
-        specs.push_back(std::move(spec));
-    }
-    // A single lane is the exact legacy per-run path, so one code
-    // path serves every tier; count > 1 overlaps the devices'
-    // memory-walk miss chains (bit-identical by the lane contract).
-    LaneBatchSimulator batch(specs);
-    return batch.finishAll();
-}
-
-std::vector<RunMeasurement>
-FleetEngine::runBatch(size_t first, size_t count) const
-{
-    const size_t gcount = config_.governors.size();
-    const size_t first_device = first / gcount;
-    const size_t last_device = (first + count - 1) / gcount;
-    std::vector<DeviceSpec> devices;
-    devices.reserve(last_device - first_device + 1);
-    for (size_t d = first_device; d <= last_device; ++d)
-        devices.push_back(sampleDevice(config_.spec, d));
-    return runLaneBatch(first, count, devices, first_device);
+    return makeRunCell(
+        config, &PageCorpus::byName(sampled.page), kernel,
+        sampled.label(config_.spec.seed),
+        makeNamedGovernor(
+            config_.governors[cell_index % config_.governors.size()],
+            config_.models),
+        std::nullopt, sampled.faulty ? &faults : nullptr);
 }
 
 FleetShardAggregate
@@ -322,186 +252,32 @@ FleetEngine::runChunk(size_t chunk_index) const
 
     FleetShardAggregate agg =
         FleetShardAggregate::forChunk(gcount, first);
-    const size_t lanes = config_.lanes;
-    for (size_t done = 0; done < count;) {
-        const size_t batch = std::min(lanes, count - done);
-        const std::vector<RunMeasurement> ms =
-            runLaneBatch(first + done, batch, devices, first_device);
-        for (size_t i = 0; i < batch; ++i) {
-            const size_t cell = first + done + i;
+    executor_.runCells(
+        first, count,
+        [&](size_t cell) {
+            return makeCell(cell, devices[cell / gcount - first_device]);
+        },
+        [&](size_t cell, RunMeasurement &&m) {
             const size_t g = cell % gcount;
             agg.pushCell(g, cohorts[cell / gcount - first_device],
-                         g == 0, ms[i]);
-        }
-        done += batch;
-    }
-    return agg;
-}
-
-FleetShardAggregate
-FleetEngine::runCampaignInProcess() const
-{
-    const size_t chunks = chunkCount();
-    FleetShardAggregate campaign =
-        FleetShardAggregate::forCampaign(config_.governors.size());
-    if (config_.jobs <= 1 || chunks <= 1) {
-        // Pure streaming: one chunk of state live at a time.
-        for (size_t c = 0; c < chunks; ++c)
-            campaign.merge(runChunk(c));
-        return campaign;
-    }
-    // Thread tier: chunks evaluate in parallel, then fold in chunk
-    // order (the canonical fold). A chunk aggregate is fixed-size, so
-    // holding all of them is O(chunks), not O(devices).
-    const std::vector<FleetShardAggregate> per_chunk =
-        parallelMap<FleetShardAggregate>(
-            chunks, [this](size_t c) { return runChunk(c); },
-            config_.jobs);
-    for (const FleetShardAggregate &chunk : per_chunk)
-        campaign.merge(chunk);
-    return campaign;
-}
-
-FleetShardAggregate
-FleetEngine::runCampaignWithWorkers() const
-{
-    const size_t gcount = config_.governors.size();
-    const uint64_t chunks = chunkCount();
-    const uint64_t hash = fleetCampaignHash(config_);
-
-    ProcSweepConfig proc;
-    proc.workers = config_.workers;
-    proc.campaignHash = hash;
-    // The streaming hook below is the consumer: the supervisor keeps
-    // no per-unit payloads, so its memory is O(workers + reorder
-    // window), independent of the fleet size.
-    proc.discardResults = true;
-
-    std::string ckpt_path;
-    if (!config_.journalStem.empty()) {
-        const std::string stem =
-            config_.journalStem + "." + hexU64(hash);
-        proc.journalPath = stem + ".jrn";
-        ckpt_path = stem + ".ckpt";
-    }
-
-    FleetShardAggregate campaign =
-        FleetShardAggregate::forCampaign(gcount);
-    uint64_t absorbed = 0;      // chunks folded into the prefix
-    uint64_t durable_floor = 0; // chunks durable in the checkpoint
-    if (!ckpt_path.empty() &&
-        tryLoadCheckpoint(ckpt_path, hash, chunks,
-                          config_.chunkDevices, config_.spec.devices,
-                          gcount, &absorbed, &campaign)) {
-        durable_floor = absorbed;
-        inform("fleet: checkpoint %s covers %llu/%llu chunks; "
-               "resuming past them",
-               ckpt_path.c_str(),
-               static_cast<unsigned long long>(absorbed),
-               static_cast<unsigned long long>(chunks));
-    }
-    proc.precompletedPrefix = absorbed;
-
-    // Chunks complete in any order; fold stays canonical by parking
-    // out-of-order arrivals until the next-in-line chunk lands.
-    std::map<uint64_t, FleetShardAggregate> pending;
-    uint64_t since_ckpt = 0;
-    proc.onUnitComplete = [&](uint64_t unit,
-                              const std::string &payload) -> uint64_t {
-        FleetShardAggregate chunk;
-        if (!chunk.tryDeserialize(payload))
-            fatal("fleet: chunk %llu payload from the process tier "
-                  "does not deserialize (journal from an older "
-                  "build?); delete %s and re-run",
-                  static_cast<unsigned long long>(unit),
-                  proc.journalPath.c_str());
-        pending.emplace(unit, std::move(chunk));
-        while (!pending.empty() &&
-               pending.begin()->first == absorbed) {
-            campaign.merge(pending.begin()->second);
-            pending.erase(pending.begin());
-            ++absorbed;
-            ++since_ckpt;
-        }
-        if (!ckpt_path.empty() &&
-            since_ckpt >= config_.checkpointIntervalChunks) {
-            if (writeFileAtomic(
-                    ckpt_path,
-                    checkpointBytes(hash, chunks,
-                                    config_.chunkDevices, absorbed,
-                                    campaign)))
-                durable_floor = absorbed;
-            else
-                warn("fleet: checkpoint write to %s failed; the "
-                     "journal keeps the full history",
-                     ckpt_path.c_str());
-            since_ckpt = 0;
-        }
-        return durable_floor;
-    };
-
-    const ProcSweepReport report =
-        runProcSweep(proc, chunks, [this](uint64_t c) {
-            return runChunk(static_cast<size_t>(c)).serialize();
+                         g == 0, m);
         });
-
-    if (report.drained) {
-        // Progress (if journaled) is durable; die by the original
-        // signal so scripts see the conventional status, and a rerun
-        // resumes from the checkpoint + journal.
-        warn("fleet: campaign interrupted by signal %d with %llu "
-             "chunks durable; re-run to resume",
-             report.drainSignal,
-             static_cast<unsigned long long>(
-                 report.unitsRun + report.unitsResumed +
-                 report.unitsPrecompleted));
-        ::raise(report.drainSignal);
-        fatal("fleet: campaign interrupted"); // signal was ignored
-    }
-
-    // Quarantined chunks leave holes; recompute them in-process so
-    // the fold stays canonical and the campaign still completes.
-    while (absorbed < chunks) {
-        const auto it = pending.find(absorbed);
-        if (it != pending.end()) {
-            campaign.merge(it->second);
-            pending.erase(it);
-        } else {
-            warn("fleet: chunk %llu was quarantined by the process "
-                 "tier; recomputing in-process",
-                 static_cast<unsigned long long>(absorbed));
-            campaign.merge(runChunk(absorbed));
-        }
-        ++absorbed;
-    }
-    return campaign;
+    return agg;
 }
 
 std::vector<RunMeasurement>
 FleetEngine::runAllCells() const
 {
-    const size_t n = cellCount();
-    const size_t lanes = config_.lanes;
-    const size_t batches = (n + lanes - 1) / lanes;
-    const auto run_batch = [&](size_t b) {
-        const size_t first = b * lanes;
-        return runBatch(first, std::min<size_t>(lanes, n - first));
-    };
-    std::vector<std::vector<RunMeasurement>> per_batch;
-    if (config_.jobs <= 1 || batches <= 1) {
-        per_batch.reserve(batches);
-        for (size_t b = 0; b < batches; ++b)
-            per_batch.push_back(run_batch(b));
-    } else {
-        per_batch = parallelMap<std::vector<RunMeasurement>>(
-            batches, run_batch, config_.jobs);
-    }
-    std::vector<RunMeasurement> results;
-    results.reserve(n);
-    for (auto &batch : per_batch)
-        for (auto &m : batch)
-            results.push_back(std::move(m));
-    return results;
+    const size_t gcount = config_.governors.size();
+    CellCampaign campaign;
+    campaign.name = "fleet";
+    campaign.hash = fleetCampaignHash(config_);
+    return executor_.measure(
+        cellCount(),
+        [&](size_t cell) {
+            return makeCell(cell, sampleDevice(config_.spec, cell / gcount));
+        },
+        campaign);
 }
 
 FleetReport
@@ -563,10 +339,67 @@ FleetEngine::buildReport(const FleetShardAggregate &campaign) const
 FleetReport
 FleetEngine::run()
 {
-    const FleetShardAggregate campaign = config_.workers > 0
-        ? runCampaignWithWorkers()
-        : runCampaignInProcess();
-    return buildReport(campaign);
+    const size_t gcount = config_.governors.size();
+    const uint64_t chunks = chunkCount();
+    CellCampaign campaign;
+    campaign.name = "fleet";
+    campaign.hash = fleetCampaignHash(config_);
+
+    // Chunk aggregates fold left-to-right in chunk order (the canonical
+    // fold) as the executor hands them over, so at most the chunks
+    // that finished out of order are held, on every tier.
+    FleetShardAggregate folded = FleetShardAggregate::forCampaign(gcount);
+    uint64_t absorbed = 0;    // chunks folded into `folded`
+    uint64_t durable = 0;     // chunks durable in the checkpoint
+    uint64_t since_ckpt = 0;  // chunks folded since the last write
+    std::string ckpt_path;
+    if (config_.workers > 0 && !config_.journalStem.empty()) {
+        ckpt_path = config_.journalStem + "." + hexU64(campaign.hash) +
+            ".ckpt";
+        if (tryLoadCheckpoint(ckpt_path, campaign.hash, chunks,
+                              config_.chunkDevices, config_.spec.devices,
+                              gcount, &absorbed, &folded)) {
+            durable = absorbed;
+            inform("fleet: checkpoint %s covers %llu/%llu chunks; "
+                   "resuming past them",
+                   ckpt_path.c_str(),
+                   static_cast<unsigned long long>(absorbed),
+                   static_cast<unsigned long long>(chunks));
+        }
+    }
+    campaign.durablePrefix = absorbed;
+    // Checkpoint the folded prefix every checkpointIntervalChunks; the
+    // journal may then drop every record below it.
+    campaign.durableFloor = [&]() -> uint64_t {
+        if (!ckpt_path.empty() &&
+            since_ckpt >= config_.checkpointIntervalChunks) {
+            if (writeFileAtomic(ckpt_path,
+                                checkpointBytes(campaign.hash, chunks,
+                                                config_.chunkDevices,
+                                                absorbed, folded)))
+                durable = absorbed;
+            else
+                warn("fleet: checkpoint write to %s failed; the "
+                     "journal keeps the full history",
+                     ckpt_path.c_str());
+            since_ckpt = 0;
+        }
+        return durable;
+    };
+
+    executor_.forEachUnit<FleetShardAggregate>(
+        chunks, [this](size_t c) { return runChunk(c); },
+        [&](size_t, FleetShardAggregate &&chunk) {
+            folded.merge(chunk);
+            ++absorbed;
+            ++since_ckpt;
+        },
+        {[](const FleetShardAggregate &chunk) { return chunk.serialize(); },
+         [](std::string_view bytes, FleetShardAggregate *chunk) {
+             return chunk->tryDeserialize(bytes);
+         }},
+        campaign);
+    return buildReport(folded);
 }
 
 RunMeasurement
@@ -578,9 +411,17 @@ FleetEngine::replayDevice(size_t device_index,
               "population of %zu",
               device_index, config_.spec.devices);
     const size_t gcount = config_.governors.size();
-    for (size_t g = 0; g < gcount; ++g)
-        if (config_.governors[g] == governor)
-            return runBatch(device_index * gcount + g, 1).front();
+    for (size_t g = 0; g < gcount; ++g) {
+        if (config_.governors[g] != governor)
+            continue;
+        const DeviceSpec device = sampleDevice(config_.spec, device_index);
+        RunMeasurement out;
+        executor_.runCells(
+            device_index * gcount + g, 1,
+            [&](size_t cell) { return makeCell(cell, device); },
+            [&](size_t, RunMeasurement &&m) { out = std::move(m); });
+        return out;
+    }
     fatal("FleetEngine::replayDevice: governor '%s' is not in this "
           "campaign",
           governor.c_str());

@@ -6,30 +6,31 @@
  *
  * Cell grid: cell = device * |governors| + governorIndex
  * (device-major). Every cell is an independent simulation of one
- * sampled device under one governor, keyed by its grid index, so
- * results are byte-identical at any combination of
+ * sampled device under one governor, keyed by its grid index. The
+ * engine runs its cells through the cell executor
+ * (sim/cell_executor.hh), so results are byte-identical at any
+ * combination of
  *
- *   --jobs    thread tier (parallelMap over chunks)
+ *   --jobs    thread tier (chunks on the pool)
  *   --workers process tier (exec/proc supervisor; crash recovery and
  *             a checksummed resume journal bound to the campaign
  *             hash)
- *   --lanes   leaf tier (LaneBatchSimulator: N cells advanced
- *             interleaved per lane batch)
+ *   --lanes   leaf tier (N cells of a chunk advanced interleaved per
+ *             lane batch)
  *
  * and identical again after a mid-campaign kill + resume.
  *
  * Aggregation is streaming: the campaign's cells are cut into
  * fixed-size chunks (whole devices, chunkDevices per chunk), each
  * chunk reduces into one fixed-memory FleetShardAggregate
- * (fleet/aggregate.hh), and every tier folds chunk aggregates
- * left-to-right in chunk-index order. The process tier ships one
- * aggregate per chunk instead of per-device measurements
- * (supervisor memory O(chunks in flight), not O(devices)), and the
- * supervisor's streaming hook absorbs chunks into the campaign
- * prefix as they land, writing a versioned aggregate checkpoint
- * every checkpointIntervalChunks and truncating the journal below
- * the checkpointed prefix — so resume after SIGKILL costs
- * O(checkpoint interval), not O(journal replay).
+ * (fleet/aggregate.hh), and chunk aggregates fold left-to-right in
+ * chunk-index order as the executor hands them over — so memory holds
+ * only chunks that finished out of order, on every tier. The process
+ * tier ships one aggregate per chunk instead of per-device
+ * measurements, and the completion hook writes a versioned aggregate
+ * checkpoint of the folded prefix every checkpointIntervalChunks,
+ * letting the supervisor truncate the journal below it — so resume
+ * after SIGKILL costs O(checkpoint interval), not O(journal replay).
  *
  * The campaign hash covers the spec text, the base ExperimentConfig
  * protocol hash, the governor list, and the chunk width, so a stale
@@ -50,6 +51,7 @@
 #include "fleet/aggregate.hh"
 #include "fleet/fleet_spec.hh"
 #include "runner/experiment.hh"
+#include "sim/cell_executor.hh"
 #include "stats/quantile_sketch.hh"
 
 namespace dora
@@ -79,6 +81,7 @@ struct FleetCampaignConfig
     /** Trained bundle for predictive governors (may be null). */
     std::shared_ptr<const ModelBundle> models;
 
+    /** Tier widths; 0 = defaultJobCount() / defaultLaneCount(). */
     unsigned jobs = 1;    //!< thread tier width (ignored when workers > 0)
     unsigned workers = 0; //!< process tier width (0 = in-process)
     unsigned lanes = 1;   //!< cells per lane batch
@@ -208,23 +211,14 @@ class FleetEngine
     size_t chunkCount() const;
 
   private:
-    /** Owned per-cell objects — the cell's device in a box. */
-    struct DeviceCell;
-
-    DeviceCell makeCell(size_t cell_index,
-                        const DeviceSpec &sampled) const;
-    std::vector<RunMeasurement> runLaneBatch(
-        size_t first, size_t count,
-        const std::vector<DeviceSpec> &devices,
-        size_t first_device) const;
-    std::vector<RunMeasurement> runBatch(size_t first,
-                                         size_t count) const;
+    /** Cell @p cell_index: @p sampled (its device) under its governor. */
+    RunCell makeCell(size_t cell_index, const DeviceSpec &sampled) const;
+    /** One chunk's cells, reduced to the chunk aggregate. */
     FleetShardAggregate runChunk(size_t chunk_index) const;
-    FleetShardAggregate runCampaignInProcess() const;
-    FleetShardAggregate runCampaignWithWorkers() const;
     FleetReport buildReport(const FleetShardAggregate &campaign) const;
 
     FleetCampaignConfig config_;
+    CellExecutor executor_;
 };
 
 } // namespace dora

@@ -6,16 +6,15 @@
  * interactive baseline.
  *
  * Every cell of a comparison (workload x governor) is an independent
- * simulation on a freshly constructed device, so the harness fans the
- * cells out across a thread pool (see src/exec). Results are
- * bit-identical to the serial order at any job count; jobs=1 runs the
- * exact legacy serial loop.
+ * simulation on a freshly constructed device; the harness hands the
+ * grid to the cell executor (sim/cell_executor.hh), whose thread,
+ * process and lane tiers are all bit-identical to a plain loop of
+ * runOne() calls.
  */
 
 #ifndef DORA_HARNESS_COMPARISON_HH
 #define DORA_HARNESS_COMPARISON_HH
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,12 +22,10 @@
 #include "dora/model_bundle.hh"
 #include "dora/predictive_governor.hh"
 #include "runner/experiment.hh"
+#include "sim/cell_executor.hh"
 
 namespace dora
 {
-
-class FaultInjector;
-class Task;
 
 /**
  * Registry of governor names the harness can run. The index of a name
@@ -99,26 +96,21 @@ class ComparisonHarness
     /**
      * @param config  per-run configuration (deadline etc.)
      * @param models  trained bundle for the predictive governors
-     * @param jobs    parallelism for runAll()/offlineOpt() fan-outs
-     *                (0 = defaultJobCount(); 1 = legacy serial path)
+     * @param jobs    threads for runAll()/offlineOpt() fan-outs
+     *                (0 = defaultJobCount())
      */
     ComparisonHarness(const ExperimentConfig &config,
                       std::shared_ptr<const ModelBundle> models,
                       unsigned jobs = 0);
 
-    /** Parallelism used for comparison fan-outs. */
-    unsigned jobs() const { return jobs_; }
-
     /**
      * Route fan-outs through the crash-resilient process tier
      * (exec/proc): @p workers worker subprocesses per campaign.
-     * 0 (the default) keeps everything in-process — the thread-pool
-     * path, bit-identical to the legacy serial loop. Results under
-     * any worker count are bit-identical to workers=0: cells are
-     * keyed by grid index and every cell constructs its own device.
+     * 0 (the default) keeps everything in-process. Results under any
+     * worker count are bit-identical to workers=0: cells are keyed by
+     * grid index and every cell constructs its own device.
      */
-    void setWorkers(unsigned workers) { workers_ = workers; }
-    unsigned workers() const { return workers_; }
+    void setWorkers(unsigned workers) { tiers_.workers = workers; }
 
     /**
      * Enable checkpoint/resume for process-tier campaigns: completed
@@ -130,20 +122,18 @@ class ComparisonHarness
      */
     void setProcJournalStem(std::string stem)
     {
-        procJournalStem_ = std::move(stem);
+        tiers_.journalStem = std::move(stem);
     }
 
     /**
-     * Lane batching (sim/lane_batch.hh): pack fan-out cells into
-     * batches of @p lanes runs advanced interleaved on one thread, so
-     * independent memory-walk miss chains overlap. Composes with the
-     * thread tier (each pool job runs a batch) and the process tier
-     * (each worker unit is a batch). lanes <= 1 is the exact legacy
-     * per-run path; results are bit-identical at every lane count.
-     * The constructor default is $DORA_LANES (see common/lanes.hh).
+     * Lane batching (sim/lane_batch.hh): advance fan-out cells
+     * @p lanes at a time, interleaved on one thread, so independent
+     * memory-walk miss chains overlap. Composes with the thread tier
+     * (each pool job runs a batch) and the process tier (each worker
+     * unit is a batch); results are bit-identical at every lane count.
+     * 0, the default, is $DORA_LANES (see common/lanes.hh).
      */
-    void setLanes(unsigned lanes) { lanes_ = lanes ? lanes : 1; }
-    unsigned lanes() const { return lanes_; }
+    void setLanes(unsigned lanes) { tiers_.lanes = lanes; }
 
     /**
      * Run @p workloads under every governor in the comparison set.
@@ -190,78 +180,23 @@ class ComparisonHarness
     RunMeasurement pickOfflineOpt(std::vector<RunMeasurement> sweep) const;
 
   private:
-    /**
-     * One lane-tier cell: everything a RunContext lane needs, owned
-     * (the governor/co-runner must outlive the whole batch, unlike the
-     * stack-scoped objects of the per-run path).
-     */
-    struct LaneCell
-    {
-        const WebPage *page = nullptr;
-        std::unique_ptr<Task> corun;
-        std::string label;
-        std::unique_ptr<Governor> governor;
-        std::optional<size_t> initialFreq;
-    };
-    using LaneCellFn = std::function<LaneCell(size_t)>;
-
-    /** runOne() against an explicit runner (per-job runners). */
-    RunMeasurement runOneWith(ExperimentRunner &runner,
-                              const WorkloadSpec &workload,
-                              const std::string &governor);
-
-    /** Fresh governor instance by registry name; fatal() on unknown. */
-    std::unique_ptr<Governor> makeGovernor(const std::string &name) const;
-
-    /** Lane cell for (workload, named governor) — the runAll grid. */
-    LaneCell makeLaneCell(const WorkloadSpec &workload,
-                          const std::string &governor) const;
-
-    /** Lane cell for (workload, pinned OPP) — the offline-opt grid. */
-    LaneCell makeLaneCell(const WorkloadSpec &workload,
-                          size_t freq_index) const;
+    /** Cell of @p workload under @p governor, on the runner's config. */
+    RunCell makeCell(const WorkloadSpec &workload,
+                     std::unique_ptr<Governor> governor,
+                     std::optional<size_t> initial_freq) const;
 
     /**
-     * Run fn(runner, i) for i in [0, n) across jobs_ workers, each
-     * worker batch using a runner cloned from runner_ (same config,
-     * same fault schedule); with jobs_ == 1 every call uses runner_
-     * itself — the exact legacy path. With workers_ > 0 the grid is
-     * instead sharded across worker subprocesses (see setWorkers());
-     * @p campaign_salt distinguishes campaigns of the same size for
-     * the journal identity. With lanes_ > 1 and a non-null
-     * @p make_cell the cells run lane-batched instead (bit-identical
-     * by the LaneBatchSimulator contract).
+     * Run the grid [0, n) of cells built by @p make_cell through the
+     * cell executor. @p grid names the grid (workload labels, governor
+     * names) for the process-tier journal identity.
      */
-    std::vector<RunMeasurement> mapWithRunners(
-        size_t n, uint64_t campaign_salt,
-        const std::function<RunMeasurement(ExperimentRunner &, size_t)>
-            &fn,
-        const LaneCellFn &make_cell = {});
-
-    /** The process-tier (workers_ > 0) arm of mapWithRunners(). */
-    std::vector<RunMeasurement> mapWithWorkers(
-        size_t n, uint64_t campaign_salt,
-        const std::function<RunMeasurement(ExperimentRunner &, size_t)>
-            &fn);
-
-    /** The in-process lane tier: batches fanned across the pool. */
-    std::vector<RunMeasurement> mapWithLanes(size_t n,
-                                             const LaneCellFn &make_cell);
-
-    /** Process tier with lane batching: each worker unit is a batch. */
-    std::vector<RunMeasurement> mapWithWorkersLanes(
-        size_t n, uint64_t campaign_salt, const LaneCellFn &make_cell);
-
-    /** Build and drive one batch of cells [first, first+count). */
-    std::vector<RunMeasurement> runLaneBatch(size_t first, size_t count,
-                                             const LaneCellFn &make_cell);
+    std::vector<RunMeasurement>
+    runGrid(size_t n, const std::string &grid,
+            const CellExecutor::CellFn &make_cell) const;
 
     ExperimentRunner runner_;
     std::shared_ptr<const ModelBundle> models_;
-    unsigned jobs_;
-    unsigned workers_ = 0;
-    unsigned lanes_;
-    std::string procJournalStem_;
+    CellTiers tiers_;
 };
 
 /**

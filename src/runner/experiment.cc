@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 
 #include "common/exact_ticks.hh"
 #include "common/rng.hh"
 #include "exec/thread_pool.hh"
 #include "runner/run_context.hh"
-#include "workloads/corun_task.hh"
 
 namespace dora
 {
@@ -42,19 +40,11 @@ RunMeasurement
 ExperimentRunner::run(const WorkloadSpec &workload, Governor &governor,
                       std::optional<size_t> initial_freq)
 {
-    std::unique_ptr<CorunTask> corun;
-    if (workload.kernel) {
-        // The "corun:" stream tag decorrelates this salt from the
-        // PageLoad salt in runCustom() ("page:" + the same label):
-        // with a shared salt the browser and the co-runner drew
-        // correlated address/phase streams.
-        const uint64_t salt =
-            // dora:stream-tag-shared(same workload, same corun stream)
-            hashLabel("corun:" + workload.label()) % 4096;
-        corun = std::make_unique<CorunTask>(*workload.kernel, salt);
-    }
-    return runCustom(workload.page, corun.get(), workload.label(),
-                     governor, initial_freq);
+    const RunCell cell = makeRunCell(config_, workload.page,
+                                     workload.kernel, workload.label(),
+                                     nullptr);
+    return runCustom(cell.params.page, cell.params.corun,
+                     cell.params.label, governor, initial_freq);
 }
 
 RunMeasurement
@@ -142,18 +132,9 @@ ExperimentRunner::idleCharacterization(
         return cell_samples;
     };
 
-    const size_t cells = ambients_c.size() * freqs;
     std::vector<IdleSample> samples;
-    if (jobs == 1) {
-        for (size_t cell = 0; cell < cells; ++cell) {
-            const auto cell_samples = run_cell(cell);
-            samples.insert(samples.end(), cell_samples.begin(),
-                           cell_samples.end());
-        }
-        return samples;
-    }
     const auto per_cell = parallelMap<std::vector<IdleSample>>(
-        cells, run_cell, jobs);
+        ambients_c.size() * freqs, run_cell, jobs);
     for (const auto &cell_samples : per_cell)
         samples.insert(samples.end(), cell_samples.begin(),
                        cell_samples.end());

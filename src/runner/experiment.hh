@@ -199,9 +199,9 @@ class ExperimentRunner
      * temperature. Feeds the leakage fit.
      *
      * Each (ambient, OPP) cell simulates an independent device, so the
-     * grid is fanned out across @p jobs workers (1 = serial legacy
-     * path; 0 = defaultJobCount()). Sample order is independent of the
-     * job count: ambient-major, then OPP, then time.
+     * grid is fanned out through parallelMap() on @p jobs threads
+     * (0 = defaultJobCount()). Sample order is independent of the job
+     * count: ambient-major, then OPP, then time.
      */
     std::vector<IdleSample>
     idleCharacterization(const std::vector<double> &ambients_c,

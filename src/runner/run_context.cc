@@ -9,6 +9,7 @@
 #include "fault/fault_injector.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "workloads/corun_task.hh"
 
 namespace dora
 {
@@ -733,6 +734,29 @@ RunContext::tryRestore(SnapshotReader &r)
     windowWall_ = window_wall;
     windowEnd_ = window_end;
     return true;
+}
+
+RunCell
+makeRunCell(const ExperimentConfig &config, const WebPage *page,
+            const KernelSpec *kernel, const std::string &label,
+            std::unique_ptr<Governor> governor,
+            std::optional<size_t> initial_freq, const FaultSchedule *faults)
+{
+    RunCell cell;
+    cell.config = config;
+    if (kernel)
+        cell.corun = std::make_unique<CorunTask>(
+            *kernel, hashLabel("corun:" + label) % 4096);
+    cell.governor = std::move(governor);
+    if (faults)
+        cell.fault = std::make_unique<FaultInjector>(*faults);
+    cell.params.page = page;
+    cell.params.corun = cell.corun.get();
+    cell.params.label = label;
+    cell.params.governor = cell.governor.get();
+    cell.params.initialFreq = initial_freq;
+    cell.params.fault = cell.fault.get();
+    return cell;
 }
 
 } // namespace dora

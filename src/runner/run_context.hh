@@ -16,8 +16,14 @@
  * Contract: driving a RunContext with `while (!done()) advance();
  * finish()` reproduces the legacy loop bit-for-bit — the transition
  * points, latch order, and accumulator arithmetic are the same
- * statements in the same order (tests/runner/lane_batch_test.cc pins
+ * statements in the same order (tests/sim/lane_batch_test.cc pins
  * this down at every lane count).
+ *
+ * RunCell is the owned form of one run's parameters, and makeRunCell()
+ * the one recipe that builds it: the cell executor
+ * (sim/cell_executor.hh) runs every campaign grid from such cells, and
+ * ExperimentRunner::run() builds its co-runner through the same
+ * recipe.
  */
 
 #ifndef DORA_RUNNER_RUN_CONTEXT_HH
@@ -29,6 +35,7 @@
 #include <vector>
 
 #include "browser/page_load.hh"
+#include "fault/fault_injector.hh"
 #include "power/device_power.hh"
 #include "runner/experiment.hh"
 #include "sim/simulator.hh"
@@ -38,7 +45,6 @@
 namespace dora
 {
 
-class FaultInjector;
 class RunTrace;
 
 /** Core pinning per the paper: browser on 0-1, co-runner on 2, 3 off. */
@@ -254,6 +260,36 @@ class RunContext
 
     bool reported_ = false;  //!< metrics/trace emitted by finish()
 };
+
+/**
+ * One independent run with everything its RunContext borrows, owned,
+ * so a cell can be built where it runs and outlive any lane batch.
+ * @ref params points into the members below; they live on the heap,
+ * so a moved cell stays valid.
+ */
+struct RunCell
+{
+    ExperimentConfig config;
+    RunContext::Params params;
+    std::unique_ptr<Task> corun;
+    std::unique_ptr<Governor> governor;
+    std::unique_ptr<FaultInjector> fault;
+};
+
+/**
+ * The one cell recipe. A co-runner @p kernel is salted with "corun:" +
+ * @p label, which keeps its streams apart from the page's ("page:" +
+ * the same label, see RunContext). @p governor may be null when the
+ * caller drives the run with a governor of its own. A non-null
+ * @p faults gives the cell a private injector on that schedule; an
+ * injector resets at run start, so every copy of one schedule replays
+ * the same fault stream.
+ */
+RunCell makeRunCell(const ExperimentConfig &config, const WebPage *page,
+                    const KernelSpec *kernel, const std::string &label,
+                    std::unique_ptr<Governor> governor,
+                    std::optional<size_t> initial_freq = std::nullopt,
+                    const FaultSchedule *faults = nullptr);
 
 } // namespace dora
 

@@ -156,7 +156,8 @@ TEST(Snapshot, TruncationDetected)
     const std::string bytes = w.finish();
 
     for (size_t cut = 0; cut < bytes.size(); ++cut) {
-        SnapshotReader r(bytes.substr(0, cut));
+        const std::string prefix = bytes.substr(0, cut);
+        SnapshotReader r(prefix);
         EXPECT_FALSE(r.checksumOk()) << "cut at " << cut;
     }
 }

@@ -1,9 +1,11 @@
 /**
  * @file
  * End-to-end determinism of the parallel experiment engine: the same
- * comparison run at jobs=1 (exact legacy serial path) and jobs=4 must
- * produce bit-identical RunMeasurement vectors — including when a
- * non-zero fault-injection schedule is active on the signal path.
+ * comparison run through the harness at jobs=1 and jobs=4 must produce
+ * RunMeasurement vectors bit-identical to a plain loop of
+ * ExperimentRunner::run() on one runner (the runOne() path, which the
+ * cell executor does not run) — including when a non-zero
+ * fault-injection schedule is active on the signal path.
  *
  * Identity is checked through runMeasurementText(), which renders
  * every double as a hex float, so any single-ULP divergence fails.
@@ -51,13 +53,46 @@ comparisonTexts(unsigned jobs, FaultInjector *injector)
     return texts;
 }
 
+/** The reference: every cell run in turn on one runner. */
+std::vector<std::string>
+loopTexts(FaultInjector *injector)
+{
+    ExperimentRunner runner;
+    runner.setFaultInjector(injector);
+    std::vector<std::string> texts;
+    for (const auto &w : cheapWorkloads())
+        for (const auto &g : kGovernors)
+            texts.push_back(runMeasurementText(
+                runner.run(w, *makeNamedGovernor(g, nullptr))));
+    return texts;
+}
+
+/** Offline-opt reference: a runAtFrequency() sweep on one runner. */
+RunMeasurement
+loopOfflineOpt(const WorkloadSpec &workload)
+{
+    ComparisonHarness picker(ExperimentConfig{}, nullptr, 1);
+    ExperimentRunner runner;
+    std::vector<RunMeasurement> sweep;
+    for (size_t f = 0; f < runner.freqTable().size(); ++f)
+        sweep.push_back(runner.runAtFrequency(workload, f));
+    return picker.pickOfflineOpt(std::move(sweep));
+}
+
+void
+expectSameTexts(const std::vector<std::string> &want,
+                const std::vector<std::string> &got, const char *what)
+{
+    ASSERT_EQ(want.size(), got.size()) << what;
+    for (size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(want[i], got[i]) << what << " cell " << i;
+}
+
 TEST(ParallelDeterminism, FaultFreeComparisonBitIdentical)
 {
-    const auto serial = comparisonTexts(1, nullptr);
-    const auto parallel = comparisonTexts(4, nullptr);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (size_t i = 0; i < serial.size(); ++i)
-        EXPECT_EQ(serial[i], parallel[i]) << "cell " << i;
+    const auto reference = loopTexts(nullptr);
+    expectSameTexts(reference, comparisonTexts(1, nullptr), "jobs=1");
+    expectSameTexts(reference, comparisonTexts(4, nullptr), "jobs=4");
 }
 
 TEST(ParallelDeterminism, FaultedComparisonBitIdentical)
@@ -71,16 +106,16 @@ TEST(ParallelDeterminism, FaultedComparisonBitIdentical)
     FaultInjector serial_injector(schedule);
     FaultInjector parallel_injector(schedule);
 
-    const auto serial = comparisonTexts(1, &serial_injector);
-    const auto parallel = comparisonTexts(4, &parallel_injector);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (size_t i = 0; i < serial.size(); ++i)
-        EXPECT_EQ(serial[i], parallel[i]) << "cell " << i;
+    const auto serial = loopTexts(&serial_injector);
+    expectSameTexts(serial, comparisonTexts(1, &parallel_injector),
+                    "jobs=1");
+    expectSameTexts(serial, comparisonTexts(4, &parallel_injector),
+                    "jobs=4");
 
     // The schedule must actually have fired: a faulted interactive run
     // differs from the fault-free one (otherwise this test would be
     // vacuous).
-    const auto clean = comparisonTexts(1, nullptr);
+    const auto clean = loopTexts(nullptr);
     bool any_difference = false;
     for (size_t i = 0; i < serial.size(); ++i)
         any_difference = any_difference || serial[i] != clean[i];
@@ -94,19 +129,18 @@ TEST(ParallelDeterminism, OfflineOptBitIdenticalAndOrderInvariant)
     ComparisonHarness serial(ExperimentConfig{}, nullptr, 1);
     ComparisonHarness parallel(ExperimentConfig{}, nullptr, 4);
 
-    const auto serial_one = serial.offlineOpt(workloads[0]);
-    const auto parallel_one = parallel.offlineOpt(workloads[0]);
-    EXPECT_EQ(runMeasurementText(serial_one),
-              runMeasurementText(parallel_one));
+    const auto reference = runMeasurementText(loopOfflineOpt(workloads[0]));
+    EXPECT_EQ(reference, runMeasurementText(serial.offlineOpt(workloads[0])));
+    EXPECT_EQ(reference,
+              runMeasurementText(parallel.offlineOpt(workloads[0])));
 
-    // offlineOptMany must match per-workload offlineOpt exactly.
+    // offlineOptMany must match per-workload sweeps exactly.
     const auto many = parallel.offlineOptMany(workloads);
     ASSERT_EQ(many.size(), workloads.size());
-    EXPECT_EQ(runMeasurementText(many[0]),
-              runMeasurementText(serial_one));
+    EXPECT_EQ(runMeasurementText(many[0]), reference);
     for (size_t w = 1; w < workloads.size(); ++w)
         EXPECT_EQ(runMeasurementText(many[w]),
-                  runMeasurementText(serial.offlineOpt(workloads[w])));
+                  runMeasurementText(loopOfflineOpt(workloads[w])));
 }
 
 TEST(ParallelDeterminism, DigestMatchesTextEquality)

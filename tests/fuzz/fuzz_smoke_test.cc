@@ -157,7 +157,8 @@ TEST(FuzzSmoke, RunningStatRestoreSurvivesCorruption)
         victim.push(1.0);
     }
     for (int i = 0; i < 256; ++i) {
-        SnapshotReader r(randomBytes(rng, rng.below(256)));
+        const std::string junk = randomBytes(rng, rng.below(256));
+        SnapshotReader r(junk);
         RunningStat victim;
         EXPECT_FALSE(victim.tryRestore(r));
     }

@@ -19,10 +19,12 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "dora/trainer.hh"
 #include "harness/comparison.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "runner/workload.hh"
+#include "workloads/kernel.hh"
 
 namespace dora
 {
@@ -309,6 +311,55 @@ TEST(ObsGuardSignal, SigtermFlushesPartialTraceWithTruncatedMarker)
         << manifest;
     EXPECT_NE(slurp(dir + "/events.jsonl").find("\"partial_marker\""),
               std::string::npos);
+}
+
+/**
+ * The campaign counters count every cell once, in the calling
+ * process, on every tier — including the process tier, whose cells
+ * run in forked workers.
+ */
+TEST(CellCounters, CountEveryCellOnEveryTier)
+{
+    MetricsRegistry &reg = MetricsRegistry::global();
+    MetricCounter &queued = reg.counter("harness.cells_queued");
+    MetricCounter &done = reg.counter("harness.cells_done");
+    MetricCounter &samples = reg.counter("trainer.samples_collected");
+
+    const std::vector<WorkloadSpec> kernels = {
+        WorkloadSets::kernelOnly(KernelCatalog::byName("kmeans")),
+        WorkloadSets::kernelOnly(KernelCatalog::byName("srad2")),
+    };
+    const std::vector<std::string> governors = {"interactive",
+                                                "ondemand"};
+    TrainerConfig trainer_config;
+    trainer_config.experiment.maxLoadSec = 1.0;
+    auto pages = WorkloadSets::webpageInclusive();
+    pages.resize(2);
+    const std::vector<size_t> freqs = {0, 5};
+
+    struct Tier
+    {
+        unsigned jobs, workers;
+    };
+    for (const Tier tier : {Tier{1, 0}, Tier{2, 0}, Tier{1, 2}}) {
+        const std::string where = "jobs=" + std::to_string(tier.jobs) +
+            " workers=" + std::to_string(tier.workers);
+
+        ComparisonHarness harness(ExperimentConfig{}, nullptr, tier.jobs);
+        harness.setWorkers(tier.workers);
+        const uint64_t queued0 = queued.value();
+        const uint64_t done0 = done.value();
+        harness.runAll(kernels, governors);
+        EXPECT_EQ(queued.value() - queued0, 4u) << where;
+        EXPECT_EQ(done.value() - done0, 4u) << where;
+
+        trainer_config.jobs = tier.jobs;
+        trainer_config.workers = tier.workers;
+        Trainer trainer(trainer_config);
+        const uint64_t samples0 = samples.value();
+        trainer.collectSamples(pages, freqs);
+        EXPECT_EQ(samples.value() - samples0, 4u) << where;
+    }
 }
 
 /**

@@ -17,6 +17,7 @@
 #include <string>
 #include <thread>
 
+#include <sys/time.h>
 #include <unistd.h>
 
 namespace dora
@@ -227,13 +228,19 @@ TEST_F(ProcSupervisorTest, SigintDrainsInFlightAndJournalsProgress)
     config.journalPath = journal_;
     config.campaignHash = 0xd5a1;
 
-    std::thread interrupter([] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(400));
-        ::kill(::getpid(), SIGINT);
-    });
+    // A one-shot timer rather than a thread sends the SIGINT: the
+    // supervisor must fork its workers from a single-threaded process
+    // (ThreadSanitizer kills workers forked from a multi-threaded one).
+    struct sigaction interrupt = {};
+    interrupt.sa_handler = [](int) { ::kill(::getpid(), SIGINT); };
+    struct sigaction previous = {};
+    ASSERT_EQ(::sigaction(SIGALRM, &interrupt, &previous), 0);
+    itimerval timer = {};
+    timer.it_value.tv_usec = 400000;
+    ASSERT_EQ(::setitimer(ITIMER_REAL, &timer, nullptr), 0);
     const ProcSweepReport drained =
         runProcSweep(config, 20, slow_fn);
-    interrupter.join();
+    ::sigaction(SIGALRM, &previous, nullptr);
 
     EXPECT_TRUE(drained.drained);
     EXPECT_EQ(drained.drainSignal, SIGINT);

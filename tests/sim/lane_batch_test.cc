@@ -3,11 +3,12 @@
  * Determinism and snapshot contracts of the lane-batched execution
  * tier (sim/lane_batch.hh): a comparison/training campaign run at any
  * lane count must produce RunMeasurement/TrainingSample vectors
- * bit-identical to the lanes=1 legacy per-run path — in adaptive AND
- * exact-ticks mode, with a non-trivial fault schedule active, and
- * composed with the thread and process tiers. Identity is checked
- * through runMeasurementText() (hex-float rendering), so any
- * single-ULP divergence fails.
+ * bit-identical to a plain loop of ExperimentRunner::run() /
+ * runAtFrequency() on one runner (the runOne() path, which the cell
+ * executor does not run) — in adaptive AND exact-ticks mode, with a
+ * non-trivial fault schedule active, and composed with the thread and
+ * process tiers. Identity is checked through runMeasurementText()
+ * (hex-float rendering), so any single-ULP divergence fails.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "common/exact_ticks.hh"
 #include "common/rng.hh"
 #include "common/snapshot.hh"
+#include "dora/features.hh"
 #include "dora/sample_io.hh"
 #include "dora/trainer.hh"
 #include "fault/fault_injector.hh"
@@ -69,12 +71,26 @@ comparisonTexts(unsigned lanes, FaultInjector *injector,
     return texts;
 }
 
+/** The reference: every cell run in turn on one runner. */
+std::vector<std::string>
+loopTexts(FaultInjector *injector)
+{
+    ExperimentRunner runner;
+    runner.setFaultInjector(injector);
+    std::vector<std::string> texts;
+    for (const auto &w : cheapWorkloads())
+        for (const auto &g : kGovernors)
+            texts.push_back(runMeasurementText(
+                runner.run(w, *makeNamedGovernor(g, nullptr))));
+    return texts;
+}
+
 void
 expectLaneCountsIdentical(FaultInjector *serial_injector,
                           FaultInjector *lane_injector)
 {
-    const auto serial = comparisonTexts(1, serial_injector);
-    for (unsigned lanes : {2u, 4u, 8u}) {
+    const auto serial = loopTexts(serial_injector);
+    for (unsigned lanes : {1u, 2u, 4u, 8u}) {
         if (lane_injector)
             lane_injector->reset();
         const auto batched = comparisonTexts(lanes, lane_injector);
@@ -107,7 +123,7 @@ TEST(LaneBatch, ExactTicksFaultedBitIdenticalAcrossLaneCounts)
 
 TEST(LaneBatch, ComposesWithThreadAndProcessTiers)
 {
-    const auto serial = comparisonTexts(1, nullptr);
+    const auto serial = loopTexts(nullptr);
 
     // Thread tier: each pool job advances one whole batch.
     const auto threaded = comparisonTexts(2, nullptr, /*jobs=*/2);
@@ -134,10 +150,18 @@ TEST(LaneBatch, OfflineOptManyBitIdentical)
 
     const auto a = serial.offlineOptMany(workloads);
     const auto b = batched.offlineOptMany(workloads);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(runMeasurementText(a[i]), runMeasurementText(b[i]))
-            << "workload " << i;
+    ASSERT_EQ(a.size(), workloads.size());
+    ASSERT_EQ(b.size(), workloads.size());
+    ExperimentRunner runner;
+    for (size_t i = 0; i < workloads.size(); ++i) {
+        std::vector<RunMeasurement> sweep;
+        for (size_t f = 0; f < runner.freqTable().size(); ++f)
+            sweep.push_back(runner.runAtFrequency(workloads[i], f));
+        const std::string reference =
+            runMeasurementText(serial.pickOfflineOpt(std::move(sweep)));
+        EXPECT_EQ(reference, runMeasurementText(a[i])) << "workload " << i;
+        EXPECT_EQ(reference, runMeasurementText(b[i])) << "workload " << i;
+    }
 }
 
 TEST(LaneBatch, TrainerSamplesBitIdentical)
@@ -151,10 +175,11 @@ TEST(LaneBatch, TrainerSamplesBitIdentical)
     workloads.resize(2);
     const std::vector<size_t> freqs = {0, 5};
 
-    auto texts = [&](unsigned lanes) {
+    auto texts = [&](unsigned lanes, unsigned workers) {
         TrainerConfig tc;
         tc.experiment = config;
         tc.jobs = 1;
+        tc.workers = workers;
         tc.lanes = lanes;
         Trainer trainer(tc);
         std::vector<std::string> out;
@@ -163,11 +188,37 @@ TEST(LaneBatch, TrainerSamplesBitIdentical)
         return out;
     };
 
-    const auto serial = texts(1);
-    const auto batched = texts(3);
-    ASSERT_EQ(serial.size(), batched.size());
-    for (size_t i = 0; i < serial.size(); ++i)
-        EXPECT_EQ(serial[i], batched[i]) << "cell " << i;
+    // The reference: runAtFrequency() in turn on one runner, each
+    // measurement turned into its sample by hand.
+    ExperimentRunner runner(config);
+    std::vector<std::string> serial;
+    for (const auto &w : workloads)
+        for (size_t f : freqs) {
+            const RunMeasurement m = runner.runAtFrequency(w, f);
+            const OperatingPoint &opp = runner.freqTable().opp(f);
+            TrainingSample s;
+            s.x = buildFeatureVector(w.page->features, m.meanL2Mpki,
+                                     opp.coreMhz, opp.busMhz,
+                                     m.meanCorunUtil);
+            s.busMhz = opp.busMhz;
+            s.voltage = opp.voltage;
+            s.loadTimeSec = m.loadTimeSec;
+            s.meanPowerW = m.meanPowerW;
+            s.meanTempC = m.meanTempC;
+            serial.push_back(serializeTrainingSample(s));
+        }
+
+    // In-process at lanes 1 and 3 (a rump batch), then the process
+    // tier at both lane counts.
+    for (unsigned workers : {0u, 2u})
+        for (unsigned lanes : {1u, 3u}) {
+            const auto batched = texts(lanes, workers);
+            ASSERT_EQ(serial.size(), batched.size());
+            for (size_t i = 0; i < serial.size(); ++i)
+                EXPECT_EQ(serial[i], batched[i])
+                    << "workers=" << workers << " lanes=" << lanes
+                    << " cell " << i;
+        }
 }
 
 TEST(LaneBatch, SnapshotRewindMidBatchBitIdentical)
@@ -179,7 +230,7 @@ TEST(LaneBatch, SnapshotRewindMidBatchBitIdentical)
     std::vector<std::unique_ptr<Governor>> governors;
     std::vector<RunContext::Params> specs;
     for (const WorkloadSpec &spec : cheapWorkloads()) {
-        // Same corun salt recipe as ExperimentRunner::run().
+        // Same corun salt recipe as makeRunCell().
         const uint64_t salt =
             hashLabel("corun:" + spec.label()) % 4096;
         coruns.push_back(
