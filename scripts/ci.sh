@@ -1,21 +1,18 @@
 #!/usr/bin/env bash
-# Single-entry CI pipeline: configure + build, run the lint stage
-# (dora-lint zero-findings gate, clang-tidy, clang thread-safety
-# build), run the full test suite, sweep the sanitizer builds, gate
-# the adaptive fast path's accuracy against exact-ticks mode, and
-# gate the simulation hot path against the recorded
+# Single-entry CI pipeline: configure + build, run the dora-analyze
+# zero-findings gate and the lint stage (clang-tidy, clang
+# thread-safety build), run the full test suite, sweep the sanitizer
+# builds, gate the adaptive fast path's accuracy against exact-ticks
+# mode, and gate the simulation hot path against the recorded
 # BENCH_parallel.json baseline so tick-rate regressions (e.g. from
 # observability instrumentation) fail loudly.
 #
 # Usage: scripts/ci.sh [--skip-sanitizers] [--build-dir DIR]
 #
 # Environment:
-#   DORA_SKIP_LINT=1         skip the whole lint stage (dora-lint,
-#                            clang-tidy, thread-safety build)
-#   DORA_SKIP_ANALYZE=1      skip the dora-analyze stage (structural
-#                            cross-TU gate: hash/snapshot coverage,
-#                            stream-tag uniqueness, serialized-layout
-#                            versioning, CLI-flag parsing)
+#   DORA_SKIP_LINT=1         skip the lint stage (clang-tidy and the
+#                            clang thread-safety build, the legs that
+#                            need an optional toolchain)
 #   DORA_CI_HOTPATH_TOL_PCT  allowed ticks/sec regression vs the
 #                            baseline, percent (default 5; wall-clock
 #                            measurements on shared hosts are noisy,
@@ -53,19 +50,23 @@ echo "== build =="
 cmake -B "${build_dir}" -S "${repo_root}" >/dev/null
 cmake --build "${build_dir}" -j "$(nproc)"
 
+echo "== analyze: dora-analyze =="
+# Zero-findings gate over both rule families, line and cross-TU
+# structural (DESIGN.md §5j). It needs only the build, so it always
+# runs. Suppress intentional exceptions inline
+# (// NOLINT(dora-rule-id) or // dora:<rule-annotation>(<reason>)) or
+# bless layout bumps with `dora-analyze --regen-manifest`, never here.
+# The --json artifact is kept for build-log consumers.
+"${build_dir}/tools/analyze/dora-analyze" --repo "${repo_root}" \
+    --json "${build_dir}/analyze-findings.json"
+
 if [[ "${DORA_SKIP_LINT:-0}" -eq 1 ]]; then
     echo "== lint == (skipped: DORA_SKIP_LINT=1)"
 else
-    echo "== lint: dora-lint =="
-    # Zero-findings gate over the project invariant rules. Suppress
-    # intentional exceptions inline with // NOLINT(dora-rule-id),
-    # never here.
-    "${build_dir}/tools/lint/dora-lint" --repo "${repo_root}"
-
     echo "== lint: clang-tidy =="
     if command -v clang-tidy >/dev/null 2>&1; then
         # Library + tool sources only; tests/benches get coverage via
-        # the dora-lint walk and the compiler's -Werror.
+        # the dora-analyze walk and the compiler's -Werror.
         (cd "${repo_root}" &&
             find src tools -name '*.cc' -print0 |
             xargs -0 -P "$(nproc)" -n 8 \
@@ -95,22 +96,6 @@ else
         echo "being checked. Install clang to restore this gate."
         echo "**********************************************************"
     fi
-fi
-
-if [[ "${DORA_SKIP_ANALYZE:-0}" -eq 1 ]]; then
-    echo "== analyze == (skipped: DORA_SKIP_ANALYZE=1)"
-else
-    echo "== analyze: dora-analyze =="
-    # Zero-findings gate over the cross-TU structural rules
-    # (DESIGN.md §5j): config-hash coverage, snapshot/restore member
-    # coverage, RNG stream-tag uniqueness, serialized-layout version
-    # freshness against tools/analyze/serialized_layouts.json, and
-    # CLI-flag parsing locality. Annotate intentional exceptions
-    # inline (// dora:<rule-annotation>(<reason>)) or bless layout
-    # bumps with `dora-analyze --regen-manifest`, never here. The
-    # --json artifact is kept for build-log consumers.
-    "${build_dir}/tools/analyze/dora-analyze" --repo "${repo_root}" \
-        --json "${build_dir}/analyze-findings.json"
 fi
 
 echo "== tests =="

@@ -9,13 +9,12 @@
 #                      execution engine.
 #
 # This script covers runtime checking only; static checking lives in
-# scripts/ci.sh: the `lint` stage (dora-lint line rules, clang-tidy,
-# the clang -Wthread-safety build; DORA_SKIP_LINT=1 to skip) and the
-# `analyze` stage (dora-analyze cross-TU structural rules — hash/
-# snapshot coverage, stream tags, serialized-layout versions;
-# DORA_SKIP_ANALYZE=1 to skip). The fuzz smoke suite (fuzz_tests)
-# runs here with full effect: ASan/UBSan turn a silently-tolerated
-# out-of-bounds read in a deserializer into a hard failure.
+# scripts/ci.sh: the `analyze` step (dora-analyze line and structural
+# rules, always run) and the `lint` stage (clang-tidy and the clang
+# -Wthread-safety build; DORA_SKIP_LINT=1 to skip). The fuzz smoke
+# suite (fuzz_tests) runs here with full effect: ASan/UBSan turn a
+# silently-tolerated out-of-bounds read in a deserializer into a hard
+# failure.
 #
 # Every sanitizer set gets its own build tree (build-sanitize-<set>).
 # If a tree already exists but was configured with a different

@@ -1,14 +1,18 @@
 /**
  * @file
- * Tests for the dora-analyze structural engine
- * (tools/analyze/analyze_engine.hh): scanner and structural-parser
- * unit tests (nested classes, templates, macros, comment/raw-string
- * edges), in-memory rule spot checks, manifest render/parse
- * round-trips and drift detection, one golden fixture suite per rule
- * under tests/analyze/fixtures/<rule>/, negative tests that delete a
- * real field-fold / snapshot line and expect a finding, and the
- * zero-findings self-scan scripts/ci.sh enforces.
+ * Tests for the dora-analyze engine (tools/analyze/analyze_engine.hh):
+ * scanner and structural-parser unit tests (nested classes,
+ * templates, macros, comment/raw-string edges), in-memory spot checks
+ * of both rule families, manifest render/parse round-trips, drift
+ * detection and --regen-manifest guards, one golden fixture per rule
+ * under tests/analyze/fixtures/<rule>/ (a miniature repo tree with a
+ * positive case, an allowlisted or out-of-scope case and a NOLINT or
+ * annotation case), negative tests that delete a real field-fold /
+ * snapshot line and expect a finding, and the zero-findings self-scan
+ * scripts/ci.sh enforces.
  */
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -113,6 +117,22 @@ findFunction(const TreeModel &model, const std::string &class_name,
     return nullptr;
 }
 
+std::string
+readFile(const fs::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << path;
+    std::ostringstream content;
+    content << in.rdbuf();
+    return content.str();
+}
+
+std::string
+readRepoFile(const std::string &rel)
+{
+    return readFile(fs::path(repoRoot()) / rel);
+}
+
 } // namespace
 
 // ------------------------------------------------------------------ //
@@ -134,6 +154,7 @@ TEST(AnalyzeScanner, CodeAndTextViewsStayParallel)
     EXPECT_EQ(u.code[0].find("trailing"), std::string::npos);
     EXPECT_EQ(u.text[0].find("trailing"), std::string::npos);
     EXPECT_EQ(u.code[1].find("hash"), std::string::npos);
+    EXPECT_NE(u.code[1].find("const char *s"), std::string::npos);
     EXPECT_NE(u.text[1].find("hash(me)"), std::string::npos);
     EXPECT_EQ(u.code[2].find("block"), std::string::npos);
     EXPECT_NE(u.code[3].find("int b;"), std::string::npos);
@@ -158,6 +179,7 @@ TEST(AnalyzeScanner, RawStringsAreCapturedAndBlanked)
         "src/sim/x.cc",
         "const char *re = R\"(class Fake { int x_; })\";\nint y;\n");
     EXPECT_EQ(u.code[0].find("class Fake"), std::string::npos);
+    EXPECT_NE(u.code[1].find("int y;"), std::string::npos);
     ASSERT_FALSE(u.strings[0].empty());
     EXPECT_NE(u.strings[0][0].value.find("class Fake"),
               std::string::npos);
@@ -166,6 +188,15 @@ TEST(AnalyzeScanner, RawStringsAreCapturedAndBlanked)
         modelOf({{"src/sim/x.cc",
                   "const char *re = R\"(class Fake { int x_; })\";\n"}});
     EXPECT_EQ(findStruct(m, "Fake"), nullptr);
+}
+
+TEST(LintScanner, EscapedQuoteStaysInsideString)
+{
+    const ScannedUnit u = scanUnit(
+        "src/sim/x.cc",
+        "const char *s = \"a\\\"rand()\\\"b\";\nint tail = 2;\n");
+    EXPECT_EQ(u.code[0].find("rand"), std::string::npos);
+    EXPECT_NE(u.code[1].find("tail"), std::string::npos);
 }
 
 TEST(AnalyzeScanner, AnnotationsParseOnLineAndLineAbove)
@@ -210,11 +241,13 @@ TEST(AnalyzeScanner, NolintCollectsRuleSets)
 {
     const ScannedUnit u = scanUnit(
         "src/sim/x.cc",
-        "int a;  // NOLINT(dora-cov-hash)\n"
+        "int a;  // NOLINT(dora-cov-hash, dora-hyg-assert)\n"
         "// NOLINTNEXTLINE(dora-cov-snapshot)\n"
         "int b;\n"
         "int c;  // NOLINT\n");
     EXPECT_TRUE(u.nolint[0].count("dora-cov-hash"));
+    EXPECT_TRUE(u.nolint[0].count("dora-hyg-assert"));
+    EXPECT_TRUE(u.nolint[1].empty());
     EXPECT_TRUE(u.nolint[2].count("dora-cov-snapshot"));
     EXPECT_TRUE(u.nolint[3].count("*"));
 }
@@ -364,13 +397,130 @@ TEST(AnalyzeParser, PreprocessorAndCommentsAreSkipped)
 // Rules (in-memory spot checks)                                       //
 // ------------------------------------------------------------------ //
 
-TEST(AnalyzeRules, CatalogHasFiveUniqueIds)
+TEST(LintRules, CatalogHasUniqueStableIds)
 {
     std::set<std::string> ids;
     for (const auto &rule : dora::analyze::ruleCatalog())
         EXPECT_TRUE(ids.insert(rule.id).second)
             << "duplicate rule id " << rule.id;
-    EXPECT_EQ(ids.size(), 5u);
+    EXPECT_EQ(ids.size(), 16u);
+}
+
+TEST(LintRules, WallclockScopesToSimulationCode)
+{
+    const std::string clock_use =
+        "#include <chrono>\n"
+        "double t() { return std::chrono::steady_clock::now()"
+        ".time_since_epoch().count(); }\n";
+    EXPECT_EQ(analyzeFiles({{"src/sim/a.cc", clock_use}}).size(), 1u);
+    EXPECT_TRUE(analyzeFiles({{"src/exec/a.cc", clock_use}}).empty());
+    EXPECT_TRUE(analyzeFiles({{"src/obs/a.cc", clock_use}}).empty());
+    EXPECT_TRUE(analyzeFiles({{"bench/a.cc", clock_use}}).empty());
+    EXPECT_TRUE(analyzeFiles({{"tests/sim/a.cc", clock_use}}).empty());
+}
+
+TEST(LintRules, StaticFunctionDeclarationsAreNotGlobalState)
+{
+    const std::string decls =
+        "class T {\n"
+        "    static T make();\n"
+        "    static std::vector<int>\n"
+        "    split(const std::string &text);\n"
+        "};\n"
+        "static int helper(int x) { return x; }\n";
+    EXPECT_TRUE(analyzeFiles({{"src/sim/a.hh", decls}}).empty());
+}
+
+TEST(LintRules, MutableStaticIsFlaggedEvenMidLine)
+{
+    const auto findings = analyzeFiles(
+        {{"src/sim/a.cc",
+          "void tick() { static double last; last += 1.0; }\n"}});
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].rule, "dora-conc-global-state");
+}
+
+TEST(LintRules, GuardedAndAtomicGlobalsPass)
+{
+    EXPECT_TRUE(analyzeFiles({{"src/sim/a.cc",
+                               "std::atomic<int> g_n{0};\n"
+                               "Mutex g_mu;\n"
+                               "std::map<int, int> g_m GUARDED_BY(g_mu);\n"}})
+                    .empty());
+}
+
+TEST(LintRules, ConfigHashRuleNeedsBothTokens)
+{
+    const std::string clock_only =
+        "double t() { return time(nullptr); }\n";
+    const std::string both =
+        "unsigned long experimentConfigHash();\n" + clock_only;
+    EXPECT_TRUE(analyzeFiles({{"bench/a.cc", clock_only}}).empty());
+    const auto findings = analyzeFiles({{"bench/a.cc", both}});
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].rule, "dora-det-confighash");
+    EXPECT_EQ(findings[0].line, 2);
+}
+
+TEST(LintRules, SnprintfIsNotAStreamWrite)
+{
+    EXPECT_TRUE(
+        analyzeFiles(
+            {{"src/sim/a.cc",
+              "void f(char *b) { std::snprintf(b, 4, \"x\"); }\n"}})
+            .empty());
+}
+
+TEST(LintRules, CatchAllAcceptsRethrowAcrossLines)
+{
+    const std::string ok =
+        "void g() {\n"
+        "    try { r(); } catch (...) {\n"
+        "        cleanup();\n"
+        "        throw;\n"
+        "    }\n"
+        "}\n";
+    EXPECT_TRUE(analyzeFiles({{"src/sim/a.cc", ok}}).empty());
+    const std::string bad =
+        "void g() {\n"
+        "    try { r(); } catch (...) {\n"
+        "        cleanup();\n"
+        "    }\n"
+        "}\n";
+    const auto findings = analyzeFiles({{"src/sim/a.cc", bad}});
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].rule, "dora-hyg-catch-all");
+    EXPECT_EQ(findings[0].line, 2);
+}
+
+TEST(LintRules, UncheckedTryFlagsStatementInitialCallsOnly)
+{
+    const std::string bad =
+        "void f(SnapshotReader &r, Sim &sim) {\n"
+        "    sim.tryRestore(r);\n"
+        "}\n";
+    const auto findings = analyzeFiles({{"src/sim/a.cc", bad}});
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].rule, "dora-rob-unchecked-try");
+    EXPECT_EQ(findings[0].line, 2);
+
+    const std::string ok =
+        "bool f(SnapshotReader &r, Sim &sim) {\n"
+        "    const bool warm =\n"
+        "        sim.tryRestore(r);\n"
+        "    if (!tryDeserialize(t, &s))\n"
+        "        return false;\n"
+        "    return warm && sim.tryRestore(r);\n"
+        "}\n"
+        "bool\n"
+        "tryRestoreAll(SnapshotReader &r)\n"
+        "{\n"
+        "    return r.atEnd();\n"
+        "}\n";
+    EXPECT_TRUE(analyzeFiles({{"src/sim/a.cc", ok}}).empty());
+    // Out of scope: tests may exercise failure paths however they
+    // like.
+    EXPECT_TRUE(analyzeFiles({{"tests/sim/a.cc", bad}}).empty());
 }
 
 TEST(AnalyzeRules, HashCoverageSeesFoldsAcrossTus)
@@ -563,12 +713,20 @@ TEST(AnalyzeManifest, RenderParseRoundTripIsLossless)
 
 TEST(AnalyzeManifest, MalformedJsonIsRejected)
 {
-    std::vector<LayoutRecord> parsed;
-    std::string error;
-    EXPECT_FALSE(
-        dora::analyze::parseManifest("{\"formats\": [", &parsed,
-                                     &error));
-    EXPECT_FALSE(error.empty());
+    // Truncated input, a non-hex and a short \u escape, and a key with
+    // no value: each is a clean rejection, never an exception.
+    for (const std::string json :
+         {"{\"formats\": [", "{\"x\": \"\\uZZZZ\"}",
+          "{\"x\": \"\\u12 4\"}", "{\"x\": }"}) {
+        std::vector<LayoutRecord> parsed;
+        std::string error;
+        bool ok = true;
+        EXPECT_NO_THROW(
+            ok = dora::analyze::parseManifest(json, &parsed, &error))
+            << json;
+        EXPECT_FALSE(ok) << json;
+        EXPECT_FALSE(error.empty()) << json;
+    }
 }
 
 TEST(AnalyzeManifest, LayoutDriftUnderSameVersionIsAFinding)
@@ -607,6 +765,53 @@ TEST(AnalyzeManifest, VersionBumpBlessesALayoutChange)
     EXPECT_NE(findings[0].message.find("--regen-manifest"),
               std::string::npos);
     EXPECT_EQ(findings[0].message.find("still"), std::string::npos);
+}
+
+TEST(AnalyzeManifest, RegenRefusesSameVersionDriftAndUnparseableFiles)
+{
+    // Regen writes into the tree it scans, so work on a private copy
+    // of the fixture: "drft" changed its layout under version 1.
+    const fs::path copy =
+        fs::path(::testing::TempDir()) /
+        ("dora-analyze-regen-" + std::to_string(::getpid()));
+    fs::remove_all(copy);
+    fs::copy(fs::path(repoRoot()) /
+                 "tests/analyze/fixtures/dora-ser-version",
+             copy, fs::copy_options::recursive);
+    const fs::path manifest = copy / dora::analyze::manifestRelPath();
+    const std::vector<std::string> &subdirs =
+        dora::analyze::defaultSubdirs();
+    const std::string original = readFile(manifest);
+
+    std::ostringstream log;
+    EXPECT_FALSE(dora::analyze::regenManifest(copy.string(), subdirs,
+                                              false, log));
+    EXPECT_NE(log.str().find("section:drft"), std::string::npos)
+        << log.str();
+    EXPECT_EQ(readFile(manifest), original);
+
+    EXPECT_TRUE(dora::analyze::regenManifest(copy.string(), subdirs,
+                                             true, log));
+    std::vector<LayoutRecord> records;
+    std::string error;
+    ASSERT_TRUE(dora::analyze::parseManifest(readFile(manifest),
+                                             &records, &error))
+        << error;
+    EXPECT_EQ(records.size(), 2u);
+    const auto findings = dora::analyze::analyzeTree(copy.string(),
+                                                     subdirs);
+    EXPECT_TRUE(findings.empty())
+        << dora::analyze::renderText(findings);
+
+    const std::string garbage = "{\"formats\": [";
+    std::ofstream(manifest, std::ios::trunc) << garbage;
+    log.str("");
+    EXPECT_FALSE(dora::analyze::regenManifest(copy.string(), subdirs,
+                                              false, log));
+    EXPECT_NE(log.str().find("does not parse"), std::string::npos)
+        << log.str();
+    EXPECT_EQ(readFile(manifest), garbage);
+    fs::remove_all(copy);
 }
 
 TEST(AnalyzeManifest, MissingManifestOnlyMattersWithFormats)
@@ -655,6 +860,15 @@ class AnalyzeGolden : public ::testing::TestWithParam<std::string>
 {
 };
 
+std::vector<std::string>
+catalogIds()
+{
+    std::vector<std::string> ids;
+    for (const auto &rule : dora::analyze::ruleCatalog())
+        ids.push_back(rule.id);
+    return ids;
+}
+
 } // namespace
 
 TEST_P(AnalyzeGolden, FixtureFindingsMatchExpectFile)
@@ -669,10 +883,7 @@ TEST_P(AnalyzeGolden, FixtureFindingsMatchExpectFile)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllRules, AnalyzeGolden,
-    ::testing::Values("dora-cov-hash", "dora-cov-snapshot",
-                      "dora-det-streamtag", "dora-ser-version",
-                      "dora-cli-flag"),
+    AllRules, AnalyzeGolden, ::testing::ValuesIn(catalogIds()),
     [](const auto &info) {
         std::string name = info.param;
         std::replace(name.begin(), name.end(), '-', '_');
@@ -683,9 +894,16 @@ TEST(AnalyzeGoldenCoverage, EveryRuleHasAFixtureDirectory)
 {
     const fs::path fixtures =
         fs::path(repoRoot()) / "tests/analyze/fixtures";
-    for (const auto &rule : dora::analyze::ruleCatalog())
-        EXPECT_TRUE(fs::is_directory(fixtures / rule.id))
-            << "missing fixture dir for " << rule.id;
+    const std::vector<std::string> ids = catalogIds();
+    for (const auto &id : ids)
+        EXPECT_TRUE(fs::is_directory(fixtures / id))
+            << "missing fixture dir for " << id;
+    // The reverse: a fixture directory no catalog id names never runs.
+    for (const auto &entry : fs::directory_iterator(fixtures))
+        EXPECT_NE(std::find(ids.begin(), ids.end(),
+                            entry.path().filename().string()),
+                  ids.end())
+            << "fixture dir without a rule: " << entry.path();
 }
 
 // ------------------------------------------------------------------ //
@@ -694,16 +912,6 @@ TEST(AnalyzeGoldenCoverage, EveryRuleHasAFixtureDirectory)
 
 namespace
 {
-
-std::string
-readRepoFile(const std::string &rel)
-{
-    std::ifstream in(fs::path(repoRoot()) / rel, std::ios::binary);
-    EXPECT_TRUE(in.good()) << rel;
-    std::ostringstream content;
-    content << in.rdbuf();
-    return content.str();
-}
 
 /** Remove the first line containing @p needle (must exist). */
 std::string
@@ -789,11 +997,26 @@ TEST(AnalyzeReport, JsonIsWellFormedAndOrdered)
     const std::vector<Finding> findings = {
         {"src/b.cc", 2, "dora-cov-hash", "m\"sg"},
         {"src/a.cc", 9, "dora-cli-flag", "msg"},
+        {"src/tab\tname.cc", 4, "dora-det-rand", "two\nlines"},
     };
     const std::string json = dora::analyze::renderJson(findings);
     EXPECT_EQ(json.front(), '[');
     EXPECT_NE(json.find("\"file\": \"src/b.cc\""), std::string::npos);
     EXPECT_NE(json.find("\\\"sg"), std::string::npos);
+    EXPECT_NE(json.find("src/tab\\u0009name.cc"), std::string::npos);
+    EXPECT_NE(json.find("two\\u000alines"), std::string::npos);
+    // No control byte from a path or message reaches the output: the
+    // only raw one is the newline ending each of the N + 2 lines.
+    EXPECT_EQ(std::count_if(json.begin(), json.end(),
+                            [](char c) {
+                                return c != '\n' &&
+                                    static_cast<unsigned char>(c) < 0x20;
+                            }),
+              0)
+        << json;
+    EXPECT_EQ(static_cast<size_t>(
+                  std::count(json.begin(), json.end(), '\n')),
+              findings.size() + 2);
 }
 
 TEST(AnalyzeSelfScan, ShippedTreeHasZeroFindings)
@@ -831,6 +1054,7 @@ TEST(AnalyzeSelfScan, FixtureFilesAreExcludedFromTreeWalks)
 {
     std::vector<std::string> scanned;
     dora::analyze::loadTree(repoRoot(), {"tests"}, &scanned);
+    EXPECT_FALSE(scanned.empty());
     for (const auto &path : scanned)
         EXPECT_EQ(path.find("fixtures/"), std::string::npos) << path;
 }

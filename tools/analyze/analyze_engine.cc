@@ -2,12 +2,22 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <cstdio>
 #include <map>
+// GCC 12 under ASan flags std::function inside libstdc++'s <regex>.
+#if !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 #include <regex>
+#if !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 #include <sstream>
+
+#include "line_rules.hh"
 
 namespace dora::analyze
 {
@@ -60,22 +70,6 @@ lastComponent(const std::string &qualified)
                                     : qualified.substr(pos + 2);
 }
 
-bool
-hasPrefix(const std::string &path, const char *prefix)
-{
-    return path.rfind(prefix, 0) == 0;
-}
-
-bool
-anyPrefix(const std::string &path,
-          std::initializer_list<const char *> prefixes)
-{
-    for (const char *p : prefixes)
-        if (hasPrefix(path, p))
-            return true;
-    return false;
-}
-
 /** `\b<name>\b` membership test without building a regex per query. */
 bool
 referencesIdentifier(const std::string &haystack, const std::string &id)
@@ -97,7 +91,7 @@ referencesIdentifier(const std::string &haystack, const std::string &id)
 // Scanner directives                                               //
 // ---------------------------------------------------------------- //
 
-/** Collect NOLINT / NOLINTNEXTLINE rule sets (dora-lint grammar). */
+/** Collect NOLINT / NOLINTNEXTLINE rule sets. */
 void
 applyNolintDirectives(const std::string &comment_text, size_t line_idx,
                       ScannedUnit &unit)
@@ -197,6 +191,7 @@ scanUnit(std::string path, const std::string &content)
     State state = State::Code;
     std::string code_line, text_line, comment_line, raw_delim;
     size_t line_idx = 0;
+    bool lane_region = false;
     // In-flight string literal (may span lines for raw strings).
     size_t lit_line = 0, lit_col = 0;
     std::string lit_value;
@@ -204,6 +199,13 @@ scanUnit(std::string path, const std::string &content)
     auto flush_line = [&]() {
         applyNolintDirectives(comment_line, line_idx, unit);
         applyAnnotations(comment_line, line_idx, unit);
+        if (comment_line.find("dora:lane-kernel-begin") !=
+            std::string::npos)
+            lane_region = true;
+        unit.laneKernel.push_back(lane_region ? 1 : 0);
+        if (comment_line.find("dora:lane-kernel-end") !=
+            std::string::npos)
+            lane_region = false;
         unit.code.push_back(code_line);
         unit.text.push_back(text_line);
         code_line.clear();
@@ -1220,8 +1222,12 @@ struct JsonCursor
                   case 'b': c = '\b'; break;
                   case 'f': c = '\f'; break;
                   case 'u': {
-                    if (i + 4 > s.size())
-                        return fail("truncated \\u escape");
+                    for (size_t k = i; k < i + 4; ++k)
+                        if (k >= s.size() ||
+                            !std::isxdigit(
+                                static_cast<unsigned char>(s[k])))
+                            return fail("\\u escape needs four hex "
+                                        "digits");
                     c = static_cast<char>(
                         std::stoul(s.substr(i, 4), nullptr, 16) & 0xff);
                     i += 4;
@@ -1271,10 +1277,11 @@ struct JsonCursor
             }
         }
         // number / true / false / null
+        const size_t start = i;
         while (i < s.size() && (wordChar(s[i]) || s[i] == '-' ||
                                 s[i] == '+' || s[i] == '.'))
             ++i;
-        return true;
+        return i > start || fail("expected a value");
     }
 };
 
@@ -1612,9 +1619,73 @@ ruleDetStreamtag(const TreeModel &model, std::vector<Finding> &out)
 }
 
 /**
+ * Diff recomputed layouts against the recorded manifest: one
+ * dora-ser-version finding per format added, removed or changed. A
+ * layout that changed under an unchanged version token — old readers
+ * would mis-parse the new bytes — goes to @p unversioned; every other
+ * difference is a stale but consistent manifest and goes to @p stale.
+ * The rule reports both; --regen-manifest refuses on the first.
+ */
+void
+diffLayouts(const std::vector<LayoutRecord> &computed,
+            const std::vector<LayoutRecord> &recorded,
+            std::vector<Finding> &unversioned,
+            std::vector<Finding> &stale)
+{
+    std::map<std::string, const LayoutRecord *> by_name;
+    for (const LayoutRecord &rec : recorded)
+        by_name[rec.name] = &rec;
+    std::set<std::string> seen;
+    for (const LayoutRecord &c : computed) {
+        seen.insert(c.name);
+        const auto it = by_name.find(c.name);
+        if (it == by_name.end()) {
+            stale.push_back(Finding{
+                c.file, c.line, "dora-ser-version",
+                "serialized format '" + c.name + "' (version " +
+                    c.version +
+                    ") is not declared in the manifest; review the "
+                    "layout and run dora-analyze --regen-manifest"});
+            continue;
+        }
+        const LayoutRecord &m = *it->second;
+        if (c.layout != m.layout && c.version == m.version) {
+            unversioned.push_back(Finding{
+                c.file, c.line, "dora-ser-version",
+                "layout of '" + c.name +
+                    "' changed but its version token is still " +
+                    c.version +
+                    "; old readers would mis-parse the new bytes — "
+                    "bump the version and run dora-analyze "
+                    "--regen-manifest"});
+        } else if (c.layout != m.layout) {
+            stale.push_back(Finding{
+                c.file, c.line, "dora-ser-version",
+                "layout and version of '" + c.name + "' changed (" +
+                    m.version + " -> " + c.version +
+                    "); run dora-analyze --regen-manifest to bless "
+                    "the new layout"});
+        } else if (c.version != m.version) {
+            stale.push_back(Finding{
+                c.file, c.line, "dora-ser-version",
+                "version token of '" + c.name + "' changed " +
+                    m.version + " -> " + c.version +
+                    " without a layout change; run dora-analyze "
+                    "--regen-manifest"});
+        }
+    }
+    for (const LayoutRecord &m : recorded)
+        if (!seen.count(m.name))
+            stale.push_back(Finding{
+                manifestRelPath(), 1, "dora-ser-version",
+                "manifest entry '" + m.name +
+                    "' no longer matches any writer in the tree; run "
+                    "dora-analyze --regen-manifest"});
+}
+
+/**
  * dora-ser-version: diff recomputed layouts against the checked-in
- * manifest; a layout change without a version-token change is the
- * PR 9 bug class.
+ * manifest (missing or unparseable manifests are findings too).
  */
 void
 ruleSerVersion(const TreeModel &model, const std::string *manifestJson,
@@ -1642,55 +1713,7 @@ ruleSerVersion(const TreeModel &model, const std::string *manifestJson,
                                   "--regen-manifest"});
         return;
     }
-    std::map<std::string, const LayoutRecord *> by_name;
-    for (const LayoutRecord &rec : recorded)
-        by_name[rec.name] = &rec;
-    std::set<std::string> seen;
-    for (const LayoutRecord &c : computed) {
-        seen.insert(c.name);
-        const auto it = by_name.find(c.name);
-        if (it == by_name.end()) {
-            out.push_back(Finding{
-                c.file, c.line, "dora-ser-version",
-                "serialized format '" + c.name + "' (version " +
-                    c.version +
-                    ") is not declared in the manifest; review the "
-                    "layout and run dora-analyze --regen-manifest"});
-            continue;
-        }
-        const LayoutRecord &m = *it->second;
-        if (c.layout != m.layout && c.version == m.version) {
-            out.push_back(Finding{
-                c.file, c.line, "dora-ser-version",
-                "layout of '" + c.name +
-                    "' changed but its version token is still " +
-                    c.version +
-                    "; old readers would mis-parse the new bytes — "
-                    "bump the version and run dora-analyze "
-                    "--regen-manifest"});
-        } else if (c.layout != m.layout) {
-            out.push_back(Finding{
-                c.file, c.line, "dora-ser-version",
-                "layout and version of '" + c.name + "' changed (" +
-                    m.version + " -> " + c.version +
-                    "); run dora-analyze --regen-manifest to bless "
-                    "the new layout"});
-        } else if (c.version != m.version) {
-            out.push_back(Finding{
-                c.file, c.line, "dora-ser-version",
-                "version token of '" + c.name + "' changed " +
-                    m.version + " -> " + c.version +
-                    " without a layout change; run dora-analyze "
-                    "--regen-manifest"});
-        }
-    }
-    for (const LayoutRecord &m : recorded)
-        if (!seen.count(m.name))
-            out.push_back(Finding{
-                manifestRelPath(), 1, "dora-ser-version",
-                "manifest entry '" + m.name +
-                    "' no longer matches any writer in the tree; run "
-                    "dora-analyze --regen-manifest"});
+    diffLayouts(computed, recorded, out, out);
 }
 
 /**
@@ -1785,6 +1808,36 @@ const std::vector<RuleInfo> &
 ruleCatalog()
 {
     static const std::vector<RuleInfo> catalog = {
+        // Line rules (line_rules.cc).
+        {"dora-det-rand",
+         "no unseeded/global RNG (rand, srand, std::random_device)"},
+        {"dora-det-wallclock",
+         "no wall-clock reads in simulation code (allow: src/exec, "
+         "src/obs)"},
+        {"dora-det-unordered",
+         "no std::unordered_* containers in result-producing code"},
+        {"dora-det-confighash",
+         "no wall-clock/date input in files feeding "
+         "experiment/training config hashes"},
+        {"dora-conc-global-state",
+         "mutable static/global state must be atomic, mutex-guarded, "
+         "or NOLINT-justified"},
+        {"dora-conc-mutex-unannotated",
+         "header mutex members need GUARDED_BY-annotated fields"},
+        {"dora-hyg-stream",
+         "no direct console writes from library code (log sink only)"},
+        {"dora-hyg-catch-all",
+         "no catch (...) that swallows without rethrow/log"},
+        {"dora-hyg-assert",
+         "no assert() guards (compiled out in Release); use "
+         "fatal()/panic()"},
+        {"dora-rob-unchecked-try",
+         "no discarded try*() results (tryRestore/tryDeserialize "
+         "report failure by return value)"},
+        {"dora-perf-lane-alias",
+         "no std::vector<bool> in lane-kernel files; no ->/.at() "
+         "inside dora:lane-kernel regions"},
+        // Structural rules (this file).
         {"dora-cov-hash",
          "config struct fields must be folded into their hash "
          "function or annotated dora:hash-exclude(reason)"},
@@ -1810,6 +1863,8 @@ std::vector<Finding>
 analyzeModel(const TreeModel &model, const std::string *manifestJson)
 {
     std::vector<Finding> raw;
+    for (const ScannedUnit &unit : model.units)
+        lineRules(unit, raw);
     ruleCovHash(model, raw);
     ruleCovSnapshot(model, raw);
     ruleDetStreamtag(model, raw);
@@ -1851,11 +1906,27 @@ analyzeModel(const TreeModel &model, const std::string *manifestJson)
 // Tree entry points                                                //
 // ---------------------------------------------------------------- //
 
+namespace
+{
+
+namespace fs = std::filesystem;
+
+std::string
+readFile(const fs::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream content;
+    content << in.rdbuf();
+    return content.str();
+}
+
+} // namespace
+
 const std::vector<std::string> &
 defaultSubdirs()
 {
-    static const std::vector<std::string> dirs = {"src", "bench",
-                                                  "tools"};
+    static const std::vector<std::string> dirs = {"src", "tests",
+                                                  "bench", "tools"};
     return dirs;
 }
 
@@ -1870,7 +1941,6 @@ loadTree(const std::string &repoRoot,
          const std::vector<std::string> &subdirs,
          std::vector<std::string> *scannedPaths)
 {
-    namespace fs = std::filesystem;
     std::vector<std::string> paths;
     for (const auto &subdir : subdirs) {
         const fs::path root = fs::path(repoRoot) / subdir;
@@ -1883,25 +1953,22 @@ loadTree(const std::string &repoRoot,
             const std::string ext = entry.path().extension().string();
             if (ext != ".cc" && ext != ".hh")
                 continue;
-            std::string rel = entry.path()
-                                  .lexically_relative(repoRoot)
-                                  .generic_string();
+            const fs::path rel =
+                entry.path().lexically_relative(repoRoot);
             // Golden-test fixtures are deliberate violations.
-            if (rel.find("fixtures/") != std::string::npos)
+            if (*rel.begin() == "tests" &&
+                std::find(rel.begin(), rel.end(), "fixtures") !=
+                    rel.end())
                 continue;
-            paths.push_back(std::move(rel));
+            paths.push_back(rel.generic_string());
         }
     }
     std::sort(paths.begin(), paths.end());
 
     std::vector<ScannedUnit> units;
     units.reserve(paths.size());
-    for (const auto &rel : paths) {
-        std::ifstream in(fs::path(repoRoot) / rel, std::ios::binary);
-        std::ostringstream content;
-        content << in.rdbuf();
-        units.push_back(scanUnit(rel, content.str()));
-    }
+    for (const auto &rel : paths)
+        units.push_back(scanUnit(rel, readFile(fs::path(repoRoot) / rel)));
     if (scannedPaths)
         *scannedPaths = std::move(paths);
     return buildModel(std::move(units));
@@ -1913,18 +1980,64 @@ analyzeTree(const std::string &repoRoot,
             std::vector<std::string> *scannedPaths)
 {
     const TreeModel model = loadTree(repoRoot, subdirs, scannedPaths);
-    const std::filesystem::path manifest_path =
-        std::filesystem::path(repoRoot) / manifestRelPath();
-    std::string manifest;
-    bool have_manifest = false;
-    if (std::filesystem::exists(manifest_path)) {
-        std::ifstream in(manifest_path, std::ios::binary);
-        std::ostringstream content;
-        content << in.rdbuf();
-        manifest = content.str();
-        have_manifest = true;
+    const fs::path manifest_path = fs::path(repoRoot) / manifestRelPath();
+    if (!fs::exists(manifest_path))
+        return analyzeModel(model, nullptr);
+    const std::string manifest = readFile(manifest_path);
+    return analyzeModel(model, &manifest);
+}
+
+bool
+regenManifest(const std::string &repoRoot,
+              const std::vector<std::string> &subdirs,
+              bool allowSameVersion, std::ostream &log)
+{
+    std::vector<Finding> problems;
+    const std::vector<LayoutRecord> computed =
+        computeLayouts(loadTree(repoRoot, subdirs), &problems);
+    if (!problems.empty()) {
+        log << renderText(problems)
+            << "dora-analyze: cannot regenerate the manifest while "
+               "format anchors are broken\n";
+        return false;
     }
-    return analyzeModel(model, have_manifest ? &manifest : nullptr);
+
+    const fs::path path = fs::path(repoRoot) / manifestRelPath();
+    if (fs::exists(path) && !allowSameVersion) {
+        std::vector<LayoutRecord> recorded;
+        std::string error;
+        if (!parseManifest(readFile(path), &recorded, &error)) {
+            log << "dora-analyze: refusing to overwrite "
+                << path.string() << ": it does not parse (" << error
+                << "); pass --allow-same-version to replace it after "
+                   "review\n";
+            return false;
+        }
+        std::vector<Finding> unversioned, stale;
+        diffLayouts(computed, recorded, unversioned, stale);
+        if (!unversioned.empty()) {
+            log << renderText(unversioned)
+                << "dora-analyze: refusing to bless a layout change "
+                   "under an unchanged version token; bump the "
+                   "version token(s) first, or pass "
+                   "--allow-same-version for a reviewed cosmetic "
+                   "rewrite\n";
+            return false;
+        }
+    }
+
+    fs::create_directories(path.parent_path());
+    std::ofstream out(path, std::ios::trunc);
+    out << renderManifest(computed);
+    if (!out.good()) {
+        log << "dora-analyze: cannot write manifest " << path.string()
+            << "\n";
+        return false;
+    }
+    log << "dora-analyze: wrote " << computed.size() << " format"
+        << (computed.size() == 1 ? "" : "s") << " to " << path.string()
+        << "\n";
+    return true;
 }
 
 std::string

@@ -1,58 +1,55 @@
 /**
  * @file
- * dora-analyze: a cross-TU structural analyzer for the DORA tree.
+ * dora-analyze: the static-analysis engine for the DORA tree.
  *
- * dora-lint (tools/lint) matches single lines against regexes; a
- * whole class of past bugs is invisible at that granularity: a config
- * field added but never folded into the config hash (PR 3, PR 8), a
- * snapshot() member missing from tryRestore() (breaks proc-tier
- * resume bit-identity), two RNG streams accidentally seeded from the
- * same tag (the PR 3 page/corun correlation), and a serialized layout
- * edited without bumping its version token (the PR 9 "mre " bug
- * class). Proving those invariants needs a *structural* model of the
- * tree — which classes exist, which members they have, what each
- * function body references — joined across translation units.
+ * The simulator's headline results are only reproducible while a set
+ * of cross-cutting invariants holds: bit-identical artifacts at any
+ * `--jobs`, no wall-clock or unseeded randomness inside simulation
+ * code, mutex discipline on the little shared state the process has,
+ * config hashes that cover every field, snapshots that round-trip
+ * every member, and serialized layouts that bump their version when
+ * they change. This engine turns those conventions into
+ * machine-checked rules (DESIGN.md §5j).
  *
- * This engine builds exactly that model: each source file is scanned
- * comment/string-aware into parallel code/text views (scanUnit), then
- * a brace-tracking pass extracts struct/class declarations with data-
- * member lists and function definitions with captured bodies
- * (buildModel). Five rules run over the joined model:
+ * Every `*.cc` / `*.hh` file is scanned once, comment/string-aware,
+ * into parallel per-line views (scanUnit); comments and string
+ * contents never trigger rules. Two rule families run over the scan:
  *
- *   dora-cov-hash      every field of ExperimentConfig / FleetSpec /
- *                      TrainerConfig is referenced by its hash
- *                      function or annotated
- *                      `// dora:hash-exclude(<reason>)`.
- *   dora-cov-snapshot  every data member of a class defining both
- *                      snapshot() and tryRestore() appears in both
- *                      bodies or is annotated
- *                      `// dora:snapshot-exclude(<reason>)`.
- *   dora-det-streamtag an RNG stream tag literal used at more than
- *                      one call site is a correlation hazard; each
- *                      deliberate share carries
- *                      `// dora:stream-tag-shared(<reason>)`.
- *   dora-ser-version   serialized layouts (snapshot sections, wire
- *                      frames, journal records, model-bundle text)
- *                      are recomputed and diffed against the
- *                      checked-in manifest
- *                      tools/analyze/serialized_layouts.json; a
- *                      layout change without a version-token change
- *                      is a finding. `--regen-manifest` blesses
- *                      intentional bumps.
- *   dora-cli-flag      a `--flag` literal compared outside the
- *                      common/cli.hh helpers re-opens the silent-
- *                      misconfiguration class PR 8 closed.
+ *   line rules        eleven regex rules matched per line of the
+ *                     code view (`dora-det-*`, `dora-conc-*`,
+ *                     `dora-hyg-*`, `dora-rob-*`, `dora-perf-*`),
+ *                     each with a path scope and an allowlist
+ *                     (line_rules.cc).
+ *   structural rules  five rules over a brace-tracked model of the
+ *                     whole tree — struct/class declarations with
+ *                     their members, function definitions with their
+ *                     bodies — joined across translation units
+ *                     (buildModel): config-hash coverage
+ *                     (`dora-cov-hash`), snapshot/restore coverage
+ *                     (`dora-cov-snapshot`), RNG stream-tag
+ *                     uniqueness (`dora-det-streamtag`),
+ *                     serialized-layout versions against the
+ *                     checked-in manifest
+ *                     tools/analyze/serialized_layouts.json
+ *                     (`dora-ser-version`), and CLI-flag parsing
+ *                     locality (`dora-cli-flag`).
  *
- * Ergonomics follow dora-lint: stable rule ids, NOLINT(NEXTLINE)
- * suppression, `path:line: [rule] message` text plus `--json`
- * reports, exit 1 on findings, and a zero-findings self-scan in
- * tests/analyze. Like lint_engine, this library has no dependency on
- * dora_common so the binary and the golden tests share it.
+ * A finding is suppressed in place with
+ *
+ *     code;  // NOLINT(dora-rule-id): justification
+ *     // NOLINTNEXTLINE(dora-rule-id): justification
+ *
+ * (a bare `NOLINT` suppresses every rule on that line), and the
+ * structural rules also accept a reasoned
+ * `// dora:<name>(<reason>)` annotation. The library has no
+ * dependency on dora_common, so the binary and the tests/analyze
+ * golden tests share it.
  */
 
 #ifndef DORA_TOOLS_ANALYZE_ENGINE_HH
 #define DORA_TOOLS_ANALYZE_ENGINE_HH
 
+#include <iosfwd>
 #include <set>
 #include <string>
 #include <vector>
@@ -111,6 +108,14 @@ struct ScannedUnit
     std::vector<std::vector<Annotation>> notes;
     /** Rule ids suppressed on each line; "*" suppresses all rules. */
     std::vector<std::set<std::string>> nolint;
+    /**
+     * Per-line flag: inside a `// dora:lane-kernel-begin` ..
+     * `// dora:lane-kernel-end` region (the SIMD-friendly hot loops
+     * of the lane-batched walk, DESIGN.md §5g). Marker lines are
+     * included. dora-perf-lane-alias scopes its access-pattern
+     * checks to these lines.
+     */
+    std::vector<char> laneKernel;
 
     /**
      * True when @p line (1-based) carries annotation @p name with a
@@ -202,17 +207,18 @@ bool parseManifest(const std::string &json,
                    std::string *error);
 
 /**
- * Run all five rules over the model. @p manifestJson is the content
- * of serialized_layouts.json, or nullptr when the file is absent
- * (only a finding if the tree actually contains serialized formats).
- * Findings are NOLINT-filtered and sorted by (path, line, rule).
+ * Run both rule families over the model. @p manifestJson is the
+ * content of serialized_layouts.json, or nullptr when the file is
+ * absent (only a finding if the tree actually contains serialized
+ * formats). Findings are NOLINT-filtered and sorted by
+ * (path, line, rule, message).
  */
 std::vector<Finding> analyzeModel(const TreeModel &model,
                                   const std::string *manifestJson);
 
 /**
  * Walk @p subdirs (repo-relative) under @p repoRoot and scan every
- * *.cc / *.hh file into a model. Paths containing a `fixtures`
+ * *.cc / *.hh file into a model. Paths under tests/ with a `fixtures`
  * component are skipped — they are deliberate violations used by the
  * golden tests. When @p scannedPaths is non-null the repo-relative
  * path of every scanned file is appended (sorted).
@@ -221,7 +227,7 @@ TreeModel loadTree(const std::string &repoRoot,
                    const std::vector<std::string> &subdirs,
                    std::vector<std::string> *scannedPaths = nullptr);
 
-/** Default scan roots: {"src", "bench", "tools"}. */
+/** Default scan roots: {"src", "tests", "bench", "tools"}. */
 const std::vector<std::string> &defaultSubdirs();
 
 /** Repo-relative manifest location. */
@@ -235,6 +241,18 @@ std::vector<Finding>
 analyzeTree(const std::string &repoRoot,
             const std::vector<std::string> &subdirs,
             std::vector<std::string> *scannedPaths = nullptr);
+
+/**
+ * `--regen-manifest`: recompute every layout under @p repoRoot and
+ * rewrite its manifest. Refuses — returns false and leaves the file
+ * byte-identical — while format anchors are broken and, unless
+ * @p allowSameVersion, when the manifest on disk does not parse or a
+ * layout changed under an unchanged version token (the change
+ * dora-ser-version exists to catch). Diagnostics go to @p log.
+ */
+bool regenManifest(const std::string &repoRoot,
+                   const std::vector<std::string> &subdirs,
+                   bool allowSameVersion, std::ostream &log);
 
 /** `path:line: [rule] message` lines, one per finding. */
 std::string renderText(const std::vector<Finding> &findings);

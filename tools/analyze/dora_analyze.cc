@@ -6,9 +6,9 @@
  *                [--regen-manifest [--allow-same-version]]
  *                [subdirs...]
  *
- * Walks src/ bench/ tools/ (or the given subdirs) under the repo
- * root, builds the cross-TU structural model (analyze_engine.hh),
- * applies the five coverage/version rules, prints findings as
+ * Walks src/ tests/ bench/ tools/ (or the given subdirs) under the
+ * repo root, scans every file once and applies both rule families
+ * (analyze_engine.hh), prints findings as
  * `path:line: [rule-id] message`, optionally writes the JSON report,
  * and exits 1 if anything was found — which is how scripts/ci.sh
  * turns the rule set into a gate.
@@ -16,15 +16,14 @@
  * --regen-manifest recomputes tools/analyze/serialized_layouts.json
  * from the tree. It refuses to bless a layout that changed while its
  * version token did not (that is exactly the bug the rule exists to
- * catch); pass --allow-same-version for cosmetic rewrites (e.g. a
- * renamed local fed to the same put calls) after review.
+ * catch), or to overwrite a manifest that does not parse; pass
+ * --allow-same-version for cosmetic rewrites (e.g. a renamed local
+ * fed to the same put calls) after review.
  */
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
-#include <map>
-#include <sstream>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -49,96 +48,9 @@ usage(const char *argv0)
         "  --allow-same-version  bless a layout rewrite that kept its "
         "version\n"
         "  subdirs             repo-relative roots (default: src "
-        "bench tools)\n",
+        "tests bench tools)\n",
         argv0);
     return 2;
-}
-
-std::string
-readFile(const std::filesystem::path &path, bool *ok)
-{
-    std::ifstream in(path, std::ios::binary);
-    *ok = in.good();
-    std::ostringstream content;
-    content << in.rdbuf();
-    return content.str();
-}
-
-int
-regenManifest(const std::string &repo,
-              const std::vector<std::string> &subdirs,
-              bool allow_same_version)
-{
-    namespace fs = std::filesystem;
-    using dora::analyze::LayoutRecord;
-
-    std::vector<dora::analyze::Finding> problems;
-    const dora::analyze::TreeModel model =
-        dora::analyze::loadTree(repo, subdirs);
-    const std::vector<LayoutRecord> computed =
-        dora::analyze::computeLayouts(model, &problems);
-    if (!problems.empty()) {
-        std::fputs(dora::analyze::renderText(problems).c_str(),
-                   stderr);
-        std::fprintf(stderr,
-                     "dora-analyze: cannot regenerate the manifest "
-                     "while format anchors are broken\n");
-        return 2;
-    }
-
-    const fs::path manifest_path =
-        fs::path(repo) / dora::analyze::manifestRelPath();
-    if (fs::exists(manifest_path) && !allow_same_version) {
-        bool ok = false;
-        const std::string old_json = readFile(manifest_path, &ok);
-        std::vector<LayoutRecord> recorded;
-        std::string error;
-        if (ok && dora::analyze::parseManifest(old_json, &recorded,
-                                               &error)) {
-            std::map<std::string, const LayoutRecord *> by_name;
-            for (const LayoutRecord &rec : recorded)
-                by_name[rec.name] = &rec;
-            bool refused = false;
-            for (const LayoutRecord &c : computed) {
-                const auto it = by_name.find(c.name);
-                if (it == by_name.end())
-                    continue;
-                if (c.layout != it->second->layout &&
-                    c.version == it->second->version) {
-                    std::fprintf(
-                        stderr,
-                        "dora-analyze: refusing to bless '%s': the "
-                        "layout changed but the version token is "
-                        "still %s\n",
-                        c.name.c_str(), c.version.c_str());
-                    refused = true;
-                }
-            }
-            if (refused) {
-                std::fprintf(
-                    stderr,
-                    "dora-analyze: bump the version token(s) first, "
-                    "or pass --allow-same-version for a reviewed "
-                    "cosmetic rewrite\n");
-                return 2;
-            }
-        }
-    }
-
-    fs::create_directories(manifest_path.parent_path());
-    std::ofstream out(manifest_path, std::ios::trunc);
-    out << dora::analyze::renderManifest(computed);
-    if (!out.good()) {
-        std::fprintf(stderr,
-                     "dora-analyze: cannot write manifest %s\n",
-                     manifest_path.string().c_str());
-        return 2;
-    }
-    std::fprintf(stderr,
-                 "dora-analyze: wrote %zu format%s to %s\n",
-                 computed.size(), computed.size() == 1 ? "" : "s",
-                 manifest_path.string().c_str());
-    return 0;
 }
 
 } // namespace
@@ -184,7 +96,7 @@ main(int argc, char **argv)
 
     if (list_rules) {
         for (const auto &rule : dora::analyze::ruleCatalog())
-            std::printf("%-22s %s\n", rule.id, rule.summary);
+            std::printf("%-28s %s\n", rule.id, rule.summary);
         return 0;
     }
 
@@ -192,7 +104,10 @@ main(int argc, char **argv)
         subdirs = dora::analyze::defaultSubdirs();
 
     if (regen)
-        return regenManifest(repo, subdirs, allow_same_version);
+        return dora::analyze::regenManifest(repo, subdirs,
+                                            allow_same_version, std::cerr)
+            ? 0
+            : 2;
 
     std::vector<std::string> scanned;
     const std::vector<dora::analyze::Finding> findings =

@@ -1,220 +1,25 @@
-#include "lint_engine.hh"
+#include "line_rules.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <filesystem>
-#include <fstream>
+// GCC 12 under ASan flags std::function inside libstdc++'s <regex>.
+#if !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 #include <regex>
-#include <sstream>
+#if !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
-namespace dora::lint
+namespace dora::analyze
 {
 
 namespace
 {
 
 // ---------------------------------------------------------------- //
-// Source preparation                                               //
+// Helpers                                                          //
 // ---------------------------------------------------------------- //
-
-/** Split comment text into NOLINT directives for the scanned file. */
-void
-applyNolintDirectives(const std::string &comment_text, size_t line_idx,
-                      ScannedFile &file)
-{
-    // NOLINTNEXTLINE must be matched before NOLINT (shared prefix).
-    static const std::regex directive_re(
-        R"(NOLINT(NEXTLINE)?(\(([^)]*)\))?)");
-    for (auto it = std::sregex_iterator(comment_text.begin(),
-                                        comment_text.end(),
-                                        directive_re);
-         it != std::sregex_iterator(); ++it) {
-        const bool next_line = (*it)[1].matched;
-        const size_t target = line_idx + (next_line ? 1 : 0);
-        if (target >= file.nolint.size())
-            continue;
-        if (!(*it)[2].matched) {
-            file.nolint[target].insert("*");
-            continue;
-        }
-        // Comma/space-separated rule ids inside the parentheses.
-        std::string ids = (*it)[3].str();
-        std::string id;
-        std::istringstream stream(ids);
-        while (std::getline(stream, id, ',')) {
-            const size_t b = id.find_first_not_of(" \t");
-            const size_t e = id.find_last_not_of(" \t");
-            if (b == std::string::npos)
-                continue;
-            file.nolint[target].insert(id.substr(b, e - b + 1));
-        }
-    }
-}
-
-} // namespace
-
-ScannedFile
-scanSource(std::string path, const std::string &content)
-{
-    ScannedFile file;
-    file.path = std::move(path);
-
-    // Pre-split so NOLINTNEXTLINE on the final line has a slot to
-    // target (and so nolint[] is sized before directives apply).
-    size_t line_count = 1 +
-        static_cast<size_t>(
-            std::count(content.begin(), content.end(), '\n'));
-    file.code.reserve(line_count);
-    file.nolint.assign(line_count + 1, {});
-
-    enum class State
-    {
-        Code,
-        LineComment,
-        BlockComment,
-        String,
-        Char,
-        RawString,
-    };
-    State state = State::Code;
-    std::string code_line, comment_line, raw_delim;
-    size_t line_idx = 0;
-    bool lane_region = false;
-
-    auto flush_line = [&]() {
-        applyNolintDirectives(comment_line, line_idx, file);
-        if (comment_line.find("dora:lane-kernel-begin") !=
-            std::string::npos)
-            lane_region = true;
-        file.laneKernel.push_back(lane_region ? 1 : 0);
-        if (comment_line.find("dora:lane-kernel-end") !=
-            std::string::npos)
-            lane_region = false;
-        file.code.push_back(code_line);
-        code_line.clear();
-        comment_line.clear();
-        ++line_idx;
-    };
-
-    const size_t n = content.size();
-    for (size_t i = 0; i < n; ++i) {
-        const char c = content[i];
-        const char next = i + 1 < n ? content[i + 1] : '\0';
-        if (c == '\n') {
-            if (state == State::LineComment)
-                state = State::Code;
-            flush_line();
-            continue;
-        }
-        switch (state) {
-          case State::Code:
-            if (c == '/' && next == '/') {
-                state = State::LineComment;
-                code_line += "  ";
-                ++i;
-            } else if (c == '/' && next == '*') {
-                state = State::BlockComment;
-                code_line += "  ";
-                ++i;
-            } else if (c == '"' && i > 0 && content[i - 1] == 'R' &&
-                       (i < 2 ||
-                        !(std::isalnum(static_cast<unsigned char>(
-                              content[i - 2])) ||
-                          content[i - 2] == '_') ||
-                        content[i - 2] == 'u' ||
-                        content[i - 2] == 'U' ||
-                        content[i - 2] == 'L' ||
-                        content[i - 2] == '8')) {
-                // R"delim( ... )delim" — capture the delimiter.
-                state = State::RawString;
-                code_line += '"';
-                raw_delim.clear();
-                while (i + 1 < n && content[i + 1] != '(' &&
-                       content[i + 1] != '\n') {
-                    raw_delim += content[i + 1];
-                    ++i;
-                }
-                if (i + 1 < n && content[i + 1] == '(')
-                    ++i;
-            } else if (c == '"') {
-                state = State::String;
-                code_line += '"';
-            } else if (c == '\'') {
-                state = State::Char;
-                code_line += '\'';
-            } else {
-                code_line += c;
-            }
-            break;
-          case State::LineComment:
-            comment_line += c;
-            code_line += ' ';
-            break;
-          case State::BlockComment:
-            if (c == '*' && next == '/') {
-                state = State::Code;
-                code_line += "  ";
-                ++i;
-            } else {
-                comment_line += c;
-                code_line += ' ';
-            }
-            break;
-          case State::String:
-            if (c == '\\' && next != '\0' && next != '\n') {
-                code_line += "  ";
-                ++i;
-            } else if (c == '"') {
-                state = State::Code;
-                code_line += '"';
-            } else {
-                code_line += ' ';
-            }
-            break;
-          case State::Char:
-            if (c == '\\' && next != '\0' && next != '\n') {
-                code_line += "  ";
-                ++i;
-            } else if (c == '\'') {
-                state = State::Code;
-                code_line += '\'';
-            } else {
-                code_line += ' ';
-            }
-            break;
-          case State::RawString: {
-            // Close only on )delim" — otherwise blank the content.
-            const std::string close = ")" + raw_delim + "\"";
-            if (c == ')' && content.compare(i, close.size(), close) == 0) {
-                code_line += '"';
-                i += close.size() - 1;
-                state = State::Code;
-            } else {
-                code_line += ' ';
-            }
-            break;
-          }
-        }
-    }
-    if (!code_line.empty() || !comment_line.empty())
-        flush_line();
-    while (file.nolint.size() < file.code.size())
-        file.nolint.push_back({});
-    return file;
-}
-
-namespace
-{
-
-// ---------------------------------------------------------------- //
-// Path scoping helpers                                             //
-// ---------------------------------------------------------------- //
-
-bool
-hasPrefix(const std::string &path, const char *prefix)
-{
-    return path.rfind(prefix, 0) == 0;
-}
 
 bool
 hasSuffix(const std::string &path, const char *suffix)
@@ -225,17 +30,7 @@ hasSuffix(const std::string &path, const char *suffix)
 }
 
 bool
-anyPrefix(const std::string &path,
-          std::initializer_list<const char *> prefixes)
-{
-    for (const char *p : prefixes)
-        if (hasPrefix(path, p))
-            return true;
-    return false;
-}
-
-bool
-fileMentions(const ScannedFile &file, const char *token)
+fileMentions(const ScannedUnit &file, const char *token)
 {
     for (const auto &line : file.code)
         if (line.find(token) != std::string::npos)
@@ -244,7 +39,7 @@ fileMentions(const ScannedFile &file, const char *token)
 }
 
 void
-emitMatches(const ScannedFile &file, const std::regex &re,
+emitMatches(const ScannedUnit &file, const std::regex &re,
             const char *rule, const char *message,
             std::vector<Finding> &out)
 {
@@ -260,7 +55,7 @@ emitMatches(const ScannedFile &file, const std::regex &re,
 
 /** dora-det-rand: unseeded / process-global randomness. */
 void
-ruleDetRand(const ScannedFile &f, std::vector<Finding> &out)
+ruleDetRand(const ScannedUnit &f, std::vector<Finding> &out)
 {
     static const std::regex re(
         R"((^|[^\w])(std::)?(rand|srand|drand48|lrand48|mrand48|random)\s*\(|std::random_device)");
@@ -281,7 +76,7 @@ wallClockRe()
 
 /** dora-det-wallclock: wall-clock reads inside simulation code. */
 void
-ruleDetWallclock(const ScannedFile &f, std::vector<Finding> &out)
+ruleDetWallclock(const ScannedUnit &f, std::vector<Finding> &out)
 {
     if (!hasPrefix(f.path, "src/"))
         return;
@@ -299,7 +94,7 @@ ruleDetWallclock(const ScannedFile &f, std::vector<Finding> &out)
 
 /** dora-det-unordered: iteration-order-dependent accumulation risk. */
 void
-ruleDetUnordered(const ScannedFile &f, std::vector<Finding> &out)
+ruleDetUnordered(const ScannedUnit &f, std::vector<Finding> &out)
 {
     if (!hasPrefix(f.path, "src/"))
         return;
@@ -317,7 +112,7 @@ ruleDetUnordered(const ScannedFile &f, std::vector<Finding> &out)
 
 /** dora-det-confighash: wall-clock near config-hash producers. */
 void
-ruleDetConfigHash(const ScannedFile &f, std::vector<Finding> &out)
+ruleDetConfigHash(const ScannedUnit &f, std::vector<Finding> &out)
 {
     if (!anyPrefix(f.path, {"src/", "bench/"}))
         return;
@@ -338,7 +133,7 @@ ruleDetConfigHash(const ScannedFile &f, std::vector<Finding> &out)
 
 /** dora-conc-global-state: mutable statics without synchronization. */
 void
-ruleConcGlobalState(const ScannedFile &f, std::vector<Finding> &out)
+ruleConcGlobalState(const ScannedUnit &f, std::vector<Finding> &out)
 {
     if (!hasPrefix(f.path, "src/"))
         return;
@@ -389,7 +184,7 @@ ruleConcGlobalState(const ScannedFile &f, std::vector<Finding> &out)
 
 /** dora-conc-mutex-unannotated: header mutexes with no GUARDED_BY. */
 void
-ruleConcMutexUnannotated(const ScannedFile &f,
+ruleConcMutexUnannotated(const ScannedUnit &f,
                          std::vector<Finding> &out)
 {
     if (!hasPrefix(f.path, "src/") || !hasSuffix(f.path, ".hh"))
@@ -412,7 +207,7 @@ ruleConcMutexUnannotated(const ScannedFile &f,
 
 /** dora-hyg-stream: direct console output from library code. */
 void
-ruleHygStream(const ScannedFile &f, std::vector<Finding> &out)
+ruleHygStream(const ScannedUnit &f, std::vector<Finding> &out)
 {
     if (!hasPrefix(f.path, "src/"))
         return;
@@ -431,7 +226,7 @@ ruleHygStream(const ScannedFile &f, std::vector<Finding> &out)
 
 /** dora-hyg-catch-all: catch (...) that swallows silently. */
 void
-ruleHygCatchAll(const ScannedFile &f, std::vector<Finding> &out)
+ruleHygCatchAll(const ScannedUnit &f, std::vector<Finding> &out)
 {
     if (!anyPrefix(f.path, {"src/", "bench/"}))
         return;
@@ -474,7 +269,7 @@ ruleHygCatchAll(const ScannedFile &f, std::vector<Finding> &out)
 
 /** dora-hyg-assert: Release-compiled-out guards. */
 void
-ruleHygAssert(const ScannedFile &f, std::vector<Finding> &out)
+ruleHygAssert(const ScannedUnit &f, std::vector<Finding> &out)
 {
     if (!anyPrefix(f.path, {"src/", "bench/"}))
         return;
@@ -493,7 +288,7 @@ ruleHygAssert(const ScannedFile &f, std::vector<Finding> &out)
 
 /** dora-rob-unchecked-try: discarded try*() fallible-call results. */
 void
-ruleRobUncheckedTry(const ScannedFile &f, std::vector<Finding> &out)
+ruleRobUncheckedTry(const ScannedUnit &f, std::vector<Finding> &out)
 {
     if (!anyPrefix(f.path, {"src/", "bench/"}))
         return;
@@ -540,7 +335,7 @@ ruleRobUncheckedTry(const ScannedFile &f, std::vector<Finding> &out)
 
 /** dora-perf-lane-alias: cache-hostile access in lane kernels. */
 void
-rulePerfLaneAlias(const ScannedFile &f, std::vector<Finding> &out)
+rulePerfLaneAlias(const ScannedUnit &f, std::vector<Finding> &out)
 {
     if (!anyPrefix(f.path, {"src/", "bench/"}))
         return;
@@ -583,153 +378,20 @@ rulePerfLaneAlias(const ScannedFile &f, std::vector<Finding> &out)
 
 } // namespace
 
-const std::vector<RuleInfo> &
-ruleCatalog()
-{
-    static const std::vector<RuleInfo> catalog = {
-        {"dora-det-rand",
-         "no unseeded/global RNG (rand, srand, std::random_device)"},
-        {"dora-det-wallclock",
-         "no wall-clock reads in simulation code (allow: src/exec, "
-         "src/obs)"},
-        {"dora-det-unordered",
-         "no std::unordered_* containers in result-producing code"},
-        {"dora-det-confighash",
-         "no wall-clock/date input in files feeding "
-         "experiment/training config hashes"},
-        {"dora-conc-global-state",
-         "mutable static/global state must be atomic, mutex-guarded, "
-         "or NOLINT-justified"},
-        {"dora-conc-mutex-unannotated",
-         "header mutex members need GUARDED_BY-annotated fields"},
-        {"dora-hyg-stream",
-         "no direct console writes from library code (log sink only)"},
-        {"dora-hyg-catch-all",
-         "no catch (...) that swallows without rethrow/log"},
-        {"dora-hyg-assert",
-         "no assert() guards (compiled out in Release); use "
-         "fatal()/panic()"},
-        {"dora-rob-unchecked-try",
-         "no discarded try*() results (tryRestore/tryDeserialize "
-         "report failure by return value)"},
-        {"dora-perf-lane-alias",
-         "no std::vector<bool> in lane-kernel files; no ->/.at() "
-         "inside dora:lane-kernel regions"},
-    };
-    return catalog;
-}
-
 void
-lintFile(const ScannedFile &file, std::vector<Finding> &out)
+lineRules(const ScannedUnit &unit, std::vector<Finding> &out)
 {
-    std::vector<Finding> raw;
-    ruleDetRand(file, raw);
-    ruleDetWallclock(file, raw);
-    ruleDetUnordered(file, raw);
-    ruleDetConfigHash(file, raw);
-    ruleConcGlobalState(file, raw);
-    ruleConcMutexUnannotated(file, raw);
-    ruleHygStream(file, raw);
-    ruleHygCatchAll(file, raw);
-    ruleHygAssert(file, raw);
-    ruleRobUncheckedTry(file, raw);
-    rulePerfLaneAlias(file, raw);
-
-    for (auto &finding : raw) {
-        const size_t idx = static_cast<size_t>(finding.line) - 1;
-        if (idx < file.nolint.size()) {
-            const auto &suppressed = file.nolint[idx];
-            if (suppressed.count("*") || suppressed.count(finding.rule))
-                continue;
-        }
-        out.push_back(std::move(finding));
-    }
+    ruleDetRand(unit, out);
+    ruleDetWallclock(unit, out);
+    ruleDetUnordered(unit, out);
+    ruleDetConfigHash(unit, out);
+    ruleConcGlobalState(unit, out);
+    ruleConcMutexUnannotated(unit, out);
+    ruleHygStream(unit, out);
+    ruleHygCatchAll(unit, out);
+    ruleHygAssert(unit, out);
+    ruleRobUncheckedTry(unit, out);
+    rulePerfLaneAlias(unit, out);
 }
 
-std::vector<Finding>
-lintTree(const std::string &repoRoot,
-         const std::vector<std::string> &subdirs,
-         std::vector<std::string> *scannedPaths)
-{
-    namespace fs = std::filesystem;
-    std::vector<std::string> paths;
-    for (const auto &subdir : subdirs) {
-        const fs::path root = fs::path(repoRoot) / subdir;
-        if (!fs::exists(root))
-            continue;
-        for (const auto &entry :
-             fs::recursive_directory_iterator(root)) {
-            if (!entry.is_regular_file())
-                continue;
-            const std::string ext = entry.path().extension().string();
-            if (ext != ".cc" && ext != ".hh")
-                continue;
-            std::string rel =
-                entry.path().lexically_relative(repoRoot)
-                    .generic_string();
-            // Golden-test fixtures are deliberate violations.
-            if (rel.find("tests/lint/fixtures/") != std::string::npos)
-                continue;
-            paths.push_back(std::move(rel));
-        }
-    }
-    std::sort(paths.begin(), paths.end());
-
-    std::vector<Finding> findings;
-    for (const auto &rel : paths) {
-        std::ifstream in(fs::path(repoRoot) / rel, std::ios::binary);
-        std::ostringstream content;
-        content << in.rdbuf();
-        const ScannedFile file = scanSource(rel, content.str());
-        lintFile(file, findings);
-    }
-    std::sort(findings.begin(), findings.end(),
-              [](const Finding &a, const Finding &b) {
-                  if (a.path != b.path)
-                      return a.path < b.path;
-                  if (a.line != b.line)
-                      return a.line < b.line;
-                  return a.rule < b.rule;
-              });
-    if (scannedPaths)
-        *scannedPaths = std::move(paths);
-    return findings;
-}
-
-std::string
-renderText(const std::vector<Finding> &findings)
-{
-    std::ostringstream out;
-    for (const auto &f : findings)
-        out << f.path << ":" << f.line << ": [" << f.rule << "] "
-            << f.message << "\n";
-    return out.str();
-}
-
-std::string
-renderJson(const std::vector<Finding> &findings)
-{
-    auto escape = [](const std::string &text) {
-        std::string out;
-        for (const char c : text) {
-            if (c == '"' || c == '\\')
-                out += '\\';
-            out += c;
-        }
-        return out;
-    };
-    std::ostringstream out;
-    out << "[\n";
-    for (size_t i = 0; i < findings.size(); ++i) {
-        const Finding &f = findings[i];
-        out << "  {\"file\": \"" << escape(f.path)
-            << "\", \"line\": " << f.line << ", \"rule\": \""
-            << escape(f.rule) << "\", \"message\": \""
-            << escape(f.message) << "\"}"
-            << (i + 1 < findings.size() ? "," : "") << "\n";
-    }
-    out << "]\n";
-    return out.str();
-}
-
-} // namespace dora::lint
+} // namespace dora::analyze
