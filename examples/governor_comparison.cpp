@@ -11,11 +11,12 @@
  * (load time, mean power, PPW, deadline verdict) are printed for each.
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "browser/page_corpus.hh"
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "harness/bundle_cache.hh"
@@ -29,7 +30,14 @@ main(int argc, char **argv)
 {
     const std::string page_name = argc > 1 ? argv[1] : "reddit";
     const std::string intensity = argc > 2 ? argv[2] : "high";
-    const double deadline = argc > 3 ? std::atof(argv[3]) : 3.0;
+    // A finite deadline > 0, checked before a bundle is loaded or
+    // trained so that a typo fails at once.
+    const double deadline = argc > 3
+        ? cliParseDouble(argv[3], "deadline_s", 0.0,
+                         std::numeric_limits<double>::max())
+        : 3.0;
+    if (deadline == 0.0)
+        fatal("deadline_s: the deadline must be > 0 s");
 
     const WebPage &page = PageCorpus::byName(page_name);
     WorkloadSpec workload;

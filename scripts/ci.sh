@@ -98,7 +98,7 @@ else
     fi
 fi
 
-echo "== tests =="
+echo "== tests (unit, identity, analyzer, example smoke runs) =="
 (cd "${build_dir}" && ctest --output-on-failure)
 
 echo "== crash: process-tier resilience =="

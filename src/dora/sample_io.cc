@@ -1,5 +1,7 @@
 #include "dora/sample_io.hh"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -68,13 +70,16 @@ samplesToCsv(const std::vector<TrainingSample> &samples)
     return out.str();
 }
 
-std::vector<TrainingSample>
-samplesFromCsv(const std::string &text)
+bool
+trySamplesFromCsv(const std::string &text,
+                  std::vector<TrainingSample> *out, std::string *error)
 {
     std::istringstream in(text);
     std::string line;
-    if (!std::getline(in, line))
-        fatal("samplesFromCsv: empty input");
+    if (!std::getline(in, line)) {
+        *error = "empty input";
+        return false;
+    }
 
     const size_t expected_cols = kNumFeatures + 5;
     std::vector<TrainingSample> samples;
@@ -86,11 +91,27 @@ samplesFromCsv(const std::string &text)
         std::istringstream row(line);
         std::vector<double> cols;
         std::string cell;
-        while (std::getline(row, cell, ','))
-            cols.push_back(std::stod(cell));
-        if (cols.size() != expected_cols)
-            fatal("samplesFromCsv: line %zu has %zu columns, expected "
-                  "%zu", line_no, cols.size(), expected_cols);
+        while (std::getline(row, cell, ',')) {
+            // The whole cell must be one finite number: a prefix parse
+            // would load "1.5abc" as 1.5.
+            double value = 0.0;
+            const char *last = cell.data() + cell.size();
+            const auto [end, ec] =
+                std::from_chars(cell.data(), last, value);
+            if (ec != std::errc() || end != last || !std::isfinite(value)) {
+                *error = "line " + std::to_string(line_no) + " column " +
+                    std::to_string(cols.size() + 1) + ": '" + cell +
+                    "' is not a finite number";
+                return false;
+            }
+            cols.push_back(value);
+        }
+        if (cols.size() != expected_cols) {
+            *error = "line " + std::to_string(line_no) + " has " +
+                std::to_string(cols.size()) + " columns, expected " +
+                std::to_string(expected_cols);
+            return false;
+        }
         TrainingSample s;
         s.x.assign(cols.begin(),
                    cols.begin() + static_cast<long>(kNumFeatures));
@@ -101,6 +122,17 @@ samplesFromCsv(const std::string &text)
         s.meanTempC = cols[kNumFeatures + 4];
         samples.push_back(std::move(s));
     }
+    *out = std::move(samples);
+    return true;
+}
+
+std::vector<TrainingSample>
+samplesFromCsv(const std::string &text)
+{
+    std::vector<TrainingSample> samples;
+    std::string error;
+    if (!trySamplesFromCsv(text, &samples, &error))
+        fatal("samplesFromCsv: %s", error.c_str());
     return samples;
 }
 

@@ -40,9 +40,16 @@ std::string serializeTrainingSample(const TrainingSample &s);
 std::string samplesToCsv(const std::vector<TrainingSample> &samples);
 
 /**
- * Parse samples from CSV text produced by samplesToCsv().
- * fatal() on malformed input.
+ * Parse samples from CSV text produced by samplesToCsv(): a header
+ * line, then rows of kNumFeatures + 5 cells, each one whole finite
+ * number. Returns false with a diagnostic naming the line in @p error
+ * (leaving @p out untouched) on malformed input.
  */
+[[nodiscard]] bool trySamplesFromCsv(const std::string &text,
+                                     std::vector<TrainingSample> *out,
+                                     std::string *error);
+
+/** trySamplesFromCsv() that fatal()s on malformed input. */
 std::vector<TrainingSample> samplesFromCsv(const std::string &text);
 
 /** Write samples to @p path; warns and returns false on failure. */

@@ -1,10 +1,13 @@
 #include "harness/comparison.hh"
 
+#include <cmath>
+#include <optional>
 #include <sstream>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "fault/fault_injector.hh"
+#include "obs/metrics.hh"
 
 namespace dora
 {
@@ -27,6 +30,22 @@ governorRegistry()
 }
 
 constexpr size_t kInteractiveId = 0;
+
+/**
+ * Load wall of an offline-opt page cell below the max OPP: just past
+ * the deadline, when that is finite and tighter than maxLoadSec. Such
+ * a cell can win only by finishing within the deadline, which it then
+ * does inside the cut window on the same ticks; one still loading at
+ * the cut can never be picked, so running it on is wasted work.
+ */
+std::optional<double>
+offlineCutWallSec(const ExperimentConfig &config)
+{
+    const double wall = config.deadlineSec + 2.0 * config.dtSec;
+    if (!std::isfinite(wall) || !(wall < config.maxLoadSec))
+        return std::nullopt;
+    return wall;
+}
 
 } // namespace
 
@@ -243,12 +262,13 @@ RunMeasurement
 ComparisonHarness::pickOfflineOpt(std::vector<RunMeasurement> sweep) const
 {
     const FreqTable &table = runner_.freqTable();
-    // A short sweep used to fall through to a default-constructed
-    // RunMeasurement (governor "", PPW 0) that silently polluted
-    // downstream aggregates; it is a caller bug, so fail loudly.
-    if (sweep.size() < table.size())
+    // Entry f must be OPP f. A short sweep would fall through to a
+    // default-constructed RunMeasurement (governor "", PPW 0) that
+    // silently pollutes downstream aggregates, and a long one would let
+    // entries past the table compete; either is a caller bug.
+    if (sweep.size() != table.size())
         fatal("pickOfflineOpt: sweep covers %zu OPPs but the table has "
-              "%zu; the offline-optimal search needs every OPP",
+              "%zu; the offline-optimal search needs one run per OPP",
               sweep.size(), table.size());
     RunMeasurement best;
     RunMeasurement fastest;
@@ -278,18 +298,39 @@ ComparisonHarness::offlineOptMany(
     const std::vector<WorkloadSpec> &workloads)
 {
     // Each cell mirrors runAtFrequency(): a FixedGovernor pinned at
-    // the OPP, which is also the initial frequency.
+    // the OPP, which is also the initial frequency. Page cells below
+    // the max OPP run on a load wall cut just past the deadline
+    // (offlineCutWallSec); the max-OPP fallback keeps the full wall.
     const size_t freqs = runner_.freqTable().size();
+    const std::optional<double> cut_wall =
+        offlineCutWallSec(runner_.config());
+    const auto cut = [&](size_t i) {
+        return cut_wall && workloads[i / freqs].page != nullptr &&
+            i % freqs != runner_.freqTable().maxIndex();
+    };
+    // The rule is part of the grid identity: a journal of uncut
+    // losers is refused, never mixed in.
     std::ostringstream grid;
-    grid << "offlineOptMany";
+    grid << "offlineOptMany cut=deadline+2dt";
     for (const auto &w : workloads)
         grid << " " << w.label();
     std::vector<RunMeasurement> flat =
         runGrid(workloads.size() * freqs, grid.str(), [&](size_t i) {
             const size_t f = i % freqs;
-            return makeCell(workloads[i / freqs],
-                            std::make_unique<FixedGovernor>(f), f);
+            RunCell cell = makeCell(workloads[i / freqs],
+                                    std::make_unique<FixedGovernor>(f), f);
+            if (cut(i))
+                cell.config.maxLoadSec = *cut_wall;
+            return cell;
         });
+
+    uint64_t cells_cut = 0;
+    for (size_t i = 0; i < flat.size(); ++i)
+        if (cut(i) && !flat[i].pageFinished)
+            ++cells_cut;
+    MetricsRegistry::global()
+        .counter("harness.offline_cells_cut")
+        .add(cells_cut);
 
     std::vector<RunMeasurement> results;
     results.reserve(workloads.size());

@@ -161,6 +161,14 @@ class ComparisonHarness
      * frequency grid is fanned out jointly, so parallelism is not
      * limited by the OPP count of a single sweep. Result i corresponds
      * to workloads[i].
+     *
+     * A page cell below the max OPP can only win by meeting the
+     * deadline, so its load wall is cut to deadlineSec + 2 dtSec when
+     * the deadline is finite and that is tighter than maxLoadSec. A
+     * winner finishes inside the cut on the same ticks, so every
+     * result equals the pickOfflineOpt() of a full runAtFrequency()
+     * sweep; only discarded runs end early. Cells left unfinished at
+     * the cut are counted in `harness.offline_cells_cut`.
      */
     std::vector<RunMeasurement>
     offlineOptMany(const std::vector<WorkloadSpec> &workloads);
@@ -172,10 +180,13 @@ class ComparisonHarness
     static const std::vector<std::string> &paperGovernors();
 
     /**
-     * Select the offline-opt winner from an ascending-OPP sweep. The
-     * sweep must cover the full OPP table (fatal() otherwise — a short
-     * sweep once yielded a silent default-constructed result). Public
-     * so tests and custom sweep drivers can reuse the selection rule.
+     * Select the offline-opt winner from an ascending-OPP sweep: the
+     * highest-PPW run that meets the deadline, else the max-OPP run.
+     * Entry f must be OPP f, so the sweep must have exactly one entry
+     * per OPP (fatal() otherwise — a short sweep once yielded a silent
+     * default-constructed result, a long one let extra entries
+     * compete). Public so tests and custom sweeps can reuse the
+     * selection rule.
      */
     RunMeasurement pickOfflineOpt(std::vector<RunMeasurement> sweep) const;
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "dora/features.hh"
 #include "dora/sample_io.hh"
@@ -56,6 +57,43 @@ TEST(SampleIo, RoundTripPreservesValues)
         EXPECT_DOUBLE_EQ(parsed[i].meanPowerW, original[i].meanPowerW);
         EXPECT_DOUBLE_EQ(parsed[i].meanTempC, original[i].meanTempC);
     }
+}
+
+/** @p csv with the first cell of its first data row replaced. */
+std::string
+withFirstCell(const std::string &csv, const std::string &cell)
+{
+    const size_t row = csv.find('\n') + 1;
+    return csv.substr(0, row) + cell + csv.substr(csv.find(',', row));
+}
+
+TEST(SampleIo, CellThatIsNotOneFiniteNumberIsFatal)
+{
+    // std::stod once aborted the process on "abc" (an uncaught
+    // std::invalid_argument) and read "1.5abc" as 1.5.
+    const std::string csv = samplesToCsv(makeSamples());
+    for (const std::string cell : {"abc", "1.5abc"}) {
+        EXPECT_EXIT(samplesFromCsv(withFirstCell(csv, cell)),
+                    ::testing::ExitedWithCode(1),
+                    "samplesFromCsv: line 2 column 1: '" + cell +
+                        "' is not a finite number");
+    }
+    for (const std::string cell : {"abc", "1.5abc", "", " 1", "nan",
+                                   "inf", "1e999", "0x10"}) {
+        std::vector<TrainingSample> out;
+        std::string error;
+        EXPECT_FALSE(trySamplesFromCsv(withFirstCell(csv, cell), &out,
+                                       &error))
+            << "'" << cell << "'";
+        EXPECT_EQ(error.rfind("line 2 column 1: ", 0), 0u) << error;
+        EXPECT_TRUE(out.empty());
+    }
+    std::vector<TrainingSample> out;
+    std::string error;
+    ASSERT_TRUE(trySamplesFromCsv(withFirstCell(csv, "-1.5e-3"), &out,
+                                  &error))
+        << error;
+    EXPECT_DOUBLE_EQ(out.front().x.front(), -1.5e-3);
 }
 
 TEST(SampleIo, FileRoundTrip)

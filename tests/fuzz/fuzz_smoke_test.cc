@@ -4,7 +4,8 @@
  * bytes from outside the process: snapshot restore paths
  * (QuantileSketch, RunningStat), FleetShardAggregate blobs, the
  * supervisor/worker wire-frame parser, the results journal, run-
- * measurement payloads, and ModelBundle text blobs.
+ * measurement payloads, ModelBundle text blobs, and training-sample
+ * CSV.
  *
  * The contract under test is uniform: feed a corrupted input and the
  * decoder must return failure (or truncate, for the journal) without
@@ -21,6 +22,7 @@
  * out-of-bounds read into a hard failure.
  */
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -31,7 +33,9 @@
 
 #include "common/rng.hh"
 #include "common/snapshot.hh"
+#include "dora/features.hh"
 #include "dora/model_bundle.hh"
+#include "dora/sample_io.hh"
 #include "exec/proc/journal.hh"
 #include "exec/proc/wire.hh"
 #include "fleet/aggregate.hh"
@@ -391,6 +395,49 @@ TEST(FuzzSmoke, ModelBundleDeserializeSurvivesCorruption)
             randomBytes(rng, rng.below(2048)), &diagnostic);
         EXPECT_FALSE(out.ready());
     }
+}
+
+TEST(FuzzSmoke, SamplesCsvParseSurvivesCorruption)
+{
+    Rng rng("fuzz:samples-csv");
+    std::vector<TrainingSample> samples(2);
+    for (TrainingSample &s : samples) {
+        for (size_t i = 0; i < kNumFeatures; ++i)
+            s.x.push_back(rng.uniform(-1e3, 1e3));
+        s.busMhz = rng.uniform(100.0, 1000.0);
+        s.voltage = rng.uniform(0.7, 1.1);
+        s.loadTimeSec = rng.uniform(0.5, 8.0);
+        s.meanPowerW = rng.uniform(0.5, 4.0);
+        s.meanTempC = rng.uniform(30.0, 70.0);
+    }
+    const std::string blob = samplesToCsv(samples);
+    std::vector<TrainingSample> round_trip;
+    std::string error;
+    ASSERT_TRUE(trySamplesFromCsv(blob, &round_trip, &error)) << error;
+    ASSERT_EQ(round_trip.size(), samples.size());
+
+    // A parsed CSV is well-formed by construction: full rows of finite
+    // numbers; a rejected one says why.
+    const auto check = [](const std::string &text) {
+        std::vector<TrainingSample> out;
+        std::string why;
+        if (!trySamplesFromCsv(text, &out, &why)) {
+            EXPECT_FALSE(why.empty());
+            return;
+        }
+        for (const TrainingSample &s : out) {
+            EXPECT_EQ(s.x.size(), kNumFeatures);
+            for (double v : s.x)
+                EXPECT_TRUE(std::isfinite(v));
+            for (double v : {s.busMhz, s.voltage, s.loadTimeSec,
+                             s.meanPowerW, s.meanTempC})
+                EXPECT_TRUE(std::isfinite(v));
+        }
+    };
+    for (const std::string &mutant : mutantCorpus(blob, rng))
+        check(mutant);
+    for (int i = 0; i < 256; ++i)
+        check(randomBytes(rng, rng.below(1024)));
 }
 
 } // namespace dora

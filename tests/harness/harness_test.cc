@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "browser/page_corpus.hh"
 #include "dora/trainer.hh"
@@ -123,6 +124,20 @@ TEST(OfflineOpt, ShortSweepIsFatal)
     EXPECT_EXIT(harness.pickOfflineOpt(sweep),
                 ::testing::ExitedWithCode(1),
                 "pickOfflineOpt: sweep covers 3 OPPs");
+
+    // A longer sweep is as wrong: entry f must be OPP f, yet the extra
+    // entries would compete for the winner (here the best-PPW run
+    // meeting the deadline sits past the table) while the fallback is
+    // read at maxIndex().
+    const size_t opps = harness.runner().freqTable().size();
+    std::vector<RunMeasurement> oversized(opps + 1);
+    oversized.back().meetsDeadline = true;
+    oversized.back().ppw = 9.0;
+    EXPECT_EXIT(harness.pickOfflineOpt(oversized),
+                ::testing::ExitedWithCode(1),
+                "pickOfflineOpt: sweep covers " +
+                    std::to_string(opps + 1) + " OPPs but the table has " +
+                    std::to_string(opps));
 }
 
 TEST(OfflineOpt, PicksBestMeetingPpwOrFastestFallback)

@@ -15,8 +15,10 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "browser/page_corpus.hh"
 #include "common/exact_ticks.hh"
 #include "common/rng.hh"
 #include "common/snapshot.hh"
@@ -26,6 +28,7 @@
 #include "fault/fault_injector.hh"
 #include "fault/fault_schedule.hh"
 #include "harness/comparison.hh"
+#include "obs/metrics.hh"
 #include "sim/lane_batch.hh"
 #include "workloads/corun_task.hh"
 #include "workloads/kernel.hh"
@@ -140,6 +143,27 @@ TEST(LaneBatch, ComposesWithThreadAndProcessTiers)
         EXPECT_EQ(serial[i], proc[i]) << "proc tier cell " << i;
 }
 
+/**
+ * Offline-opt reference: pickOfflineOpt() over a full runAtFrequency()
+ * sweep per workload on one runner, so nothing is cut.
+ */
+std::vector<std::string>
+loopOfflineOptTexts(const ExperimentConfig &config,
+                    const std::vector<WorkloadSpec> &workloads)
+{
+    ExperimentRunner runner(config);
+    ComparisonHarness picker(config, nullptr, 1);
+    std::vector<std::string> texts;
+    for (const auto &w : workloads) {
+        std::vector<RunMeasurement> sweep;
+        for (size_t f = 0; f < runner.freqTable().size(); ++f)
+            sweep.push_back(runner.runAtFrequency(w, f));
+        texts.push_back(
+            runMeasurementText(picker.pickOfflineOpt(std::move(sweep))));
+    }
+    return texts;
+}
+
 TEST(LaneBatch, OfflineOptManyBitIdentical)
 {
     const auto workloads = cheapWorkloads();
@@ -152,15 +176,56 @@ TEST(LaneBatch, OfflineOptManyBitIdentical)
     const auto b = batched.offlineOptMany(workloads);
     ASSERT_EQ(a.size(), workloads.size());
     ASSERT_EQ(b.size(), workloads.size());
-    ExperimentRunner runner;
+    const auto want = loopOfflineOptTexts(ExperimentConfig{}, workloads);
     for (size_t i = 0; i < workloads.size(); ++i) {
-        std::vector<RunMeasurement> sweep;
-        for (size_t f = 0; f < runner.freqTable().size(); ++f)
-            sweep.push_back(runner.runAtFrequency(workloads[i], f));
-        const std::string reference =
-            runMeasurementText(serial.pickOfflineOpt(std::move(sweep)));
-        EXPECT_EQ(reference, runMeasurementText(a[i])) << "workload " << i;
-        EXPECT_EQ(reference, runMeasurementText(b[i])) << "workload " << i;
+        EXPECT_EQ(want[i], runMeasurementText(a[i])) << "workload " << i;
+        EXPECT_EQ(want[i], runMeasurementText(b[i])) << "workload " << i;
+    }
+}
+
+TEST(LaneBatch, OfflineOptCutBitIdenticalAcrossLaneCounts)
+{
+    // Paged cells on a cheap config whose 0.5 s deadline alipay misses
+    // at OPPs 0-2 and 360 with a co-runner at OPPs 0-9: offlineOptMany()
+    // cuts those cells at the deadline, so lanes of one batch end at
+    // different ticks. At a -1 s deadline (exact mode, the fused walk)
+    // every non-max lane has an empty window. Winners must match full
+    // runAtFrequency() sweeps.
+    ModeGuard guard;
+    const std::vector<WorkloadSpec> workloads = {
+        WorkloadSets::alone(PageCorpus::byName("alipay")),
+        WorkloadSets::combo(PageCorpus::byName("360"), MemIntensity::High),
+    };
+    MetricCounter &cut = MetricsRegistry::global().counter(
+        "harness.offline_cells_cut");
+    for (bool exact : {false, true}) {
+        setExactTicksMode(exact);
+        for (double deadline : {0.5, -1.0}) {
+            if (!exact && deadline < 0)
+                continue;
+            ExperimentConfig config;
+            config.warmupSec = 0.1;
+            config.maxLoadSec = 1.5;
+            config.deadlineSec = deadline;
+            const auto want = loopOfflineOptTexts(config, workloads);
+            for (const auto &[jobs, lanes] :
+                 {std::pair{1u, 1u}, std::pair{1u, 4u},
+                  std::pair{4u, 4u}}) {
+                ComparisonHarness harness(config, nullptr, jobs);
+                harness.setLanes(lanes);
+                const uint64_t before = cut.value();
+                const auto got = harness.offlineOptMany(workloads);
+                // 3 + 10 cells miss 0.5 s; nothing meets -1 s.
+                EXPECT_EQ(cut.value() - before, deadline > 0 ? 13u : 26u)
+                    << "exact=" << exact << " lanes=" << lanes;
+                ASSERT_EQ(got.size(), want.size());
+                for (size_t w = 0; w < want.size(); ++w)
+                    EXPECT_EQ(want[w], runMeasurementText(got[w]))
+                        << "exact=" << exact << " deadline=" << deadline
+                        << " jobs=" << jobs << " lanes=" << lanes
+                        << " workload " << w;
+            }
+        }
     }
 }
 
