@@ -1,5 +1,6 @@
 #include "harness/comparison.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <sstream>
@@ -229,6 +230,17 @@ ComparisonHarness::runAll(const std::vector<WorkloadSpec> &workloads,
                           const std::vector<std::string> &governors)
 {
     const auto &names = governors.empty() ? paperGovernors() : governors;
+    // Checked here, before any cell runs: a repeated name would
+    // overwrite its twin's slot in the record (and ride its twin), and
+    // an unknown one would otherwise die on a pool thread or in a
+    // worker.
+    for (size_t g = 0; g < names.size(); ++g) {
+        if (std::find(names.begin(), names.begin() + g, names[g]) !=
+            names.begin() + g)
+            fatal("runAll: governor '%s' is listed twice",
+                  names[g].c_str());
+        makeNamedGovernor(names[g], models_);
+    }
     std::ostringstream grid;
     grid << "runAll";
     for (const auto &w : workloads)

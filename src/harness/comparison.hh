@@ -126,7 +126,7 @@ class ComparisonHarness
     }
 
     /**
-     * Lane batching (sim/lane_batch.hh): advance fan-out cells
+     * Lane batching (sim/lane_batch.hh): advance fan-out runs
      * @p lanes at a time, interleaved on one thread, so independent
      * memory-walk miss chains overlap. Composes with the thread tier
      * (each pool job runs a batch) and the process tier (each worker
@@ -137,9 +137,12 @@ class ComparisonHarness
 
     /**
      * Run @p workloads under every governor in the comparison set.
-     * @param governors subset of {"interactive", "performance", "DL",
-     *        "EE", "DORA", "DORA_no_lkg", "powersave"}; empty = the
-     *        paper's five.
+     * A workload's governors with the same decision interval share
+     * one simulation per distinct OPP trajectory (DESIGN.md §5m).
+     * @param governors distinct names from {"interactive",
+     *        "performance", "DL", "EE", "DORA", "DORA_no_lkg",
+     *        "powersave", "ondemand"}; empty = the paper's five. A
+     *        repeated or unknown name is fatal() before any cell runs.
      */
     std::vector<ComparisonRecord>
     runAll(const std::vector<WorkloadSpec> &workloads,

@@ -55,6 +55,8 @@ struct CacheConfig
     uint32_t lineBytes = 64;
     uint32_t numRequestors = 1;
     ReplacementPolicy policy = ReplacementPolicy::Lru;
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /** Per-requestor cache statistics. */

@@ -43,6 +43,8 @@ struct DramConfig
 
     /** Background (always-on) DRAM power in watts. */
     double backgroundPowerW = 0.045;
+
+    bool operator==(const DramConfig &) const = default;
 };
 
 /**

@@ -41,6 +41,8 @@ struct MemSystemConfig
     uint32_t interleaveChunk = 8;
 
     MemSystemConfig();
+
+    bool operator==(const MemSystemConfig &) const = default;
 };
 
 /** One core's sampled access request for a tick. */

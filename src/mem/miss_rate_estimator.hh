@@ -121,6 +121,8 @@ struct MissRateEstimatorConfig
      * fidelity on slow-transient (large working set) streams.
      */
     double warmCoverage = 2.0;
+
+    bool operator==(const MissRateEstimatorConfig &) const = default;
 };
 
 /**

@@ -39,6 +39,8 @@ struct DevicePowerConfig
     ThermalConfig thermal;
     /** Always-on device power: display at browsing brightness etc. */
     double baselineW = 1.35;
+
+    bool operator==(const DevicePowerConfig &) const = default;
 };
 
 /** Power breakdown for one tick (watts; energies already divided by dt). */

@@ -31,6 +31,8 @@ struct DynamicPowerConfig
 
     /** Uncore clock-tree capacitance term (farads, at bus clock). */
     double uncoreCeff = 0.25e-9;
+
+    bool operator==(const DynamicPowerConfig &) const = default;
 };
 
 /**

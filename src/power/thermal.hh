@@ -37,6 +37,8 @@ struct ThermalConfig
      * sustained power.
      */
     double maxJunctionC = 105.0;
+
+    bool operator==(const ThermalConfig &) const = default;
 };
 
 /**

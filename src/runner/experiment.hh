@@ -68,6 +68,13 @@ struct ExperimentConfig
     double thermalResistanceScale = 1.0;
     SocConfig soc;
     DevicePowerConfig power;
+
+    /**
+     * Exact field-by-field equality, nested configs included (unlike
+     * experimentConfigHash(), which skips stock-valued soc and power
+     * fields). A NaN field never compares equal, not even to itself.
+     */
+    bool operator==(const ExperimentConfig &) const = default;
 };
 
 /** One governor decision, for traces (Fig. 4's periodic loop). */

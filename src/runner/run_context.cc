@@ -86,6 +86,9 @@ GovernorDriver::maybeDecide()
     }
 
     size_t target = governor_.decideFrequencyIndex(view);
+    for (Governor *&rider : riders_)
+        if (rider && rider->decideFrequencyIndex(view) != target)
+            rider = nullptr;
     if (target >= view.freqTable->size()) {
         if (!warnedOutOfRange_) {
             warn("GovernorDriver: governor '%s' returned OPP index "
@@ -324,6 +327,8 @@ RunContext::RunContext(const ExperimentConfig &config,
     }
 
     params_.governor->reset();
+    for (Governor *rider : params_.riders)
+        rider->reset();
     if (params_.initialFreq)
         soc_->setFrequencyIndex(*params_.initialFreq);
 
@@ -331,10 +336,13 @@ RunContext::RunContext(const ExperimentConfig &config,
         params_.fault->reset();
     driver_ = std::make_unique<GovernorDriver>(
         *sim_, *params_.governor, config_.deadlineSec, params_.fault);
+    driver_->setRiders(params_.riders);
 
     // One relaxed atomic load per *run* decides whether this run is
     // traced; every per-event site below guards on a plain pointer.
     TraceSession *session = TraceSession::active();
+    if (session && !params_.riders.empty())
+        panic("RunContext: riders cannot follow a traced run");
     if (session) {
         std::string key = params_.label + "|" + params_.governor->name();
         if (params_.initialFreq)
@@ -629,6 +637,9 @@ RunContext::snapshot(SnapshotWriter &w) const
     if (params_.fault && params_.fault->enabled())
         panic("RunContext::snapshot: fault-injected runs cannot "
               "snapshot (FaultInjector has no snapshot support)");
+    if (!params_.riders.empty())
+        panic("RunContext::snapshot: runs with riders cannot snapshot "
+              "(rider governors are not part of the run state)");
 
     w.beginSection("rctx", 1);
     w.putU8(static_cast<uint8_t>(phase_));
@@ -669,7 +680,8 @@ RunContext::snapshot(SnapshotWriter &w) const
 bool
 RunContext::tryRestore(SnapshotReader &r)
 {
-    if (trace_ || (params_.fault && params_.fault->enabled()))
+    if (trace_ || (params_.fault && params_.fault->enabled()) ||
+        !params_.riders.empty())
         return false;
     if (!r.beginSection("rctx", 1))
         return false;
@@ -744,6 +756,7 @@ makeRunCell(const ExperimentConfig &config, const WebPage *page,
 {
     RunCell cell;
     cell.config = config;
+    cell.kernel = kernel;
     if (kernel)
         cell.corun = std::make_unique<CorunTask>(
             *kernel, hashLabel("corun:" + label) % 4096);

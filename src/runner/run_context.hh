@@ -79,6 +79,20 @@ class GovernorDriver
     /** Attach a run trace sink (null = tracing disabled). */
     void setTrace(RunTrace *trace) { trace_ = trace; }
 
+    /**
+     * Let @p riders follow this run: at every decision each one is
+     * handed the same GovernorView, and it is dropped, for good, at
+     * the first one where it requests another raw OPP index than this
+     * driver's governor.
+     */
+    void setRiders(std::vector<Governor *> riders)
+    {
+        riders_ = std::move(riders);
+    }
+
+    /** True while rider @p r has requested every index so far. */
+    bool riderKept(size_t r) const { return riders_[r] != nullptr; }
+
     /** Invoke the governor if its interval has elapsed. */
     void maybeDecide();
 
@@ -130,6 +144,8 @@ class GovernorDriver
     bool decided_ = false;
     // dora:snapshot-exclude(snapshots refuse traced runs)
     RunTrace *trace_ = nullptr;  //!< null when tracing is disabled
+    // dora:snapshot-exclude(snapshots refuse runs with riders)
+    std::vector<Governor *> riders_;  //!< null once dropped
     std::vector<DecisionRecord> decisions_;
 };
 
@@ -151,6 +167,14 @@ class RunContext
         Governor *governor = nullptr;   //!< required
         std::optional<size_t> initialFreq;
         FaultInjector *fault = nullptr; //!< non-owning; reset per run
+        /**
+         * Governors riding this run (GovernorDriver::setRiders), reset
+         * with @ref governor. A rider still kept at the end would have
+         * produced this run's measurement under its own name. Only the
+         * cell executor attaches riders, and never to a traced or
+         * fault-injected run.
+         */
+        std::vector<Governor *> riders;
     };
 
     /** What the next exact-ticks step needs from the caller. */
@@ -206,10 +230,14 @@ class RunContext
     /** True when this run executes the exact per-tick loop. */
     bool exactTicks() const { return exact_; }
 
+    /** True while rider @p r of Params::riders is still kept. */
+    bool riderKept(size_t r) const { return driver_->riderKept(r); }
+
     /**
      * Serialize the full run state mid-flight. Refuses (panics) when a
-     * trace or fault injector is attached — neither supports snapshot.
-     * Restore into the SAME context (same label/page/corun/governor).
+     * trace, a fault injector or riders are attached — none supports
+     * snapshot. Restore into the SAME context (same
+     * label/page/corun/governor).
      */
     void snapshot(SnapshotWriter &w) const;
     [[nodiscard]] bool tryRestore(SnapshotReader &r);
@@ -271,6 +299,8 @@ struct RunCell
 {
     ExperimentConfig config;
     RunContext::Params params;
+    /** The kernel @ref corun runs, when makeRunCell() built it. */
+    const KernelSpec *kernel = nullptr;
     std::unique_ptr<Task> corun;
     std::unique_ptr<Governor> governor;
     std::unique_ptr<FaultInjector> fault;

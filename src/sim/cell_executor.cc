@@ -1,6 +1,8 @@
 #include "sim/cell_executor.hh"
 
+#include <algorithm>
 #include <csignal>
+#include <optional>
 
 #include "common/lanes.hh"
 #include "common/rng.hh"
@@ -11,6 +13,44 @@
 namespace dora
 {
 
+namespace
+{
+
+/**
+ * Everything a run reads besides the OPP indices its governor
+ * requests, so cells with equal keys may share one simulation. The
+ * cheap fields come first: equality stops at the first that differs.
+ */
+struct GangKey
+{
+    std::string label;
+    const WebPage *page = nullptr;
+    const KernelSpec *kernel = nullptr;
+    std::optional<size_t> initialFreq;
+    double intervalSec = 0.0;
+    ExperimentConfig config;
+
+    bool operator==(const GangKey &) const = default;
+};
+
+/**
+ * @p cell's gang key, or nothing when it must run alone: a trace or a
+ * fault injector belongs to one run, and a co-runner that
+ * makeRunCell() did not build has no kernel to compare.
+ */
+std::optional<GangKey>
+gangKey(const RunCell &cell)
+{
+    const RunContext::Params &p = cell.params;
+    if (p.fault || !p.governor || TraceSession::active() ||
+        (p.corun && !cell.kernel))
+        return std::nullopt;
+    return GangKey{p.label, p.page, cell.kernel, p.initialFreq,
+                   p.governor->decisionIntervalSec(), cell.config};
+}
+
+} // namespace
+
 CellExecutor::CellExecutor(CellTiers tiers) : tiers_(std::move(tiers))
 {
     if (tiers_.jobs == 0)
@@ -19,26 +59,111 @@ CellExecutor::CellExecutor(CellTiers tiers) : tiers_(std::move(tiers))
         tiers_.lanes = defaultLaneCount();
 }
 
+std::vector<CellExecutor::Unit>
+CellExecutor::planUnits(size_t first, size_t count,
+                        const CellFn &make_cell) const
+{
+    std::vector<Gang> gangs;
+    // Each keyed gang's key and index into gangs, by label.
+    std::map<std::string, std::vector<std::pair<GangKey, size_t>>> keyed;
+    for (size_t i = first; i < first + count; ++i) {
+        std::optional<GangKey> key = gangKey(make_cell(i));
+        if (key) {
+            auto &bucket = keyed[key->label];
+            const auto same = std::find_if(
+                bucket.begin(), bucket.end(),
+                [&](const auto &entry) { return entry.first == *key; });
+            if (same != bucket.end()) {
+                gangs[same->second].push_back(i);
+                continue;
+            }
+            bucket.emplace_back(std::move(*key), gangs.size());
+        }
+        gangs.push_back({i});
+    }
+
+    std::vector<Unit> units;
+    for (size_t g = 0; g < gangs.size(); g += tiers_.lanes)
+        units.emplace_back(
+            gangs.begin() + g,
+            gangs.begin() + std::min(gangs.size(), g + tiers_.lanes));
+    // A unit of several cells takes about as long as its passes; run
+    // last, it would leave the other threads idle at the end.
+    std::stable_partition(units.begin(), units.end(), [](const Unit &u) {
+        return u.size() > 1 || u.front().size() > 1;
+    });
+    return units;
+}
+
+void
+CellExecutor::runUnit(const Unit &unit, const CellFn &make_cell,
+                      const MeasuredFn &measured) const
+{
+    static MetricCounter &rider_cells =
+        MetricsRegistry::global().counter("runner.rider_cells");
+    static MetricCounter &rider_drops =
+        MetricsRegistry::global().counter("runner.rider_drops");
+
+    std::map<size_t, RunMeasurement> resolved;
+    std::vector<Gang> pending = unit;  // unresolved cells per gang
+    while (!pending.empty()) {
+        // One pass: each gang builds its unresolved cells afresh; the
+        // first leads and the others ride it.
+        std::vector<std::vector<RunCell>> cells(pending.size());
+        std::vector<LaneBatchSimulator::LaneSpec> specs;
+        for (size_t g = 0; g < pending.size(); ++g) {
+            for (size_t i : pending[g])
+                cells[g].push_back(make_cell(i));
+            RunCell &leader = cells[g].front();
+            for (size_t r = 1; r < cells[g].size(); ++r)
+                leader.params.riders.push_back(
+                    cells[g][r].params.governor);
+            specs.push_back({leader.config, leader.params});
+        }
+        LaneBatchSimulator batch(specs);
+        std::vector<RunMeasurement> ms = batch.finishAll();
+
+        for (size_t g = 0; g < pending.size(); ++g) {
+            Gang dropped;
+            for (size_t r = 1; r < pending[g].size(); ++r) {
+                if (!batch.lane(g).riderKept(r - 1)) {
+                    dropped.push_back(pending[g][r]);
+                    rider_drops.add();
+                    continue;
+                }
+                RunMeasurement m = ms[g];
+                m.governor = cells[g][r].params.governor->name();
+                resolved.emplace(pending[g][r], std::move(m));
+                rider_cells.add();
+            }
+            resolved.emplace(pending[g].front(), std::move(ms[g]));
+            pending[g] = std::move(dropped);
+        }
+        std::erase_if(pending, [](const Gang &g) { return g.empty(); });
+    }
+    for (auto &[cell, m] : resolved)
+        measured(cell, std::move(m));
+}
+
 void
 CellExecutor::runCells(size_t first, size_t count, const CellFn &make_cell,
                        const MeasuredFn &measured) const
 {
-    const size_t end = first + count;
-    for (size_t at = first; at < end; at += tiers_.lanes) {
-        const size_t width = std::min<size_t>(tiers_.lanes, end - at);
-        std::vector<RunCell> cells;
-        std::vector<LaneBatchSimulator::LaneSpec> specs;
-        cells.reserve(width);
-        specs.reserve(width);
-        for (size_t i = 0; i < width; ++i) {
-            cells.push_back(make_cell(at + i));
-            specs.push_back({cells.back().config, cells.back().params});
-        }
-        std::vector<RunMeasurement> ms =
-            LaneBatchSimulator(specs).finishAll();
-        for (size_t i = 0; i < width; ++i)
-            measured(at + i, std::move(ms[i]));
-    }
+    OrderedSink<RunMeasurement> sink(measured, first);
+    for (const Unit &unit : planUnits(first, count, make_cell))
+        runUnit(unit, make_cell, [&sink](size_t i, RunMeasurement &&m) {
+            sink.deliver(i, std::move(m));
+        });
+}
+
+std::vector<size_t>
+CellExecutor::unitCells(const Unit &unit)
+{
+    std::vector<size_t> cells;
+    for (const Gang &gang : unit)
+        cells.insert(cells.end(), gang.begin(), gang.end());
+    std::sort(cells.begin(), cells.end());
+    return cells;
 }
 
 std::vector<RunMeasurement>
@@ -53,13 +178,23 @@ CellExecutor::measure(size_t n, const CellFn &make_cell,
 }
 
 uint64_t
-CellExecutor::batchCampaignHash(uint64_t hash, size_t n) const
+CellExecutor::planCampaignHash(uint64_t hash, size_t n,
+                               const std::vector<Unit> &units)
 {
-    // Units are lane batches shipped as packed payloads, so the cell
-    // count and the lane width shape the journal's unit space.
-    return hashLabel("lane-batches " + hexU64(hash) + " cells " +
-                     std::to_string(n) + " lanes " +
-                     std::to_string(tiers_.lanes));
+    // A unit ships its cells' results packed in ascending cell order,
+    // so the plan (which cells each unit holds, in which gangs) shapes
+    // the journal's unit space.
+    std::string plan = "gang-units " + hexU64(hash) + " cells " +
+        std::to_string(n);
+    for (const Unit &unit : units) {
+        plan += " |";
+        for (const Gang &gang : unit) {
+            plan += " ";
+            for (size_t i : gang)
+                plan += std::to_string(i) + ",";
+        }
+    }
+    return hashLabel(plan);
 }
 
 void

@@ -5,11 +5,16 @@
  * engine all run their cells through it.
  *
  * A cell (runner/run_context.hh RunCell) is one simulated device under
- * one governor, built where it runs. The executor advances cells
- * `lanes` at a time through LaneBatchSimulator (lanes=1 is a one-lane
- * batch, the plain per-run loop), groups them into work units (one
- * lane batch per unit for a flat grid, or a caller's larger unit such
- * as a fleet chunk), and fans the units out through exactly one tier:
+ * one governor. Cells that share every run input but the governor form
+ * a gang, and a gang simulates each distinct governor trajectory once:
+ * its first unresolved cell leads, and the others ride it for as long
+ * as they request the leader's OPP indices (DESIGN.md §5m). A cell is
+ * built once on the calling thread to plan the gangs, and again where
+ * it runs. The executor advances the leaders of up to `lanes` gangs
+ * per LaneBatchSimulator pass (lanes=1 is a one-lane batch, the plain
+ * per-run loop), groups the gangs into work units (up to `lanes` gangs
+ * per unit for a flat grid, or a caller's larger unit such as a fleet
+ * chunk), and fans the units out through exactly one tier:
  *
  *   workers == 0  one parallelFor() over the units on `jobs` threads
  *                 (jobs=1 is its serial loop on the calling thread);
@@ -22,13 +27,13 @@
  * unit order, in the calling process, as soon as every earlier unit
  * has landed. Results are therefore bit-identical under every
  * (jobs, workers, lanes) combination, and memory holds only the units
- * that finished ahead of an earlier one.
+ * that finished ahead of an earlier one. A flat grid dispatches its
+ * multi-cell units first and still returns its results in cell order.
  */
 
 #ifndef DORA_SIM_CELL_EXECUTOR_HH
 #define DORA_SIM_CELL_EXECUTOR_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -104,9 +109,9 @@ class CellExecutor
     const CellTiers &tiers() const { return tiers_; }
 
     /**
-     * Run cells [first, first + count) on the calling thread, `lanes`
-     * per LaneBatchSimulator batch; @p measured gets each cell's
-     * measurement in cell order as its batch finishes.
+     * Run cells [first, first + count) on the calling thread as
+     * planned units; @p measured gets each cell's measurement in cell
+     * order as soon as every earlier cell has one.
      */
     void runCells(size_t first, size_t count, const CellFn &make_cell,
                   const MeasuredFn &measured) const;
@@ -123,10 +128,10 @@ class CellExecutor
                      const CellCampaign &campaign) const;
 
     /**
-     * The grid [0, n) as per-cell results in grid order. Units are lane
-     * batches. @p finish turns a measurement into the result where its
-     * cell ran, so only results are kept and shipped. The journal
-     * identity is @p campaign's hash plus n and the lane width.
+     * The grid [0, n) as per-cell results in grid order. Units are
+     * planned gangs. @p finish turns a measurement into the result
+     * where its cell ran, so only results are kept and shipped. The
+     * journal identity is @p campaign's hash plus n and the unit plan.
      */
     template <typename R>
     std::vector<R> mapCells(
@@ -143,6 +148,35 @@ class CellExecutor
     class OrderedSink;
 
     /**
+     * Cells, ascending, that share every run input but the governor:
+     * the first unresolved one leads, the others ride it.
+     */
+    using Gang = std::vector<size_t>;
+
+    /** Up to `lanes` gangs whose leaders share a lane batch per pass. */
+    using Unit = std::vector<Gang>;
+
+    /**
+     * Plan cells [first, first + count) into units: build each cell
+     * once, on the calling thread, to read its gang key; group cells
+     * with equal keys into gangs in first-cell order; pack `lanes`
+     * gangs per unit; and put units of more than one cell first.
+     */
+    std::vector<Unit> planUnits(size_t first, size_t count,
+                                const CellFn &make_cell) const;
+
+    /**
+     * Run @p unit on the calling thread from freshly built cells, one
+     * lane batch of gang leaders per pass, until every cell has a
+     * measurement; @p measured gets them in ascending cell order.
+     */
+    void runUnit(const Unit &unit, const CellFn &make_cell,
+                 const MeasuredFn &measured) const;
+
+    /** The cells of @p unit, ascending. */
+    static std::vector<size_t> unitCells(const Unit &unit);
+
+    /**
      * The process-tier arm of forEachUnit(). @p accept decodes and
      * consumes one payload (false: it does not decode); @p recompute
      * runs and consumes one unit in-process.
@@ -153,8 +187,9 @@ class CellExecutor
         const std::function<bool(uint64_t, const std::string &)> &accept,
         const std::function<void(uint64_t)> &recompute) const;
 
-    /** Journal identity of a lane-batched grid of @p n cells. */
-    uint64_t batchCampaignHash(uint64_t hash, size_t n) const;
+    /** Journal identity of a grid of @p n cells run as @p units. */
+    static uint64_t planCampaignHash(uint64_t hash, size_t n,
+                                     const std::vector<Unit> &units);
 
     CellTiers tiers_;
 };
@@ -231,8 +266,8 @@ CellExecutor::mapCells(
     const std::function<R(size_t, RunMeasurement &&)> &finish,
     const WireCodec<R> &codec, CellCampaign campaign) const
 {
-    const size_t lanes = tiers_.lanes;
-    campaign.hash = batchCampaignHash(campaign.hash, n);
+    const std::vector<Unit> units = planUnits(0, n, make_cell);
+    campaign.hash = planCampaignHash(campaign.hash, n, units);
     MetricCounter *done = nullptr;
     if (campaign.queuedMetric)
         MetricsRegistry::global().counter(campaign.queuedMetric).add(n);
@@ -260,25 +295,25 @@ CellExecutor::mapCells(
             return true;
         }};
 
-    std::vector<R> out;
-    out.reserve(n);
+    std::vector<R> out(n);
     forEachUnit<Batch>(
-        (n + lanes - 1) / lanes,
-        [&](size_t b) {
+        units.size(),
+        [&](size_t u) {
             Batch batch;
-            runCells(b * lanes, std::min(lanes, n - b * lanes), make_cell,
-                     [&](size_t i, RunMeasurement &&m) {
-                         batch.push_back(finish(i, std::move(m)));
-                     });
+            runUnit(units[u], make_cell,
+                    [&](size_t i, RunMeasurement &&m) {
+                        batch.push_back(finish(i, std::move(m)));
+                    });
             return batch;
         },
-        [&](size_t b, Batch &&batch) {
-            if (batch.size() != std::min(lanes, n - b * lanes))
-                fatal("%s: lane batch %zu holds %zu cells, not %zu",
-                      campaign.name.c_str(), b, batch.size(),
-                      std::min(lanes, n - b * lanes));
-            for (R &r : batch)
-                out.push_back(std::move(r));
+        [&](size_t u, Batch &&batch) {
+            const std::vector<size_t> cells = unitCells(units[u]);
+            if (batch.size() != cells.size())
+                fatal("%s: unit %zu holds %zu cells, not %zu",
+                      campaign.name.c_str(), u, batch.size(),
+                      cells.size());
+            for (size_t k = 0; k < cells.size(); ++k)
+                out[cells[k]] = std::move(batch[k]);
             if (done)
                 done->add(batch.size());
         },

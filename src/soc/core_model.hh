@@ -76,6 +76,8 @@ struct CoreTimingConfig
     double samplingRatio = 1.0 / 256.0;  //!< sampled refs per real ref
     uint32_t minSamples = 32;
     uint32_t maxSamples = 8192;
+
+    bool operator==(const CoreTimingConfig &) const = default;
 };
 
 /**

@@ -47,6 +47,8 @@ struct SocConfig
     double freqSwitchPenaltySec = 60e-6;
     /** Extra energy per frequency transition (joules; PLL + PMIC). */
     double freqSwitchEnergyJ = 25e-6;
+
+    bool operator==(const SocConfig &) const = default;
 };
 
 /** Aggregated outcome of one SoC tick, consumed by the power model. */

@@ -211,6 +211,79 @@ TEST(SelectFrequency, EmptyEvalsDefaultsToMax)
               13u);
 }
 
+/**
+ * Algorithm 1 reduces to DL or EE on well-shaped candidate tables:
+ * when the deadline-meeting OPPs form a suffix (load time falls as the
+ * clock rises) and predicted PPW is unimodal, DORA picks EE's OPP if
+ * that meets the deadline and DL's otherwise. This is why DORA's run in
+ * a comparison grid usually repeats a sibling's run tick for tick, and
+ * the cell executor lets it ride that sibling (DESIGN.md §5m).
+ */
+TEST(SelectFrequency, DoraIsDlOrEeOnSuffixDeadlinesAndUnimodalPpw)
+{
+    size_t as_dl = 0, as_ee = 0;
+    for (size_t n = 1; n <= 14; ++n)
+        for (size_t peak = 0; peak < n; ++peak)
+            for (size_t plateau = 1; peak + plateau <= n; ++plateau)
+                for (size_t step = 1; step <= 2; ++step)
+                    for (size_t meet = 0; meet <= n; ++meet) {
+                        // PPW is flat on [peak, peak + plateau) and
+                        // falls away on both sides; step 2 adds ties
+                        // on the slopes. OPPs from `meet` on meet the
+                        // deadline: none when meet == n, all when 0.
+                        std::vector<CandidateEval> evals(n);
+                        for (size_t f = 0; f < n; ++f) {
+                            const size_t dist = f < peak ? peak - f
+                                : f < peak + plateau
+                                ? 0
+                                : f + 1 - peak - plateau;
+                            evals[f].freqIndex = f;
+                            evals[f].predPpw =
+                                100.0 - static_cast<double>(dist / step);
+                            evals[f].meetsDeadline = f >= meet;
+                        }
+                        const auto pick = [&](PredictiveMode mode) {
+                            return PredictiveGovernor::selectFrequency(
+                                evals, mode, n - 1);
+                        };
+                        const size_t dl =
+                            pick(PredictiveMode::DeadlineOnly);
+                        const size_t ee = pick(PredictiveMode::EnergyOnly);
+                        const bool ee_meets = evals[ee].meetsDeadline;
+                        ASSERT_EQ(pick(PredictiveMode::Dora),
+                                  ee_meets ? ee : dl)
+                            << "n=" << n << " peak=" << peak
+                            << " plateau=" << plateau << " step=" << step
+                            << " meet=" << meet;
+                        ++(ee_meets ? as_ee : as_dl);
+                    }
+    // Both branches of the property are exercised.
+    EXPECT_GT(as_dl, 100u);
+    EXPECT_GT(as_ee, 100u);
+}
+
+TEST(SelectFrequency, BimodalPpwSeparatesDoraFromDlAndEe)
+{
+    // PPW peaks twice: at the deadline-missing idx0 (EE's pick) and at
+    // idx2, the best meeting OPP, which is above DL's lowest meeting
+    // idx1. Here DORA repeats neither sibling.
+    const auto evals = candidates({
+        {4.0, 0.5, false},  // ppw 0.500
+        {2.9, 1.8, true},   // ppw 0.192
+        {2.0, 1.5, true},   // ppw 0.333
+        {1.5, 3.5, true},   // ppw 0.190
+    });
+    EXPECT_EQ(PredictiveGovernor::selectFrequency(
+                  evals, PredictiveMode::Dora, 3),
+              2u);
+    EXPECT_EQ(PredictiveGovernor::selectFrequency(
+                  evals, PredictiveMode::DeadlineOnly, 3),
+              1u);
+    EXPECT_EQ(PredictiveGovernor::selectFrequency(
+                  evals, PredictiveMode::EnergyOnly, 3),
+              0u);
+}
+
 class PredictiveGovernorTest : public ::testing::Test
 {
   protected:

@@ -49,28 +49,30 @@ cheapWorkloads()
 const std::vector<std::string> kGovernors = {"interactive", "ondemand"};
 
 std::vector<std::string>
-comparisonTexts(unsigned jobs, FaultInjector *injector)
+comparisonTexts(unsigned jobs, FaultInjector *injector,
+                const std::vector<std::string> &governors = kGovernors)
 {
     ComparisonHarness harness(ExperimentConfig{}, nullptr, jobs);
     if (injector)
         harness.runner().setFaultInjector(injector);
-    const auto records = harness.runAll(cheapWorkloads(), kGovernors);
+    const auto records = harness.runAll(cheapWorkloads(), governors);
     std::vector<std::string> texts;
     for (const auto &r : records)
-        for (const auto &g : kGovernors)
+        for (const auto &g : governors)
             texts.push_back(runMeasurementText(r.measurement(g)));
     return texts;
 }
 
 /** The reference: every cell run in turn on one runner. */
 std::vector<std::string>
-loopTexts(FaultInjector *injector)
+loopTexts(FaultInjector *injector,
+          const std::vector<std::string> &governors = kGovernors)
 {
     ExperimentRunner runner;
     runner.setFaultInjector(injector);
     std::vector<std::string> texts;
     for (const auto &w : cheapWorkloads())
-        for (const auto &g : kGovernors)
+        for (const auto &g : governors)
             texts.push_back(runMeasurementText(
                 runner.run(w, *makeNamedGovernor(g, nullptr))));
     return texts;
@@ -215,6 +217,30 @@ TEST(ParallelDeterminism, FaultFreeComparisonBitIdentical)
     const auto reference = loopTexts(nullptr);
     expectSameTexts(reference, comparisonTexts(1, nullptr), "jobs=1");
     expectSameTexts(reference, comparisonTexts(4, nullptr), "jobs=4");
+}
+
+TEST(ParallelDeterminism, DegradedPredictiveGovernorsRideOneRun)
+{
+    // Without a bundle DL, EE and DORA all decide through the same
+    // interactive fallback, so on every workload EE and DORA ride DL's
+    // run to the end (DESIGN.md §5m) and still match the plain loop.
+    const std::vector<std::string> governors = {"DL", "EE", "DORA"};
+    const auto reference = loopTexts(nullptr, governors);
+    MetricCounter &riders =
+        MetricsRegistry::global().counter("runner.rider_cells");
+    MetricCounter &drops =
+        MetricsRegistry::global().counter("runner.rider_drops");
+    for (const unsigned jobs : {1u, 4u}) {
+        const uint64_t riders0 = riders.value();
+        const uint64_t drops0 = drops.value();
+        const std::string what = "jobs=" + std::to_string(jobs);
+        expectSameTexts(reference,
+                        comparisonTexts(jobs, nullptr, governors),
+                        what.c_str());
+        EXPECT_EQ(riders.value() - riders0, 2 * cheapWorkloads().size())
+            << what;
+        EXPECT_EQ(drops.value() - drops0, 0u) << what;
+    }
 }
 
 TEST(ParallelDeterminism, FaultedComparisonBitIdentical)

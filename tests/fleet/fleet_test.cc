@@ -238,6 +238,58 @@ TEST(FleetDeterminism, ReplayMatchesInCampaignCell)
     }
 }
 
+TEST(FleetDeterminism, DegradedPredictiveGovernorsRideOneRun)
+{
+    // With no bundle DL, EE and DORA share the interactive fallback:
+    // on a fault-free device EE and DORA ride DL's run, while a faulty
+    // device's cells run alone (DESIGN.md §5m). Either way every cell
+    // matches its lone replay, and the report every tier.
+    auto campaign = [](unsigned jobs, unsigned workers, unsigned lanes) {
+        FleetCampaignConfig config = smallCampaign(jobs, workers, lanes);
+        config.governors = {"DL", "EE", "DORA"};
+        return config;
+    };
+    const FleetCampaignConfig serial = campaign(1, 0, 1);
+    size_t fault_free = 0;
+    for (size_t d = 0; d < serial.spec.devices; ++d)
+        if (!sampleDevice(serial.spec, d).faulty)
+            ++fault_free;
+    ASSERT_GT(fault_free, 0u);
+    ASSERT_LT(fault_free, serial.spec.devices);
+
+    MetricCounter &riders =
+        MetricsRegistry::global().counter("runner.rider_cells");
+    MetricCounter &drops =
+        MetricsRegistry::global().counter("runner.rider_drops");
+    const uint64_t riders0 = riders.value();
+    const uint64_t drops0 = drops.value();
+    const FleetEngine engine(serial);
+    const auto cells = engine.runAllCells();
+    EXPECT_EQ(riders.value() - riders0, 2 * fault_free);
+    EXPECT_EQ(drops.value() - drops0, 0u);
+
+    const auto &governors = engine.config().governors;
+    for (size_t d = 0; d < engine.config().spec.devices; ++d)
+        for (size_t g = 0; g < governors.size(); ++g)
+            EXPECT_EQ(
+                runMeasurementText(engine.replayDevice(d, governors[g])),
+                runMeasurementText(cells[d * governors.size() + g]))
+                << "device " << d << " governor " << governors[g];
+
+    const std::string ref = fleetReportText(FleetEngine(serial).run());
+    const struct
+    {
+        unsigned jobs, workers, lanes;
+    } combos[] = {{2, 0, 2}, {1, 0, 3}, {1, 2, 2}};
+    for (const auto &c : combos)
+        EXPECT_EQ(fleetReportText(
+                      FleetEngine(campaign(c.jobs, c.workers, c.lanes))
+                          .run()),
+                  ref)
+            << "jobs=" << c.jobs << " workers=" << c.workers
+            << " lanes=" << c.lanes;
+}
+
 TEST(FleetDeterminism, CohortCountsConserveThePopulation)
 {
     FleetEngine engine(smallCampaign(1, 0, 2));

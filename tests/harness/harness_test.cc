@@ -7,12 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "browser/page_corpus.hh"
 #include "dora/trainer.hh"
 #include "harness/comparison.hh"
+#include "obs/metrics.hh"
+#include "workloads/kernel.hh"
 
 namespace dora
 {
@@ -161,6 +166,59 @@ TEST(OfflineOpt, PicksBestMeetingPpwOrFastestFallback)
         sweep[harness.runner().freqTable().maxIndex()].ppw);
 }
 
+/**
+ * Exit-time report of cells simulated and process-tier worker crashes,
+ * printed by a death-test child on its way out.
+ */
+void
+reportRunsAtExit()
+{
+    std::atexit([] {
+        MetricsRegistry &reg = MetricsRegistry::global();
+        std::fprintf(stderr, "runs=%llu crashes=%llu\n",
+                     static_cast<unsigned long long>(
+                         reg.counter("runner.runs").value()),
+                     static_cast<unsigned long long>(
+                         reg.counter("proc.worker_crashes").value()));
+    });
+}
+
+TEST(ComparisonHarnessDeath, RepeatedGovernorIsFatalBeforeAnyCellRuns)
+{
+    // The later twin used to overwrite the earlier one's record slot.
+    const std::vector<WorkloadSpec> w = {
+        WorkloadSets::kernelOnly(KernelCatalog::byName("kmeans"))};
+    EXPECT_EXIT(
+        {
+            reportRunsAtExit();
+            ComparisonHarness(ExperimentConfig{}, nullptr, 1)
+                .runAll(w, {"interactive", "ondemand", "interactive"});
+        },
+        ::testing::ExitedWithCode(1),
+        "runAll: governor 'interactive' is listed twice\nruns=0 "
+        "crashes=0");
+}
+
+TEST(ComparisonHarnessDeath, UnknownGovernorIsFatalBeforeAnyCellRuns)
+{
+    // Serially the first cell used to run before the unknown name
+    // failed; with workers every worker died on it first.
+    const std::vector<WorkloadSpec> w = {
+        WorkloadSets::kernelOnly(KernelCatalog::byName("kmeans"))};
+    for (const unsigned workers : {0u, 2u}) {
+        EXPECT_EXIT(
+            {
+                reportRunsAtExit();
+                ComparisonHarness harness(ExperimentConfig{}, nullptr, 1);
+                harness.setWorkers(workers);
+                harness.runAll(w, {"interactive", "warp-drive"});
+            },
+            ::testing::ExitedWithCode(1),
+            "unknown governor 'warp-drive'\nruns=0 crashes=0")
+            << "workers=" << workers;
+    }
+}
+
 TEST(ComparisonHarness, PaperGovernorList)
 {
     const auto &names = ComparisonHarness::paperGovernors();
@@ -260,6 +318,70 @@ TEST_F(EndToEnd, OfflineOptIsNoWorseThanInteractive)
     const RunMeasurement opt = harness.offlineOpt(w);
     EXPECT_GE(opt.ppw, 0.99 * base.ppw);
     EXPECT_TRUE(opt.meetsDeadline);
+}
+
+/**
+ * Riders (DESIGN.md §5m) on trained governors: in each workload's gang
+ * (performance, DL, EE, DORA; interactive decides at its own interval)
+ * DORA repeats EE's run on alipay+hotspot and bbc+kmeans, DL's on
+ * reddit+heartwall, msn+nw and espn+srad2, and both on msn+heartwall,
+ * where DL and EE coincide too. Every tier must reproduce the runOne()
+ * loop byte for byte, and the rider counts are exact: a change to the
+ * gang key that silently turns riders off fails here.
+ */
+TEST_F(EndToEnd, RidersReproduceTheRunOneLoop)
+{
+    const std::vector<std::string> labels = {
+        "alipay+hotspot", "reddit+heartwall", "msn+heartwall",
+        "msn+nw",         "bbc+kmeans",       "espn+srad2"};
+    std::vector<WorkloadSpec> workloads;
+    for (const std::string &label : labels)
+        for (const WorkloadSpec &w : WorkloadSets::paperCombinations())
+            if (w.label() == label)
+                workloads.push_back(w);
+    ASSERT_EQ(workloads.size(), labels.size());
+
+    const auto &governors = ComparisonHarness::paperGovernors();
+    ComparisonHarness reference(ExperimentConfig{}, bundle_, 1);
+    std::vector<std::string> expected;
+    for (const WorkloadSpec &w : workloads)
+        for (const std::string &g : governors)
+            expected.push_back(runMeasurementText(reference.runOne(w, g)));
+
+    MetricCounter &riders =
+        MetricsRegistry::global().counter("runner.rider_cells");
+    MetricCounter &drops =
+        MetricsRegistry::global().counter("runner.rider_drops");
+    const struct
+    {
+        unsigned jobs, workers, lanes;
+    } tiers[] = {{1, 0, 1}, {4, 0, 1}, {1, 2, 1}, {1, 0, 4}};
+    for (const auto &t : tiers) {
+        const std::string where = "jobs=" + std::to_string(t.jobs) +
+            " workers=" + std::to_string(t.workers) +
+            " lanes=" + std::to_string(t.lanes);
+        ComparisonHarness harness(ExperimentConfig{}, bundle_, t.jobs);
+        harness.setWorkers(t.workers);
+        harness.setLanes(t.lanes);
+        const uint64_t riders0 = riders.value();
+        const uint64_t drops0 = drops.value();
+        const auto records = harness.runAll(workloads);
+        size_t i = 0;
+        for (const ComparisonRecord &r : records)
+            for (const std::string &g : governors)
+                EXPECT_EQ(runMeasurementText(r.measurement(g)),
+                          expected[i++])
+                    << where << " " << r.workload.label() << " " << g;
+        // Workers count in their own processes.
+        if (t.workers > 0)
+            continue;
+        // Performance leads first and drops DL, EE and DORA (3 per
+        // workload); DL then leads and keeps DORA on its three twins
+        // (EE dropped: 1 each), keeps both on msn+heartwall, and drops
+        // both on the EE twins, where EE then leads with DORA riding.
+        EXPECT_EQ(riders.value() - riders0, 7u) << where;
+        EXPECT_EQ(drops.value() - drops0, 25u) << where;
+    }
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "browser/page_corpus.hh"
@@ -213,6 +214,33 @@ TEST_F(RunnerTest, IdleCharacterizationSpansConditions)
     EXPECT_LT(min_v, 0.82);
     EXPECT_GT(max_v, 1.0);
     EXPECT_GT(max_t - min_t, 20.0);  // ambient sweep visible
+}
+
+TEST(ExperimentConfigEquality, EveryNestedFieldCounts)
+{
+    const ExperimentConfig stock;
+    EXPECT_TRUE(stock == ExperimentConfig{});
+
+    // experimentConfigHash() skips stock-valued soc and power fields,
+    // so equality must look at the nested configs itself.
+    ExperimentConfig mem = stock;
+    mem.soc.mem.l2.associativity = 16;
+    ExperimentConfig sampling = stock;
+    sampling.soc.sampling.refreshTicks += 1;
+    ExperimentConfig thermal = stock;
+    thermal.power.thermal.heatCapacity *= 2.0;
+    ExperimentConfig scaled = stock;
+    scaled.freqScale = 1.1;
+    for (const ExperimentConfig *flipped :
+         {&mem, &sampling, &thermal, &scaled}) {
+        EXPECT_FALSE(*flipped == stock);
+        EXPECT_TRUE(*flipped == ExperimentConfig(*flipped));
+    }
+
+    // A NaN field never compares equal, not even to its own copy.
+    ExperimentConfig nan = stock;
+    nan.deadlineSec = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_FALSE(nan == ExperimentConfig(nan));
 }
 
 } // namespace
