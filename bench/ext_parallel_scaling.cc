@@ -87,20 +87,9 @@ main(int argc, char **argv)
     const double proc_sec = wallSeconds(t0);
     std::printf("SCALING workers=%u wall=%.3f\n", workers, proc_sec);
 
-    // Lane tier (sim/lane_batch): the same campaign advanced four
-    // runs per batch on one thread — the --lanes=N path.
-    const unsigned lanes = 4;
-    ComparisonHarness lane(ExperimentConfig{}, nullptr, 1);
-    lane.setLanes(lanes);
-    t0 = std::chrono::steady_clock::now();
-    const auto lane_records = lane.runAll(workloads, governors);
-    const double lane_sec = wallSeconds(t0);
-    std::printf("SCALING lanes=%u wall=%.3f\n", lanes, lane_sec);
-
     // --- 1. byte-identity of every cell, across all tiers. ---
     bool identical = serial_records.size() == parallel_records.size() &&
-        serial_records.size() == proc_records.size() &&
-        serial_records.size() == lane_records.size();
+        serial_records.size() == proc_records.size();
     for (size_t w = 0; identical && w < serial_records.size(); ++w) {
         for (const auto &name : governors) {
             const std::string a = runMeasurementText(
@@ -109,8 +98,6 @@ main(int argc, char **argv)
                 parallel_records[w].measurement(name));
             const std::string c = runMeasurementText(
                 proc_records[w].measurement(name));
-            const std::string d = runMeasurementText(
-                lane_records[w].measurement(name));
             if (a != b) {
                 identical = false;
                 std::cerr << "MISMATCH " << workloads[w].label() << " x "
@@ -123,12 +110,6 @@ main(int argc, char **argv)
                           << name << "\n  jobs=1: " << a
                           << "\n  workers=" << workers << ": " << c
                           << "\n";
-            }
-            if (a != d) {
-                identical = false;
-                std::cerr << "MISMATCH " << workloads[w].label() << " x "
-                          << name << "\n  jobs=1: " << a
-                          << "\n  lanes=" << lanes << ": " << d << "\n";
             }
         }
     }
@@ -158,7 +139,7 @@ main(int argc, char **argv)
             << "NOTICE: host has " << hardwareJobs()
             << " hardware thread(s) — the >= 2x parallel speedup\n"
             << "target CANNOT be validated here and was SKIPPED.\n"
-            << "Byte-identity across jobs/workers/lanes tiers was\n"
+            << "Byte-identity across the jobs/workers tiers was\n"
             << "still enforced. Re-run on a multi-core host to check\n"
             << "scaling.\n"
             << "**********************************************************\n";

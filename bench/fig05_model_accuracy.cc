@@ -43,7 +43,6 @@ main(int argc, char **argv)
     ObsGuard obs(argc, argv);
     TrainerConfig trainer_config;
     trainer_config.jobs = benchJobs(argc, argv);
-    trainer_config.lanes = benchLanes(argc, argv);
     Trainer trainer(trainer_config);
     // Train normally (also produces the leakage fit used below).
     ModelBundle bundle = trainer.trainCached(defaultBundleCachePath());

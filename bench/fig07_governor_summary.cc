@@ -31,7 +31,6 @@ main(int argc, char **argv)
     const unsigned workers = benchWorkers(argc, argv);
     auto bundle = benchBundle();
     ComparisonHarness harness(ExperimentConfig{}, bundle, jobs);
-    harness.setLanes(benchLanes(argc, argv));
     if (workers > 0) {
         // Process tier: campaigns shard across worker subprocesses and
         // journal completed cells, so an interrupted/crashed bench run

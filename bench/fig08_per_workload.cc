@@ -24,7 +24,6 @@ main(int argc, char **argv)
     const unsigned workers = benchWorkers(argc, argv);
     auto bundle = benchBundle();
     ComparisonHarness harness(ExperimentConfig{}, bundle, jobs);
-    harness.setLanes(benchLanes(argc, argv));
     if (workers > 0) {
         harness.setWorkers(workers);
         harness.setProcJournalStem("fig08.journal");

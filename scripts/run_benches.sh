@@ -5,9 +5,7 @@
 #   - bench/ext_parallel_scaling: wall-clock of the fig07 slice at
 #     jobs=1 and jobs=N plus the byte-identity self-check
 #   - bench/ovh_hotpath: sustained simulator ticks/sec on the default
-#     adaptive path AND under --exact-ticks (hot-path guards), plus
-#     the aggregate lane-ticks/sec of the lane-batched tier at
-#     N in {1,4,8,16} runs per batch in both modes
+#     adaptive path AND under --exact-ticks (hot-path guards)
 #   - bench/ovh_memsample: ns per sampled cache access, per stream draw,
 #     and per line of the batched kernel's generation (nextRuns)
 #   - bench/fleet_rollout: fleet campaign devices/s (serial reference
@@ -59,42 +57,19 @@ workers_n="$(awk '/^SCALING workers=/{sub("workers=","",$2); print $2}' \
     "${scaling_log}")"
 wall_workers="$(awk '/^SCALING workers=/{sub("wall=","",$3); print $3}' \
     "${scaling_log}")"
-# Lane-tier row: the same slice advanced 4 runs per batch (--lanes=4).
-wall_lanes="$(awk '/^SCALING lanes=/{sub("wall=","",$3); print $3}' \
-    "${scaling_log}")"
 rm -f "${scaling_log}"
-
-# HOTPATH_LANE_TICKS_PER_SEC lanes=N <rate> row of one ovh_hotpath log.
-lane_rate() {
-    awk -v n="$2" \
-        '$1=="HOTPATH_LANE_TICKS_PER_SEC" && $2=="lanes="n {print $3}' \
-        "$1"
-}
 
 echo "== ovh_hotpath (adaptive) =="
 hotpath_log="$(mktemp)"
 "${bench}/ovh_hotpath" --benchmark_min_time=0.1s | tee "${hotpath_log}"
 ticks="$(awk '/^HOTPATH_TICKS_PER_SEC /{print $2}' "${hotpath_log}")"
-lanes1="$(lane_rate "${hotpath_log}" 1)"
-lanes4="$(lane_rate "${hotpath_log}" 4)"
-lanes8="$(lane_rate "${hotpath_log}" 8)"
-lanes16="$(lane_rate "${hotpath_log}" 16)"
 
 echo "== ovh_hotpath (--exact-ticks) =="
 "${bench}/ovh_hotpath" --exact-ticks --benchmark_filter=NONE \
     | tee "${hotpath_log}"
 ticks_exact="$(awk '/^HOTPATH_TICKS_PER_SEC /{print $2}' \
     "${hotpath_log}")"
-lanes1_exact="$(lane_rate "${hotpath_log}" 1)"
-lanes4_exact="$(lane_rate "${hotpath_log}" 4)"
-lanes8_exact="$(lane_rate "${hotpath_log}" 8)"
-lanes16_exact="$(lane_rate "${hotpath_log}" 16)"
 rm -f "${hotpath_log}"
-# Exact mode is where the fused cross-lane walk runs (adaptive lanes
-# round-robin whole quanta), so the headline speedup is the exact one.
-lane_speedup_exact="$(awk -v a="${lanes1_exact}" -v b="${lanes8_exact}" \
-    'BEGIN{printf "%.2f", b / a}')"
-echo "lane speedup (exact, lanes=8 vs lanes=1): ${lane_speedup_exact}"
 
 echo "== ovh_memsample =="
 memsample_log="$(mktemp)"
@@ -128,9 +103,15 @@ fleet_log="$(mktemp)"
 "${bench}/fleet_rollout" --fleet-devices "${fleet_devices}" \
     --fleet-governors interactive,ondemand --fleet-max-load 1.0 \
     | tee "${fleet_log}"
-fleet_rate="$(awk '$1=="FLEET" && $2=="jobs=1" && $3=="workers=0" && \
-    $4=="lanes=1" {sub("devices_per_sec=","",$6); print $6}' \
+fleet_rate="$(awk '$1=="FLEET" && $2=="jobs=1" && $3=="workers=0" {
+    for (i = 4; i <= NF; ++i)
+        if (sub("^devices_per_sec=", "", $i)) print $i }' \
     "${fleet_log}")"
+if [[ -z "${fleet_rate}" ]]; then
+    echo "error: no serial devices_per_sec on a 'FLEET jobs=1" \
+         "workers=0' line of fleet_rollout" >&2
+    exit 1
+fi
 fleet_identical="$(awk '/^FLEET identical=/{sub("identical=","",$2); \
     print $2}' "${fleet_log}")"
 fleet_resume="$(awk '/^FLEET identical=/{sub("resume_identical=","",$3); \
@@ -159,22 +140,12 @@ cat > "${out}" <<EOF
     "wall_jobsN_sec": ${wall_parallel},
     "workers": ${workers_n},
     "wall_workersN_sec": ${wall_workers},
-    "wall_lanes4_sec": ${wall_lanes},
     "speedup": ${speedup},
     "identical": ${identical}
   },
   "ovh_hotpath": {
     "ticks_per_sec": ${ticks},
-    "ticks_per_sec_exact": ${ticks_exact},
-    "lanes1_ticks_per_sec": ${lanes1},
-    "lanes4_ticks_per_sec": ${lanes4},
-    "lanes8_ticks_per_sec": ${lanes8},
-    "lanes16_ticks_per_sec": ${lanes16},
-    "lanes1_ticks_per_sec_exact": ${lanes1_exact},
-    "lanes4_ticks_per_sec_exact": ${lanes4_exact},
-    "lanes8_ticks_per_sec_exact": ${lanes8_exact},
-    "lanes16_ticks_per_sec_exact": ${lanes16_exact},
-    "lane_speedup_exact_n8": ${lane_speedup_exact}
+    "ticks_per_sec_exact": ${ticks_exact}
   },
   "ovh_memsample": {
     "walk_ns_per_sample": ${walk_ns},

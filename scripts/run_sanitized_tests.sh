@@ -67,12 +67,15 @@ if [[ "${sanitize}" == "thread" && ${#ctest_args[@]} -eq 0 ]]; then
     # Default TSan scope: the concurrency-bearing suites. ParallelMap
     # also matches ParallelMapCdf — the regression test for the old
     # lazily-sorting-under-const EmpiricalCdf race (stats/cdf.hh).
-    # LaneBatch, FleetDeterminism and CellExecutor drive the cell
-    # executor's one threaded dispatch (sim/cell_executor.hh), which
-    # the harness, trainer and fleet share. CellExecutorRiders and
+    # ParallelDeterminism, FleetDeterminism and CellExecutor drive the
+    # cell executor's one threaded dispatch (sim/cell_executor.hh),
+    # which the harness, trainer and fleet share; ParallelDeterminism
+    # also holds the exact-mode, faulted, trainer and worker identity
+    # checks, and RunContextSnapshot the mid-run snapshot rewind.
+    # CellExecutorRiders and
     # EndToEnd.RidersReproduceTheRunOneLoop run governor riders
     # (DESIGN.md §5m) on pool threads, the latter sharing one trained
     # const ModelBundle. Pass explicit ctest args to widen it.
-    ctest_args=(-R 'JobCount|ParallelFor|ParallelMap|ThreadPool|ParallelDeterminism|LaneBatch|FleetDeterminism|CellExecutor|CellExecutorRiders|EndToEnd\.RidersReproduceTheRunOneLoop|ProcSupervisorTest|KillResume')
+    ctest_args=(-R 'JobCount|ParallelFor|ParallelMap|ThreadPool|ParallelDeterminism|RunContextSnapshot|FleetDeterminism|CellExecutor|CellExecutorRiders|EndToEnd\.RidersReproduceTheRunOneLoop|ProcSupervisorTest|KillResume')
 fi
 ctest --output-on-failure "${ctest_args[@]}"

@@ -2,8 +2,8 @@
  * @file
  * Cache-line-aligned storage for hot-path scratch arrays.
  *
- * The lane-batched walk kernel (DESIGN.md §5g) streams through flat
- * per-lane arrays with SIMD loads; anchoring them on a 64-byte
+ * The batched walk kernel (DESIGN.md §5g) streams through flat
+ * per-stream arrays with SIMD loads; anchoring them on a 64-byte
  * boundary keeps every row load inside one cache line and lets the
  * compiler use aligned vector moves under -march=native. The
  * allocator is a thin std::allocator drop-in, so AlignedVec composes

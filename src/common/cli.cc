@@ -1,5 +1,6 @@
 #include "common/cli.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -47,6 +48,29 @@ cliHasFlag(int argc, char **argv, const std::string &flag)
             fatal("%s: takes no value (got '%s')", flag.c_str(), arg);
     }
     return present;
+}
+
+void
+cliRejectUnknownArgs(int argc, char **argv, const char *program,
+                     std::initializer_list<std::string_view> value_flags,
+                     std::initializer_list<std::string_view> switches)
+{
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        const auto separated = [arg](std::string_view flag) {
+            return arg == flag;
+        };
+        const auto inlined = [arg](std::string_view flag) {
+            return arg.size() > flag.size() && arg.starts_with(flag) &&
+                arg[flag.size()] == '=';
+        };
+        if (std::any_of(value_flags.begin(), value_flags.end(), separated))
+            ++i;  // its value
+        else if (std::none_of(switches.begin(), switches.end(), separated) &&
+                 std::none_of(value_flags.begin(), value_flags.end(),
+                              inlined))
+            fatal("%s: unknown argument '%s'", program, arg.data());
+    }
 }
 
 long

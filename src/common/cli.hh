@@ -3,19 +3,21 @@
  * Shared command-line and environment parsing helpers.
  *
  * Every binary in the tree accepts a small set of long flags
- * (`--jobs`, `--workers`, `--lanes`, `--trace`, `--fleet-*`). Before
- * this helper existed each parser open-coded the scan and silently
- * ignored a trailing flag with a missing value (`dora-fleet --lanes`
- * fell through to the default lane count). Routing every flag through
- * cliFlagValue() makes a missing value a fatal diagnostic instead of
- * a silent misconfiguration.
+ * (`--jobs`, `--workers`, `--trace`, `--fleet-*`). Before this helper
+ * existed each parser open-coded the scan and silently ignored a
+ * trailing flag with a missing value (`dora-fleet --jobs` fell through
+ * to the default job count). Routing every flag through cliFlagValue()
+ * makes a missing value a fatal diagnostic instead of a silent
+ * misconfiguration.
  */
 
 #ifndef DORA_COMMON_CLI_HH
 #define DORA_COMMON_CLI_HH
 
+#include <initializer_list>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace dora
 {
@@ -41,8 +43,21 @@ std::optional<std::string> cliFlagValue(int argc, char **argv,
 bool cliHasFlag(int argc, char **argv, const std::string &flag);
 
 /**
+ * fatal() with @p program and the argument on the first argument of
+ * argv that is neither one of @p value_flags in a cliFlagValue()
+ * spelling (with the separated value that follows it) nor one of
+ * @p switches. A misspelt flag would otherwise leave its setting at
+ * the default unnoticed.
+ */
+void cliRejectUnknownArgs(int argc, char **argv, const char *program,
+                          std::initializer_list<std::string_view>
+                              value_flags,
+                          std::initializer_list<std::string_view>
+                              switches);
+
+/**
  * Parse @p text as a decimal integer in [@p min, @p max]; fatal()s
- * with @p origin (e.g. "--lanes" or "$DORA_LANES") in the diagnostic
+ * with @p origin (e.g. "--jobs" or "$DORA_JOBS") in the diagnostic
  * on malformed or out-of-range input.
  */
 long cliParseInt(const std::string &text, const char *origin, long min,
@@ -55,7 +70,7 @@ double cliParseDouble(const std::string &text, const char *origin,
 /**
  * getenv() that treats an empty-but-set variable as unset — loudly.
  *
- * `export DORA_LANES=` in a CI matrix used to behave exactly like the
+ * `export DORA_JOBS=` in a CI matrix used to behave exactly like the
  * variable being absent, hiding the misconfiguration. This helper
  * warns (rate-limited via warn()) the first few times an empty-but-set
  * variable is consulted, then falls back to nullptr.

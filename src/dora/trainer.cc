@@ -17,6 +17,8 @@ namespace dora
 Trainer::Trainer(const TrainerConfig &config)
     : config_(config), runner_(config.experiment)
 {
+    if (config_.lanes != 1)
+        fatal("Trainer: lanes must be 1, not %u", config_.lanes);
     if (config_.trainingFreqIndices.empty())
         config_.trainingFreqIndices =
             defaultTrainingFreqs(runner_.freqTable());
@@ -46,10 +48,10 @@ trainingConfigHash(const TrainerConfig &config)
          << config.powerRidge << " maxworkloads "
          << config.maxTrainingWorkloads;
     // config.jobs, config.workers, config.lanes, and
-    // config.procJournalStem are deliberately not hashed: parallel,
-    // process-tier, and lane-batched collection are bit-identical to
-    // serial, so the execution tier does not shape the trained
-    // coefficients and must not invalidate cached bundles.
+    // config.procJournalStem are deliberately not hashed: parallel and
+    // process-tier collection are bit-identical to serial, so the
+    // execution tier does not shape the trained coefficients and must
+    // not invalidate cached bundles.
     return hashLabel(text.str());
 }
 
@@ -115,8 +117,8 @@ Trainer::collectSamples(const std::vector<WorkloadSpec> &workloads,
     campaign.name = "trainer";
     campaign.hash = hashLabel(identity.str());
     campaign.doneMetric = "trainer.samples_collected";
-    const CellExecutor executor({config_.jobs, config_.workers,
-                                 config_.lanes, config_.procJournalStem});
+    const CellExecutor executor(
+        {config_.jobs, config_.workers, config_.procJournalStem});
     return executor.mapCells<TrainingSample>(
         workloads.size() * freqs, make_cell, to_sample,
         {serializeTrainingSample, tryDeserializeTrainingSample},

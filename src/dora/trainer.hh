@@ -81,14 +81,11 @@ struct TrainerConfig
     unsigned workers = 0;  // dora:hash-exclude(bit-identical to workers=0)
 
     /**
-     * Lane batching (sim/lane_batch.hh) for the measurement campaign:
-     * cells are packed into batches of this many runs advanced
-     * interleaved on one thread. Composes with jobs (each pool job
-     * runs a batch) and workers (each worker unit is a batch).
-     * 0 = $DORA_LANES (see common/lanes.hh). Bit-identical at every
-     * lane count and, like jobs, excluded from trainingConfigHash().
+     * Inert: the only accepted value is 1, and Trainer fatal()s on any
+     * other. Its only caller is benchmark/rounds.cc, and it goes with
+     * that line.
      */
-    unsigned lanes = 0;  // dora:hash-exclude(bit-identical at any lane count)
+    unsigned lanes = 1;  // dora:hash-exclude(inert, always 1)
 
     /**
      * Journal stem for process-tier campaigns: completed cells land in

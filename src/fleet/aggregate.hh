@@ -4,7 +4,7 @@
  *
  * A campaign's cell grid is cut into fixed-size **chunks** — whole
  * devices, `chunkDevices` of them per chunk, independent of the
- * jobs/workers/lanes tier settings. Each chunk reduces its cells
+ * jobs/workers tier settings. Each chunk reduces its cells
  * into one FleetShardAggregate: fixed-memory quantile sketches,
  * meet/censored counters, Neumaier-compensated PPW sums, per-cohort
  * counters, and an order-sensitive digest chain over the chunk's
@@ -13,7 +13,7 @@
  * serial, thread tier, process tier, checkpoint resume — folds the
  * chunk aggregates **left-to-right in chunk-index order** (the
  * canonical fold), so the campaign-level aggregate is bit-identical
- * at any (jobs, workers, lanes) combination and across a SIGKILL +
+ * at any (jobs, workers) combination and across a SIGKILL +
  * resume.
  *
  * Determinism argument: a chunk holds at most a few hundred samples,

@@ -160,10 +160,9 @@ fleetCampaignHash(const FleetCampaignConfig &config)
     // "rev2": bump on any change to the cell grid layout or the unit
     // payload format — the hash names resume journals and checkpoints.
     // rev2 units are chunk aggregates (rev1 shipped raw measurements
-    // in lane-batch units), so the chunk width is part of the
-    // identity and the lane width no longer is: the lane contract
-    // makes every cell's measurement lane-invariant, so one journal
-    // resumes at any lane count.
+    // in smaller units), so the chunk width is part of the identity;
+    // the tier widths are not, since every cell's measurement is the
+    // same on every tier.
     std::string text = "fleet-campaign-rev2 " +
         fleetSpecText(config.spec) + " protocol " +
         hexU64(experimentConfigHash(config.base)) + " governors";
@@ -175,9 +174,10 @@ fleetCampaignHash(const FleetCampaignConfig &config)
 
 FleetEngine::FleetEngine(FleetCampaignConfig config)
     : config_(std::move(config)),
-      executor_({config_.jobs, config_.workers, config_.lanes,
-                 config_.journalStem})
+      executor_({config_.jobs, config_.workers, config_.journalStem})
 {
+    if (config_.lanes != 1)
+        fatal("FleetEngine: lanes must be 1, not %u", config_.lanes);
     validateFleetSpec(config_.spec);
     if (config_.governors.empty())
         fatal("FleetEngine: empty governor list");

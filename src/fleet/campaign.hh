@@ -4,19 +4,17 @@
  * per-device work units, fan them out through every execution tier,
  * and aggregate population statistics — streamingly (DESIGN.md §5i).
  *
- * Cell grid: cell = device * |governors| + governorIndex
- * (device-major). Every cell is an independent simulation of one
- * sampled device under one governor, keyed by its grid index. The
- * engine runs its cells through the cell executor
- * (sim/cell_executor.hh), so results are byte-identical at any
- * combination of
+ * Cell grid: cell = device * |governors| + g, where g is the
+ * governor's position in the list (device-major). Every cell is an
+ * independent simulation of one sampled device under one governor,
+ * keyed by its grid index. The engine runs its cells through the cell
+ * executor (sim/cell_executor.hh), so results are byte-identical at
+ * any combination of
  *
  *   --jobs    thread tier (chunks on the pool)
  *   --workers process tier (exec/proc supervisor; crash recovery and
  *             a checksummed resume journal bound to the campaign
  *             hash)
- *   --lanes   leaf tier (N cells of a chunk advanced interleaved per
- *             lane batch)
  *
  * and identical again after a mid-campaign kill + resume.
  *
@@ -34,10 +32,10 @@
  *
  * The campaign hash covers the spec text, the base ExperimentConfig
  * protocol hash, the governor list, and the chunk width, so a stale
- * journal/checkpoint from any other campaign is refused. Lane width
- * is deliberately NOT in the hash: the lane contract makes every
- * cell's measurement lane-invariant, so a journal written at one
- * lane count resumes correctly at any other.
+ * journal/checkpoint from any other campaign is refused. The tier
+ * widths are deliberately NOT in the hash: every cell's measurement is
+ * the same at any (jobs, workers), so a journal written at one worker
+ * count resumes correctly at any other.
  */
 
 #ifndef DORA_FLEET_CAMPAIGN_HH
@@ -73,18 +71,23 @@ struct FleetCampaignConfig
      * Campaign-wide measurement protocol. Per-device heterogeneity
      * (freqScale/voltageScale/thermalResistanceScale/ambientC) is
      * overwritten from each DeviceSpec; everything else — deadline,
-     * tick, SoC geometry — is shared, which is also what keeps the
-     * fused cross-lane memory walk valid across devices.
+     * tick, SoC geometry — is shared.
      */
     ExperimentConfig base;
 
     /** Trained bundle for predictive governors (may be null). */
     std::shared_ptr<const ModelBundle> models;
 
-    /** Tier widths; 0 = defaultJobCount() / defaultLaneCount(). */
+    /** Tier widths; jobs = 0 means defaultJobCount(). */
     unsigned jobs = 1;    //!< thread tier width (ignored when workers > 0)
     unsigned workers = 0; //!< process tier width (0 = in-process)
-    unsigned lanes = 1;   //!< cells per lane batch
+
+    /**
+     * Inert: the only accepted value is 1, and FleetEngine fatal()s on
+     * any other. Its only caller is benchmark/rounds.cc, and it goes
+     * with that line.
+     */
+    unsigned lanes = 1;
 
     /**
      * Devices per aggregation chunk — the unit of the thread and
@@ -112,8 +115,8 @@ struct FleetCampaignConfig
 /**
  * Identity of a campaign's results: spec text, measurement protocol,
  * governor list, and chunk width (the process-tier unit is a chunk,
- * so the journal's unit space depends on it). Lane width is excluded
- * on purpose — measurements are lane-invariant by the lane contract.
+ * so the journal's unit space depends on it). The tier widths are
+ * excluded on purpose — measurements are the same on every tier.
  */
 uint64_t fleetCampaignHash(const FleetCampaignConfig &config);
 
@@ -190,9 +193,8 @@ class FleetEngine
 
     /**
      * Re-run one (device, governor) cell alone. Bit-identical to the
-     * cell's in-campaign measurement at any tier combination (the
-     * lane-batch contract), which the fleet determinism suite
-     * enforces.
+     * cell's in-campaign measurement at any tier combination, ridden
+     * or not, which the fleet determinism suite enforces.
      */
     RunMeasurement replayDevice(size_t device_index,
                                 const std::string &governor) const;

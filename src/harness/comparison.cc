@@ -17,8 +17,8 @@ namespace
 {
 
 /**
- * Canonical governor registry. Order is the dense id; interactive is
- * id 0 because it is the normalization baseline.
+ * Canonical governor registry. Order is the dense id that keys
+ * ComparisonRecord's storage.
  */
 const std::vector<std::string> &
 governorRegistry()
@@ -30,7 +30,16 @@ governorRegistry()
     return names;
 }
 
-constexpr size_t kInteractiveId = 0;
+/** Dense id of @p name; fatal() on an unknown governor. */
+size_t
+governorId(const std::string &name)
+{
+    const auto &names = governorRegistry();
+    for (size_t i = 0; i < names.size(); ++i)
+        if (names[i] == name)
+            return i;
+    fatal("ComparisonRecord: unknown governor '%s'", name.c_str());
+}
 
 /**
  * Load wall of an offline-opt page cell below the max OPP: just past
@@ -50,86 +59,36 @@ offlineCutWallSec(const ExperimentConfig &config)
 
 } // namespace
 
-size_t
-governorCount()
-{
-    return governorRegistry().size();
-}
-
-size_t
-governorIndex(const std::string &name)
-{
-    const auto &names = governorRegistry();
-    for (size_t i = 0; i < names.size(); ++i)
-        if (names[i] == name)
-            return i;
-    fatal("governorIndex: unknown governor '%s'", name.c_str());
-}
-
-const std::string &
-governorName(size_t index)
-{
-    const auto &names = governorRegistry();
-    if (index >= names.size())
-        fatal("governorName: id %zu out of range (%zu governors)",
-              index, names.size());
-    return names[index];
-}
-
-void
-ComparisonRecord::setMeasurement(size_t index, RunMeasurement m)
-{
-    if (index >= governorCount())
-        fatal("ComparisonRecord: governor id %zu out of range", index);
-    if (slots_.size() <= index)
-        slots_.resize(index + 1);
-    slots_[index] = std::move(m);
-    presentMask_ |= 1u << index;
-}
-
 void
 ComparisonRecord::setMeasurement(const std::string &governor,
                                  RunMeasurement m)
 {
-    setMeasurement(governorIndex(governor), std::move(m));
-}
-
-bool
-ComparisonRecord::hasMeasurement(size_t index) const
-{
-    return index < 32 && (presentMask_ & (1u << index));
-}
-
-const RunMeasurement &
-ComparisonRecord::measurement(size_t index) const
-{
-    if (!hasMeasurement(index))
-        panic("ComparisonRecord: no measurement for governor '%s'",
-              governorName(index).c_str());
-    return slots_[index];
+    const size_t id = governorId(governor);
+    if (slots_.size() <= id)
+        slots_.resize(id + 1);
+    slots_[id] = std::move(m);
+    presentMask_ |= 1u << id;
 }
 
 const RunMeasurement &
 ComparisonRecord::measurement(const std::string &governor) const
 {
-    return measurement(governorIndex(governor));
-}
-
-double
-ComparisonRecord::normalizedPpw(size_t index) const
-{
-    const RunMeasurement &base = measurement(kInteractiveId);
-    const RunMeasurement &m = measurement(index);
-    if (base.ppw <= 0.0)
-        panic("ComparisonRecord: zero baseline PPW for %s",
-              workload.label().c_str());
-    return m.ppw / base.ppw;
+    const size_t id = governorId(governor);
+    if (!(presentMask_ & (1u << id)))
+        panic("ComparisonRecord: no measurement for governor '%s'",
+              governor.c_str());
+    return slots_[id];
 }
 
 double
 ComparisonRecord::normalizedPpw(const std::string &governor) const
 {
-    return normalizedPpw(governorIndex(governor));
+    const RunMeasurement &base = measurement("interactive");
+    const RunMeasurement &m = measurement(governor);
+    if (base.ppw <= 0.0)
+        panic("ComparisonRecord: zero baseline PPW for %s",
+              workload.label().c_str());
+    return m.ppw / base.ppw;
 }
 
 ComparisonHarness::ComparisonHarness(
@@ -138,6 +97,14 @@ ComparisonHarness::ComparisonHarness(
     : runner_(config), models_(std::move(models))
 {
     tiers_.jobs = jobs;
+}
+
+void
+ComparisonHarness::setLanes(unsigned lanes)
+{
+    if (lanes != 1)
+        fatal("ComparisonHarness::setLanes: lanes must be 1, not %u",
+              lanes);
 }
 
 const std::vector<std::string> &
@@ -201,7 +168,7 @@ ComparisonHarness::runGrid(size_t n, const std::string &grid,
                            const CellExecutor::CellFn &make_cell) const
 {
     // Journal identity: the measurement protocol, the fault schedule
-    // and the grid (the executor adds the cell count and lane width).
+    // and the grid (the executor adds the cell count and gang plan).
     std::ostringstream identity;
     identity.precision(17);
     identity << "harness " << experimentConfigHash(runner_.config())
@@ -358,12 +325,12 @@ ComparisonHarness::offlineOptMany(
 namespace
 {
 
-/** True when @p record's @p id run or its baseline is censored. */
+/** True when @p record's @p governor run or its baseline is censored. */
 bool
-recordCensored(const ComparisonRecord &record, size_t id)
+recordCensored(const ComparisonRecord &record, const std::string &governor)
 {
-    return record.measurement(id).censored ||
-        record.measurement(kInteractiveId).censored;
+    return record.measurement(governor).censored ||
+        record.measurement("interactive").censored;
 }
 
 } // namespace
@@ -372,16 +339,15 @@ double
 meanNormalizedPpw(const std::vector<ComparisonRecord> &records,
                   const std::string &governor)
 {
-    const size_t id = governorIndex(governor);
     double sum = 0.0;
     size_t counted = 0;
     for (const auto &r : records) {
         // A censored run's PPW of 0 is a flag, not an observation:
         // averaging it would reward governors that fail pages outright
         // over governors that finish them late.
-        if (recordCensored(r, id))
+        if (recordCensored(r, governor))
             continue;
-        sum += r.normalizedPpw(id);
+        sum += r.normalizedPpw(governor);
         ++counted;
     }
     return counted == 0 ? 0.0 : sum / static_cast<double>(counted);
@@ -391,10 +357,9 @@ size_t
 censoredCount(const std::vector<ComparisonRecord> &records,
               const std::string &governor)
 {
-    const size_t id = governorIndex(governor);
     size_t censored = 0;
     for (const auto &r : records)
-        if (recordCensored(r, id))
+        if (recordCensored(r, governor))
             ++censored;
     return censored;
 }
@@ -405,10 +370,9 @@ deadlineMeetRate(const std::vector<ComparisonRecord> &records,
 {
     if (records.empty())
         return 0.0;
-    const size_t id = governorIndex(governor);
     double met = 0.0;
     for (const auto &r : records)
-        if (r.measurement(id).meetsDeadline)
+        if (r.measurement(governor).meetsDeadline)
             met += 1.0;
     return met / static_cast<double>(records.size());
 }

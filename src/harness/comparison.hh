@@ -7,9 +7,9 @@
  *
  * Every cell of a comparison (workload x governor) is an independent
  * simulation on a freshly constructed device; the harness hands the
- * grid to the cell executor (sim/cell_executor.hh), whose thread,
- * process and lane tiers are all bit-identical to a plain loop of
- * runOne() calls.
+ * grid to the cell executor (sim/cell_executor.hh), whose thread and
+ * process tiers are both bit-identical to a plain loop of runOne()
+ * calls.
  */
 
 #ifndef DORA_HARNESS_COMPARISON_HH
@@ -28,19 +28,6 @@ namespace dora
 {
 
 /**
- * Registry of governor names the harness can run. The index of a name
- * is its storage key inside ComparisonRecord (a small dense id, stable
- * for the life of the process).
- */
-size_t governorCount();
-
-/** Dense id of @p name; fatal() on an unknown governor. */
-size_t governorIndex(const std::string &name);
-
-/** Name of the governor with dense id @p index; fatal() out of range. */
-const std::string &governorName(size_t index);
-
-/**
  * Fresh governor instance by registry name; fatal() on an unknown
  * name. The predictive governors (DL, EE, DORA, DORA_no_lkg) require
  * a trained @p models bundle; the kernel governors ignore it. Shared
@@ -50,38 +37,29 @@ std::unique_ptr<Governor>
 makeNamedGovernor(const std::string &name,
                   const std::shared_ptr<const ModelBundle> &models);
 
-/** Results of one workload under every compared governor. */
+/**
+ * Results of one workload under every compared governor, keyed by
+ * governor name. A name outside the harness's governor registry
+ * (makeNamedGovernor's names plus "offline_opt") is fatal().
+ */
 struct ComparisonRecord
 {
     WorkloadSpec workload;
 
-    /** Store @p m as the measurement of governor @p index. */
-    void setMeasurement(size_t index, RunMeasurement m);
-
-    /** String-keyed shim for setMeasurement(governorIndex(name), m). */
+    /** Store @p m as the measurement of @p governor. */
     void setMeasurement(const std::string &governor, RunMeasurement m);
 
-    /** Whether governor @p index has a stored measurement. */
-    bool hasMeasurement(size_t index) const;
-
-    /** Measurement of governor @p index; fatal() if missing. */
-    const RunMeasurement &measurement(size_t index) const;
-
-    /** String-keyed shim for measurement(governorIndex(governor)). */
+    /** Measurement of @p governor; panic() if none was stored. */
     const RunMeasurement &measurement(const std::string &governor) const;
 
-    /** PPW of governor @p index normalized to interactive. */
-    double normalizedPpw(size_t index) const;
-
-    /** String-keyed shim for normalizedPpw(governorIndex(governor)). */
+    /** PPW of @p governor normalized to interactive. */
     double normalizedPpw(const std::string &governor) const;
 
   private:
     /**
-     * Flat per-governor storage, indexed by the dense registry id.
-     * Grown lazily to the highest stored id; presence is a bitmask so
-     * lookups on the bench hot loop are two array reads, not a
-     * string-keyed tree walk.
+     * Flat per-governor storage, indexed by a small dense id private
+     * to comparison.cc. Grown lazily to the highest stored id;
+     * presence is a bitmask.
      */
     std::vector<RunMeasurement> slots_;
     uint32_t presentMask_ = 0;
@@ -126,14 +104,10 @@ class ComparisonHarness
     }
 
     /**
-     * Lane batching (sim/lane_batch.hh): advance fan-out runs
-     * @p lanes at a time, interleaved on one thread, so independent
-     * memory-walk miss chains overlap. Composes with the thread tier
-     * (each pool job runs a batch) and the process tier (each worker
-     * unit is a batch); results are bit-identical at every lane count.
-     * 0, the default, is $DORA_LANES (see common/lanes.hh).
+     * Inert: the only accepted value is 1; any other is fatal(). Its
+     * only caller is benchmark/rounds.cc, and it goes with that line.
      */
-    void setLanes(unsigned lanes) { tiers_.lanes = lanes; }
+    void setLanes(unsigned lanes);
 
     /**
      * Run @p workloads under every governor in the comparison set.

@@ -161,49 +161,6 @@ MemSystem::fillResults(const std::vector<MemSampleRequest> &requests,
 }
 
 void
-MemSystem::tickSampleMany(WalkJob *jobs, size_t n)
-{
-    // First sweep: every system sizes its walk. Eligible batched-walk
-    // systems stop after phases A+B (generation + private L1s, both
-    // lane-local); the rest complete their whole walk here, exactly as
-    // a standalone tickSample() would.
-    for (size_t j = 0; j < n; ++j) {
-        MemSystem &m = *jobs[j].mem;
-        jobs[j].fused = false;
-        if (m.buildLive(*jobs[j].requests)) {
-            if (m.batchedWalk_ &&
-                m.batchedWalkEligible(*jobs[j].requests)) {
-                m.walkBatchedPrepare(m.liveScratch_);
-                jobs[j].fused = true;
-            } else {
-                m.walkInterleaved(m.liveScratch_);
-            }
-        }
-    }
-
-    // Second sweep: interleave the shared-L2 drains of the fused
-    // systems at round-robin pass granularity. Each system executes
-    // its own passes in order — per-system results stay bit-identical
-    // to tickSample() — but consecutive passes touch different
-    // hierarchies, so their independent miss chains overlap in the
-    // host pipeline instead of serializing lane after lane.
-    bool more = true;
-    for (uint64_t p = 0; more; ++p) {
-        more = false;
-        for (size_t j = 0; j < n; ++j) {
-            MemSystem &m = *jobs[j].mem;
-            if (!jobs[j].fused || p >= m.walkPasses_)
-                continue;
-            m.walkBatchedDrain(m.liveScratch_, p, p + 1);
-            more = more || p + 1 < m.walkPasses_;
-        }
-    }
-
-    for (size_t j = 0; j < n; ++j)
-        jobs[j].mem->fillResults(*jobs[j].requests, *jobs[j].results);
-}
-
-void
 MemSystem::walkInterleaved(std::vector<LiveStream> &live)
 {
     // Weighted round-robin in chunks: each pass, every still-live stream
@@ -262,11 +219,9 @@ MemSystem::walkBatched(std::vector<LiveStream> &live)
     // chunk order; phase C drains that list into the shared L2, so the
     // shared-state access order is untouched. Inner loops run over
     // hoisted raw pointers (enforced by the dora-perf-lane-alias lint
-    // rule). The phase split is also the fusion point for lane
-    // batches: tickSampleMany() runs phases A+B per lane and
-    // interleaves the drains pass by pass.
+    // rule).
     walkBatchedPrepare(live);
-    walkBatchedDrain(live, 0, walkPasses_);
+    walkBatchedDrain(live);
 }
 
 void
@@ -402,11 +357,10 @@ MemSystem::walkBatchedPrepare(std::vector<LiveStream> &live)
 }
 
 void
-MemSystem::walkBatchedDrain(std::vector<LiveStream> &live,
-                            uint64_t pass_begin, uint64_t pass_end)
+MemSystem::walkBatchedDrain(std::vector<LiveStream> &live)
 {
-    // Phase C: shared-L2 drain of the requests prepare laid out for
-    // passes [pass_begin, pass_end), in order.
+    // Phase C: shared-L2 drain of every request prepare laid out, in
+    // order.
     const size_t n_req = live.size();
     CacheModel &l2 = l2_;
     const uint32_t assoc2 = l2.config_.associativity;
@@ -419,17 +373,14 @@ MemSystem::walkBatchedDrain(std::vector<LiveStream> &live,
     uint64_t clock2 = l2.accessClock_;
     LiveStream *lv = live.data();
     const DrainEntry *drain = walkDrain_.data();
-    // Prefetch looks past the end of this call: a per-pass caller
-    // drains the following passes next.
-    const size_t all_end = walkPassStart_[walkPasses_];
-    const size_t end = walkPassStart_[pass_end];
+    const size_t end = walkPassStart_[walkPasses_];
     constexpr size_t kPrefetchDist = 8;
 
     // dora:lane-kernel-begin
-    for (size_t i = walkPassStart_[pass_begin]; i < end; ++i) {
+    for (size_t i = 0; i < end; ++i) {
         const uint64_t line = drain[i].line;
         const uint32_t core = drain[i].core;
-        if (i + kPrefetchDist < all_end) {
+        if (i + kPrefetchDist < end) {
             const uint64_t pf = drain[i + kPrefetchDist].line;
             const size_t pb = (static_cast<uint32_t>(pf) & set_mask2) *
                 static_cast<size_t>(assoc2);
@@ -486,14 +437,10 @@ MemSystem::walkBatchedDrain(std::vector<LiveStream> &live,
     }
     // dora:lane-kernel-end
     l2.accessClock_ = clock2;
-    // Stats commit exactly once per walk, after the final pass (drains
-    // may arrive one pass at a time through tickSampleMany()).
-    if (pass_end >= walkPasses_) {
-        for (size_t r = 0; r < n_req; ++r) {
-            CacheStats &st = stats2[live[r].req->core];
-            st.accesses += live[r].l1Misses;
-            st.misses += live[r].l2Misses;
-        }
+    for (size_t r = 0; r < n_req; ++r) {
+        CacheStats &st = stats2[live[r].req->core];
+        st.accesses += live[r].l1Misses;
+        st.misses += live[r].l2Misses;
     }
 }
 

@@ -153,32 +153,6 @@ class MemSystem
     /** True when the batched walk kernel is selected. */
     bool batchedWalk() const { return batchedWalk_; }
 
-    /**
-     * One hierarchy's walk work for tickSampleMany(): the target system
-     * plus borrowed request/result buffers. @c fused is scratch the
-     * call uses to remember which jobs joined the interleaved drain.
-     */
-    struct WalkJob
-    {
-        MemSystem *mem = nullptr;
-        const std::vector<MemSampleRequest> *requests = nullptr;
-        std::vector<MemSampleResult> *results = nullptr;
-        bool fused = false;  //!< written by tickSampleMany()
-    };
-
-    /**
-     * tickSample() over @p n independent hierarchies (one per lane of a
-     * lane batch), with the shared-L2 drains of all batched-walk-
-     * eligible systems interleaved at round-robin pass granularity.
-     * Each system's own access order is exactly its tickSample() order
-     * — results are bit-identical per system at any job count — but
-     * consecutive drain passes come from different systems, so their
-     * independent miss chains overlap in the host pipeline (cross-lane
-     * memory parallelism). Systems whose knob or request shape the
-     * kernel does not cover simply run their own tickSample() inline.
-     */
-    static void tickSampleMany(WalkJob *jobs, size_t n);
-
     /** Invalidate all caches and reset counters (new experiment run). */
     void reset();
 
@@ -228,9 +202,8 @@ class MemSystem
      */
     void walkBatchedPrepare(std::vector<LiveStream> &live);
 
-    /** Phase C of walkBatched() over passes [begin, end). */
-    void walkBatchedDrain(std::vector<LiveStream> &live,
-                          uint64_t pass_begin, uint64_t pass_end);
+    /** Phase C of walkBatched(): drain walkDrain_ into the shared L2. */
+    void walkBatchedDrain(std::vector<LiveStream> &live);
 
     /** True when walkBatched() covers this tick's request shape. */
     bool batchedWalkEligible(

@@ -36,7 +36,7 @@ tryDeserializeRunMeasurement(std::string_view bytes, RunMeasurement *out);
 
 /**
  * Concatenate payloads into one checksummed buffer (the process tier
- * ships a whole lane batch as one unit result).
+ * ships a whole gang or chunk as one unit result).
  */
 std::string packPayloads(const std::vector<std::string> &payloads);
 

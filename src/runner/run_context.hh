@@ -6,18 +6,17 @@
  * The legacy run loop owned everything on its stack: the simulated
  * device, the governor driver, the page load, and the window
  * accumulators lived inside one function from warmup to finalization.
- * RunContext hoists that state into an object with an advance() step so
- * that N independent runs can be interleaved on one thread — the lane
- * batch (LaneBatchSimulator) round-robins contexts, and in exact-ticks
- * mode splits each step into advanceBegin()/advanceFinish() so the
- * memory walks of all lanes can be fused into one cross-lane batch
- * (MemSystem::tickSampleMany).
+ * RunContext hoists that state into an object with an advance() step,
+ * so a run can be snapshotted and rewound mid-flight, carry riders
+ * (the cell executor's governor gangs), and, in exact-ticks mode, be
+ * split into advanceBegin()/advanceFinish() around the memory walk so
+ * a caller can time the walk on its own.
  *
  * Contract: driving a RunContext with `while (!done()) advance();
  * finish()` reproduces the legacy loop bit-for-bit — the transition
  * points, latch order, and accumulator arithmetic are the same
- * statements in the same order (tests/sim/lane_batch_test.cc pins
- * this down at every lane count).
+ * statements in the same order (tests/exec/parallel_determinism_test.cc
+ * pins this down against ExperimentRunner on every execution tier).
  *
  * RunCell is the owned form of one run's parameters, and makeRunCell()
  * the one recipe that builds it: the cell executor
@@ -182,8 +181,8 @@ class RunContext
     {
         Finished,  //!< run complete; no step pending
         NoWalk,    //!< step needs no memory walk: call advanceFinish()
-        Walk,      //!< walk pending: fuse soc().walkJob() or walk
-                   //!< locally, then advanceFinish()
+        Walk,      //!< walk pending: run soc().tickWalkLocal(), then
+                   //!< advanceFinish()
     };
 
     RunContext(const ExperimentConfig &config, const Params &params);
@@ -291,7 +290,7 @@ class RunContext
 
 /**
  * One independent run with everything its RunContext borrows, owned,
- * so a cell can be built where it runs and outlive any lane batch.
+ * so a cell can be built where it runs and outlive the caller's loop.
  * @ref params points into the members below; they live on the heap,
  * so a moved cell stays valid.
  */

@@ -4,11 +4,9 @@
 #include <csignal>
 #include <optional>
 
-#include "common/lanes.hh"
 #include "common/rng.hh"
 #include "exec/proc/supervisor.hh"
 #include "obs/trace.hh"
-#include "sim/lane_batch.hh"
 
 namespace dora
 {
@@ -55,12 +53,10 @@ CellExecutor::CellExecutor(CellTiers tiers) : tiers_(std::move(tiers))
 {
     if (tiers_.jobs == 0)
         tiers_.jobs = defaultJobCount();
-    if (tiers_.lanes == 0)
-        tiers_.lanes = defaultLaneCount();
 }
 
-std::vector<CellExecutor::Unit>
-CellExecutor::planUnits(size_t first, size_t count,
+std::vector<CellExecutor::Gang>
+CellExecutor::planGangs(size_t first, size_t count,
                         const CellFn &make_cell) const
 {
     std::vector<Gang> gangs;
@@ -81,22 +77,15 @@ CellExecutor::planUnits(size_t first, size_t count,
         }
         gangs.push_back({i});
     }
-
-    std::vector<Unit> units;
-    for (size_t g = 0; g < gangs.size(); g += tiers_.lanes)
-        units.emplace_back(
-            gangs.begin() + g,
-            gangs.begin() + std::min(gangs.size(), g + tiers_.lanes));
-    // A unit of several cells takes about as long as its passes; run
+    // A gang of several cells takes about as long as its passes; run
     // last, it would leave the other threads idle at the end.
-    std::stable_partition(units.begin(), units.end(), [](const Unit &u) {
-        return u.size() > 1 || u.front().size() > 1;
-    });
-    return units;
+    std::stable_partition(gangs.begin(), gangs.end(),
+                          [](const Gang &g) { return g.size() > 1; });
+    return gangs;
 }
 
 void
-CellExecutor::runUnit(const Unit &unit, const CellFn &make_cell,
+CellExecutor::runGang(const Gang &gang, const CellFn &make_cell,
                       const MeasuredFn &measured) const
 {
     static MetricCounter &rider_cells =
@@ -105,41 +94,35 @@ CellExecutor::runUnit(const Unit &unit, const CellFn &make_cell,
         MetricsRegistry::global().counter("runner.rider_drops");
 
     std::map<size_t, RunMeasurement> resolved;
-    std::vector<Gang> pending = unit;  // unresolved cells per gang
+    Gang pending = gang;  // unresolved cells
     while (!pending.empty()) {
-        // One pass: each gang builds its unresolved cells afresh; the
-        // first leads and the others ride it.
-        std::vector<std::vector<RunCell>> cells(pending.size());
-        std::vector<LaneBatchSimulator::LaneSpec> specs;
-        for (size_t g = 0; g < pending.size(); ++g) {
-            for (size_t i : pending[g])
-                cells[g].push_back(make_cell(i));
-            RunCell &leader = cells[g].front();
-            for (size_t r = 1; r < cells[g].size(); ++r)
-                leader.params.riders.push_back(
-                    cells[g][r].params.governor);
-            specs.push_back({leader.config, leader.params});
-        }
-        LaneBatchSimulator batch(specs);
-        std::vector<RunMeasurement> ms = batch.finishAll();
+        // One pass: build the unresolved cells afresh; the first leads
+        // and the others ride it.
+        std::vector<RunCell> cells;
+        for (size_t i : pending)
+            cells.push_back(make_cell(i));
+        RunCell &leader = cells.front();
+        for (size_t r = 1; r < cells.size(); ++r)
+            leader.params.riders.push_back(cells[r].params.governor);
+        RunContext run(leader.config, leader.params);
+        while (!run.done())
+            run.advance();
+        RunMeasurement m = run.finish();
 
-        for (size_t g = 0; g < pending.size(); ++g) {
-            Gang dropped;
-            for (size_t r = 1; r < pending[g].size(); ++r) {
-                if (!batch.lane(g).riderKept(r - 1)) {
-                    dropped.push_back(pending[g][r]);
-                    rider_drops.add();
-                    continue;
-                }
-                RunMeasurement m = ms[g];
-                m.governor = cells[g][r].params.governor->name();
-                resolved.emplace(pending[g][r], std::move(m));
-                rider_cells.add();
+        Gang dropped;
+        for (size_t r = 1; r < pending.size(); ++r) {
+            if (!run.riderKept(r - 1)) {
+                dropped.push_back(pending[r]);
+                rider_drops.add();
+                continue;
             }
-            resolved.emplace(pending[g].front(), std::move(ms[g]));
-            pending[g] = std::move(dropped);
+            RunMeasurement ridden = m;
+            ridden.governor = cells[r].params.governor->name();
+            resolved.emplace(pending[r], std::move(ridden));
+            rider_cells.add();
         }
-        std::erase_if(pending, [](const Gang &g) { return g.empty(); });
+        resolved.emplace(pending.front(), std::move(m));
+        pending = std::move(dropped);
     }
     for (auto &[cell, m] : resolved)
         measured(cell, std::move(m));
@@ -150,20 +133,10 @@ CellExecutor::runCells(size_t first, size_t count, const CellFn &make_cell,
                        const MeasuredFn &measured) const
 {
     OrderedSink<RunMeasurement> sink(measured, first);
-    for (const Unit &unit : planUnits(first, count, make_cell))
-        runUnit(unit, make_cell, [&sink](size_t i, RunMeasurement &&m) {
+    for (const Gang &gang : planGangs(first, count, make_cell))
+        runGang(gang, make_cell, [&sink](size_t i, RunMeasurement &&m) {
             sink.deliver(i, std::move(m));
         });
-}
-
-std::vector<size_t>
-CellExecutor::unitCells(const Unit &unit)
-{
-    std::vector<size_t> cells;
-    for (const Gang &gang : unit)
-        cells.insert(cells.end(), gang.begin(), gang.end());
-    std::sort(cells.begin(), cells.end());
-    return cells;
 }
 
 std::vector<RunMeasurement>
@@ -179,20 +152,17 @@ CellExecutor::measure(size_t n, const CellFn &make_cell,
 
 uint64_t
 CellExecutor::planCampaignHash(uint64_t hash, size_t n,
-                               const std::vector<Unit> &units)
+                               const std::vector<Gang> &gangs)
 {
-    // A unit ships its cells' results packed in ascending cell order,
-    // so the plan (which cells each unit holds, in which gangs) shapes
-    // the journal's unit space.
+    // A unit ships its gang's results packed in ascending cell order,
+    // so the plan (which cells each unit holds) shapes the journal's
+    // unit space.
     std::string plan = "gang-units " + hexU64(hash) + " cells " +
         std::to_string(n);
-    for (const Unit &unit : units) {
-        plan += " |";
-        for (const Gang &gang : unit) {
-            plan += " ";
-            for (size_t i : gang)
-                plan += std::to_string(i) + ",";
-        }
+    for (const Gang &gang : gangs) {
+        plan += " | ";
+        for (size_t i : gang)
+            plan += std::to_string(i) + ",";
     }
     return hashLabel(plan);
 }

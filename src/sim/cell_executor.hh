@@ -10,11 +10,10 @@
  * its first unresolved cell leads, and the others ride it for as long
  * as they request the leader's OPP indices (DESIGN.md §5m). A cell is
  * built once on the calling thread to plan the gangs, and again where
- * it runs. The executor advances the leaders of up to `lanes` gangs
- * per LaneBatchSimulator pass (lanes=1 is a one-lane batch, the plain
- * per-run loop), groups the gangs into work units (up to `lanes` gangs
- * per unit for a flat grid, or a caller's larger unit such as a fleet
- * chunk), and fans the units out through exactly one tier:
+ * it runs. Each gang leader runs as one plain RunContext
+ * (`while (!done()) advance(); finish()`). A flat grid's work unit is
+ * one gang; a caller may run larger units of its own, such as a fleet
+ * chunk. The units fan out through exactly one tier:
  *
  *   workers == 0  one parallelFor() over the units on `jobs` threads
  *                 (jobs=1 is its serial loop on the calling thread);
@@ -26,9 +25,9 @@
  * On both tiers each unit's result reaches the caller's consumer in
  * unit order, in the calling process, as soon as every earlier unit
  * has landed. Results are therefore bit-identical under every
- * (jobs, workers, lanes) combination, and memory holds only the units
- * that finished ahead of an earlier one. A flat grid dispatches its
- * multi-cell units first and still returns its results in cell order.
+ * (jobs, workers) combination, and memory holds only the units that
+ * finished ahead of an earlier one. A flat grid dispatches its
+ * multi-cell gangs first and still returns its results in cell order.
  */
 
 #ifndef DORA_SIM_CELL_EXECUTOR_HH
@@ -53,15 +52,13 @@ namespace dora
 {
 
 /**
- * Execution tiers: pure throughput policy, never identity. 0 resolves
- * once, in the CellExecutor constructor: jobs to defaultJobCount(),
- * lanes to defaultLaneCount().
+ * Execution tiers: pure throughput policy, never identity. A jobs of 0
+ * resolves once, in the CellExecutor constructor, to defaultJobCount().
  */
 struct CellTiers
 {
     unsigned jobs = 0;     //!< threads (unused when workers > 0)
     unsigned workers = 0;  //!< worker subprocesses; 0 = in-process
-    unsigned lanes = 0;    //!< cells per lane batch
     /** Process-tier journal `<stem>.<hash>.jrn`; empty = none. */
     std::string journalStem;
 };
@@ -110,7 +107,7 @@ class CellExecutor
 
     /**
      * Run cells [first, first + count) on the calling thread as
-     * planned units; @p measured gets each cell's measurement in cell
+     * planned gangs; @p measured gets each cell's measurement in cell
      * order as soon as every earlier cell has one.
      */
     void runCells(size_t first, size_t count, const CellFn &make_cell,
@@ -128,8 +125,8 @@ class CellExecutor
                      const CellCampaign &campaign) const;
 
     /**
-     * The grid [0, n) as per-cell results in grid order. Units are
-     * planned gangs. @p finish turns a measurement into the result
+     * The grid [0, n) as per-cell results in grid order. Each unit is
+     * one planned gang. @p finish turns a measurement into the result
      * where its cell ran, so only results are kept and shipped. The
      * journal identity is @p campaign's hash plus n and the unit plan.
      */
@@ -153,28 +150,22 @@ class CellExecutor
      */
     using Gang = std::vector<size_t>;
 
-    /** Up to `lanes` gangs whose leaders share a lane batch per pass. */
-    using Unit = std::vector<Gang>;
-
     /**
-     * Plan cells [first, first + count) into units: build each cell
+     * Plan cells [first, first + count) into gangs: build each cell
      * once, on the calling thread, to read its gang key; group cells
-     * with equal keys into gangs in first-cell order; pack `lanes`
-     * gangs per unit; and put units of more than one cell first.
+     * with equal keys in first-cell order; and put gangs of more than
+     * one cell first.
      */
-    std::vector<Unit> planUnits(size_t first, size_t count,
+    std::vector<Gang> planGangs(size_t first, size_t count,
                                 const CellFn &make_cell) const;
 
     /**
-     * Run @p unit on the calling thread from freshly built cells, one
-     * lane batch of gang leaders per pass, until every cell has a
-     * measurement; @p measured gets them in ascending cell order.
+     * Run @p gang on the calling thread from freshly built cells, one
+     * leader run per pass, until every cell has a measurement;
+     * @p measured gets them in ascending cell order.
      */
-    void runUnit(const Unit &unit, const CellFn &make_cell,
+    void runGang(const Gang &gang, const CellFn &make_cell,
                  const MeasuredFn &measured) const;
-
-    /** The cells of @p unit, ascending. */
-    static std::vector<size_t> unitCells(const Unit &unit);
 
     /**
      * The process-tier arm of forEachUnit(). @p accept decodes and
@@ -187,9 +178,9 @@ class CellExecutor
         const std::function<bool(uint64_t, const std::string &)> &accept,
         const std::function<void(uint64_t)> &recompute) const;
 
-    /** Journal identity of a grid of @p n cells run as @p units. */
+    /** Journal identity of a grid of @p n cells run as @p gangs. */
     static uint64_t planCampaignHash(uint64_t hash, size_t n,
-                                     const std::vector<Unit> &units);
+                                     const std::vector<Gang> &gangs);
 
     CellTiers tiers_;
 };
@@ -266,8 +257,8 @@ CellExecutor::mapCells(
     const std::function<R(size_t, RunMeasurement &&)> &finish,
     const WireCodec<R> &codec, CellCampaign campaign) const
 {
-    const std::vector<Unit> units = planUnits(0, n, make_cell);
-    campaign.hash = planCampaignHash(campaign.hash, n, units);
+    const std::vector<Gang> gangs = planGangs(0, n, make_cell);
+    campaign.hash = planCampaignHash(campaign.hash, n, gangs);
     MetricCounter *done = nullptr;
     if (campaign.queuedMetric)
         MetricsRegistry::global().counter(campaign.queuedMetric).add(n);
@@ -297,23 +288,23 @@ CellExecutor::mapCells(
 
     std::vector<R> out(n);
     forEachUnit<Batch>(
-        units.size(),
+        gangs.size(),
         [&](size_t u) {
             Batch batch;
-            runUnit(units[u], make_cell,
+            runGang(gangs[u], make_cell,
                     [&](size_t i, RunMeasurement &&m) {
                         batch.push_back(finish(i, std::move(m)));
                     });
             return batch;
         },
         [&](size_t u, Batch &&batch) {
-            const std::vector<size_t> cells = unitCells(units[u]);
-            if (batch.size() != cells.size())
+            const Gang &gang = gangs[u];
+            if (batch.size() != gang.size())
                 fatal("%s: unit %zu holds %zu cells, not %zu",
                       campaign.name.c_str(), u, batch.size(),
-                      cells.size());
-            for (size_t k = 0; k < cells.size(); ++k)
-                out[cells[k]] = std::move(batch[k]);
+                      gang.size());
+            for (size_t k = 0; k < gang.size(); ++k)
+                out[gang[k]] = std::move(batch[k]);
             if (done)
                 done->add(batch.size());
         },

@@ -66,11 +66,9 @@ class Simulator
     /**
      * First half of step(): collect task demands and run Soc::tickBegin.
      * Returns true when the tick needs a hierarchy walk; the caller
-     * must then run it (soc().tickWalkLocal(), or a fused walk via
-     * soc().walkJob() + soc().tickWalkStore()) before stepFinish().
-     * step() is exactly stepBegin + [tickWalkLocal] + stepFinish; the
-     * split lets a lane batch fuse the walks of many simulators into
-     * one MemSystem::tickSampleMany() call (DESIGN.md §5g).
+     * must then run soc().tickWalkLocal() before stepFinish(). step()
+     * is exactly stepBegin + [tickWalkLocal] + stepFinish; the split
+     * lets a caller time the walk on its own.
      */
     bool stepBegin();
 

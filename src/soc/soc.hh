@@ -104,28 +104,18 @@ class Soc
     /**
      * First half of tick(): stall haircut, per-core sample planning,
      * and the adaptive reuse decision. Returns true when this tick
-     * needs a hierarchy walk — the caller must then run the walk
-     * (tickWalkLocal(), or a fused MemSystem::tickSampleMany() over
-     * walkJob() followed by tickWalkStore()) before tickFinish().
-     * When false, cached rates were already filled in and tickFinish()
-     * may run directly. tick() is exactly tickBegin + [tickWalkLocal]
-     * + tickFinish; the split exists so a lane batch can advance many
-     * Socs through one fused walk (DESIGN.md §5g). The operating point
-     * must not change between the two halves.
+     * needs a hierarchy walk — the caller must then run
+     * tickWalkLocal() before tickFinish(). When false, cached rates
+     * were already filled in and tickFinish() may run directly. tick()
+     * is exactly tickBegin + [tickWalkLocal] + tickFinish; the split
+     * lets a caller time the walk on its own (the repository
+     * benchmark's per-layer ledger does). The operating point must not
+     * change between the two halves.
      */
     bool tickBegin(const std::vector<TaskDemand> &demands, double dt_sec);
 
-    /** Run this tick's hierarchy walk locally (the unfused path). */
+    /** Run this tick's hierarchy walk and store its rates. */
     void tickWalkLocal();
-
-    /**
-     * This tick's walk job for MemSystem::tickSampleMany(): the
-     * hierarchy plus the request/result scratch planned by tickBegin().
-     */
-    MemSystem::WalkJob walkJob();
-
-    /** Commit externally computed walk results (after walkJob()). */
-    void tickWalkStore();
 
     /** Second half of tick(): core timing, accounting, DRAM close. */
     void tickFinish(double dt_sec, SocTickSummary &summary);

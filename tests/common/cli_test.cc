@@ -3,12 +3,14 @@
  * Tests for the shared CLI/env parsing helpers (common/cli.hh) and
  * the silent-misconfiguration regressions they fix:
  *
- *  - a trailing flag with a missing value (`bench --lanes`) used to be
- *    silently ignored by the --lanes/--jobs/--trace parsers; it must
- *    now exit fatally with a diagnostic naming the flag;
- *  - an empty-but-set environment variable (`export DORA_LANES=`) used
+ *  - a trailing flag with a missing value (`bench --jobs`) used to be
+ *    silently ignored by the --jobs/--trace parsers; it must now exit
+ *    fatally with a diagnostic naming the flag;
+ *  - an empty-but-set environment variable (`export DORA_JOBS=`) used
  *    to behave exactly like an unset one; it must now warn (once,
- *    rate-limited) and then fall back.
+ *    rate-limited) and then fall back;
+ *  - a misspelt flag (`dora-fleet --fleet-devcies 5000`) used to be
+ *    ignored; cliRejectUnknownArgs() makes it fatal.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +20,6 @@
 #include <vector>
 
 #include "common/cli.hh"
-#include "common/lanes.hh"
 #include "common/logging.hh"
 #include "exec/thread_pool.hh"
 #include "obs/trace.hh"
@@ -81,18 +82,18 @@ TEST(CliFlagValue, AbsentFlagReturnsNullopt)
 {
     Argv args({"bench", "--other", "7"});
     EXPECT_FALSE(
-        cliFlagValue(args.argc(), args.argv(), "--lanes").has_value());
+        cliFlagValue(args.argc(), args.argv(), "--workers").has_value());
 }
 
 TEST(CliFlagValue, SeparatedAndInlineSpellings)
 {
-    Argv separated({"bench", "--lanes", "8"});
+    Argv separated({"bench", "--workers", "8"});
     EXPECT_EQ(cliFlagValue(separated.argc(), separated.argv(),
-                           "--lanes"),
+                           "--workers"),
               "8");
 
-    Argv inlined({"bench", "--lanes=16"});
-    EXPECT_EQ(cliFlagValue(inlined.argc(), inlined.argv(), "--lanes"),
+    Argv inlined({"bench", "--workers=16"});
+    EXPECT_EQ(cliFlagValue(inlined.argc(), inlined.argv(), "--workers"),
               "16");
 }
 
@@ -100,36 +101,64 @@ TEST(CliFlagValue, LastOccurrenceWins)
 {
     // Wrapper scripts append overrides, so later flags must shadow
     // earlier ones in both spellings.
-    Argv args({"bench", "--lanes", "2", "--lanes=4", "--lanes", "6"});
-    EXPECT_EQ(cliFlagValue(args.argc(), args.argv(), "--lanes"), "6");
+    Argv args(
+        {"bench", "--workers", "2", "--workers=4", "--workers", "6"});
+    EXPECT_EQ(cliFlagValue(args.argc(), args.argv(), "--workers"), "6");
 }
 
 TEST(CliFlagValue, PrefixIsNotAMatch)
 {
-    // --lanes must not swallow --lanes-foo (and vice versa).
-    Argv args({"bench", "--lanes-foo", "3"});
+    // --workers must not swallow --workers-foo (and vice versa).
+    Argv args({"bench", "--workers-foo", "3"});
     EXPECT_FALSE(
-        cliFlagValue(args.argc(), args.argv(), "--lanes").has_value());
+        cliFlagValue(args.argc(), args.argv(), "--workers").has_value());
+}
+
+TEST(CliRejectUnknownArgs, AcceptsEverySpellingOfKnownFlags)
+{
+    // Separated and inline values, a value that looks like a flag, and
+    // a switch: nothing here is unknown.
+    Argv args({"tool", "--seed", "3", "--name=--odd", "--fast",
+               "--name", "--seed"});
+    cliRejectUnknownArgs(args.argc(), args.argv(), "tool",
+                         {"--seed", "--name"}, {"--fast"});
 }
 
 using CliDeath = ::testing::Test;
 
+TEST(CliDeath, UnknownArgumentIsFatal)
+{
+    const auto reject = [](std::initializer_list<const char *> line) {
+        Argv args(line);
+        cliRejectUnknownArgs(args.argc(), args.argv(), "tool",
+                             {"--seed", "--name"}, {"--fast"});
+    };
+    // A misspelt flag, another tool's flag, a prefix of a known one, a
+    // stray positional and a switch given a value.
+    EXPECT_EXIT(reject({"tool", "--seed", "1", "--sede", "5"}),
+                ::testing::ExitedWithCode(1),
+                "tool: unknown argument '--sede'");
+    EXPECT_EXIT(reject({"tool", "--jobs", "4"}),
+                ::testing::ExitedWithCode(1),
+                "tool: unknown argument '--jobs'");
+    EXPECT_EXIT(reject({"tool", "--seedling=2"}),
+                ::testing::ExitedWithCode(1),
+                "tool: unknown argument '--seedling=2'");
+    EXPECT_EXIT(reject({"tool", "--seed", "1", "2"}),
+                ::testing::ExitedWithCode(1), "tool: unknown argument '2'");
+    EXPECT_EXIT(reject({"tool", "--fast=1"}), ::testing::ExitedWithCode(1),
+                "tool: unknown argument '--fast=1'");
+}
+
 TEST(CliDeath, TrailingFlagWithoutValueIsFatal)
 {
-    Argv args({"bench", "--lanes"});
-    EXPECT_EXIT(cliFlagValue(args.argc(), args.argv(), "--lanes"),
-                ::testing::ExitedWithCode(1), "--lanes: missing value");
+    Argv args({"bench", "--workers"});
+    EXPECT_EXIT(cliFlagValue(args.argc(), args.argv(), "--workers"),
+                ::testing::ExitedWithCode(1), "--workers: missing value");
 }
 
-// The three historical offenders: each parser silently ignored a
-// trailing flag before they were routed through cliFlagValue().
-
-TEST(CliDeath, TrailingLanesFlagIsFatal)
-{
-    Argv args({"bench", "--lanes"});
-    EXPECT_EXIT(laneCountFromArgs(args.argc(), args.argv()),
-                ::testing::ExitedWithCode(1), "--lanes: missing value");
-}
+// The historical offenders: each parser silently ignored a trailing
+// flag before they were routed through cliFlagValue().
 
 TEST(CliDeath, TrailingJobsFlagIsFatal)
 {
@@ -147,18 +176,18 @@ TEST(CliDeath, TrailingTraceFlagIsFatal)
 
 TEST(CliDeath, MalformedIntIsFatal)
 {
-    EXPECT_EXIT(cliParseInt("4x", "--lanes", 1, 4096),
-                ::testing::ExitedWithCode(1), "--lanes");
+    EXPECT_EXIT(cliParseInt("4x", "--workers", 0, 1024),
+                ::testing::ExitedWithCode(1), "--workers");
     EXPECT_EXIT(cliParseInt("", "--jobs", 1, 1024),
                 ::testing::ExitedWithCode(1), "--jobs");
 }
 
 TEST(CliDeath, OutOfRangeIntIsFatal)
 {
-    EXPECT_EXIT(cliParseInt("0", "--lanes", 1, 4096),
-                ::testing::ExitedWithCode(1), "--lanes");
-    EXPECT_EXIT(cliParseInt("5000", "--lanes", 1, 4096),
-                ::testing::ExitedWithCode(1), "--lanes");
+    EXPECT_EXIT(cliParseInt("-1", "--workers", 0, 1024),
+                ::testing::ExitedWithCode(1), "--workers");
+    EXPECT_EXIT(cliParseInt("5000", "--workers", 0, 1024),
+                ::testing::ExitedWithCode(1), "--workers");
 }
 
 TEST(CliDeath, MalformedDoubleIsFatal)
@@ -173,7 +202,7 @@ TEST(CliDeath, MalformedDoubleIsFatal)
 
 TEST(CliParse, AcceptsValuesInsideRange)
 {
-    EXPECT_EQ(cliParseInt("8", "--lanes", 1, 4096), 8);
+    EXPECT_EQ(cliParseInt("8", "--workers", 0, 1024), 8);
     EXPECT_EQ(cliParseInt("1", "--jobs", 1, 1024), 1);
     EXPECT_DOUBLE_EQ(cliParseDouble("0.25", "--x", 0.0, 1.0), 0.25);
 }
@@ -221,19 +250,6 @@ TEST(EnvNonEmpty, EmptyWarningIsRateLimited)
     // "suppressing further repeats" notice.
     EXPECT_LE(lines, warnEmitLimit() + 1);
     EXPECT_GE(warnSuppressedTotal(), 10u);
-    resetWarnSuppression();
-}
-
-TEST(EnvNonEmpty, EmptyLanesVarFallsBackToOneLane)
-{
-    // End-to-end: `export DORA_LANES=` must behave like unset (one
-    // lane), not crash, not pick a stale value.
-    ScopedEnv env("DORA_LANES", "");
-    resetWarnSuppression();
-    ::testing::internal::CaptureStderr();
-    EXPECT_EQ(defaultLaneCount(), 1u);
-    const std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("DORA_LANES"), std::string::npos) << err;
     resetWarnSuppression();
 }
 

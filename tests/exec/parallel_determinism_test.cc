@@ -1,11 +1,14 @@
 /**
  * @file
  * End-to-end determinism of the parallel experiment engine: the same
- * comparison run through the harness at jobs=1 and jobs=4 must produce
- * RunMeasurement vectors bit-identical to a plain loop of
- * ExperimentRunner::run() on one runner (the runOne() path, which the
- * cell executor does not run) — including when a non-zero
- * fault-injection schedule is active on the signal path.
+ * comparison run through the harness at jobs=1, at jobs=4 and on 2
+ * worker processes must produce RunMeasurement vectors bit-identical
+ * to a plain loop of ExperimentRunner::run() on one runner (the
+ * runOne() path, which the cell executor does not run) — in adaptive
+ * and exact-ticks mode, each with and without a non-zero
+ * fault-injection schedule on the signal path. The trainer's
+ * measurement campaign must likewise match runAtFrequency() on every
+ * tier.
  *
  * Identity is checked through runMeasurementText(), which renders
  * every double as a hex float, so any single-ULP divergence fails.
@@ -19,10 +22,15 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "browser/page_corpus.hh"
 #include "common/exact_ticks.hh"
+#include "dora/features.hh"
+#include "dora/sample_io.hh"
+#include "dora/trainer.hh"
 #include "fault/fault_injector.hh"
 #include "fault/fault_schedule.hh"
 #include "harness/comparison.hh"
@@ -48,11 +56,28 @@ cheapWorkloads()
 /** Model-free governors so no training campaign is needed. */
 const std::vector<std::string> kGovernors = {"interactive", "ondemand"};
 
+/** One execution tier of the cell executor. */
+struct Tier
+{
+    unsigned jobs = 1;
+    unsigned workers = 0;
+
+    std::string name() const
+    {
+        return "jobs=" + std::to_string(jobs) +
+            " workers=" + std::to_string(workers);
+    }
+};
+
+/** The tiers every identity check runs: serial, threads, processes. */
+const Tier kTiers[] = {{1, 0}, {4, 0}, {1, 2}};
+
 std::vector<std::string>
-comparisonTexts(unsigned jobs, FaultInjector *injector,
+comparisonTexts(const Tier &tier, FaultInjector *injector,
                 const std::vector<std::string> &governors = kGovernors)
 {
-    ComparisonHarness harness(ExperimentConfig{}, nullptr, jobs);
+    ComparisonHarness harness(ExperimentConfig{}, nullptr, tier.jobs);
+    harness.setWorkers(tier.workers);
     if (injector)
         harness.runner().setFaultInjector(injector);
     const auto records = harness.runAll(cheapWorkloads(), governors);
@@ -214,9 +239,17 @@ expectSameTexts(const std::vector<std::string> &want,
 
 TEST(ParallelDeterminism, FaultFreeComparisonBitIdentical)
 {
-    const auto reference = loopTexts(nullptr);
-    expectSameTexts(reference, comparisonTexts(1, nullptr), "jobs=1");
-    expectSameTexts(reference, comparisonTexts(4, nullptr), "jobs=4");
+    ModeGuard guard;
+    for (bool exact : {false, true}) {
+        setExactTicksMode(exact);
+        const auto reference = loopTexts(nullptr);
+        for (const Tier &tier : kTiers) {
+            const std::string what =
+                (exact ? "exact " : "adaptive ") + tier.name();
+            expectSameTexts(reference, comparisonTexts(tier, nullptr),
+                            what.c_str());
+        }
+    }
 }
 
 TEST(ParallelDeterminism, DegradedPredictiveGovernorsRideOneRun)
@@ -235,7 +268,7 @@ TEST(ParallelDeterminism, DegradedPredictiveGovernorsRideOneRun)
         const uint64_t drops0 = drops.value();
         const std::string what = "jobs=" + std::to_string(jobs);
         expectSameTexts(reference,
-                        comparisonTexts(jobs, nullptr, governors),
+                        comparisonTexts({jobs, 0}, nullptr, governors),
                         what.c_str());
         EXPECT_EQ(riders.value() - riders0, 2 * cheapWorkloads().size())
             << what;
@@ -246,29 +279,35 @@ TEST(ParallelDeterminism, DegradedPredictiveGovernorsRideOneRun)
 TEST(ParallelDeterminism, FaultedComparisonBitIdentical)
 {
     // A non-trivial schedule: sensor + actuator + thermal faults all
-    // active. The harness clones the schedule into per-job injectors;
+    // active. The harness clones the schedule into per-cell injectors;
     // because injectors reset their deterministic stream at the start
     // of every run, the clones must reproduce the serial measurements
-    // exactly.
+    // exactly, in exact-ticks mode too.
+    ModeGuard guard;
     const FaultSchedule schedule = FaultSchedule::combined(1234);
     FaultInjector serial_injector(schedule);
     FaultInjector parallel_injector(schedule);
+    for (bool exact : {false, true}) {
+        setExactTicksMode(exact);
+        const char *mode = exact ? "exact " : "adaptive ";
+        const auto serial = loopTexts(&serial_injector);
+        for (const Tier &tier : kTiers) {
+            const std::string what = mode + tier.name();
+            expectSameTexts(serial,
+                            comparisonTexts(tier, &parallel_injector),
+                            what.c_str());
+        }
 
-    const auto serial = loopTexts(&serial_injector);
-    expectSameTexts(serial, comparisonTexts(1, &parallel_injector),
-                    "jobs=1");
-    expectSameTexts(serial, comparisonTexts(4, &parallel_injector),
-                    "jobs=4");
-
-    // The schedule must actually have fired: a faulted interactive run
-    // differs from the fault-free one (otherwise this test would be
-    // vacuous).
-    const auto clean = loopTexts(nullptr);
-    bool any_difference = false;
-    for (size_t i = 0; i < serial.size(); ++i)
-        any_difference = any_difference || serial[i] != clean[i];
-    EXPECT_TRUE(any_difference)
-        << "combined fault schedule was a no-op on every cell";
+        // The schedule must actually have fired: a faulted run differs
+        // from the fault-free one (otherwise this test would be
+        // vacuous).
+        const auto clean = loopTexts(nullptr);
+        bool any_difference = false;
+        for (size_t i = 0; i < serial.size(); ++i)
+            any_difference = any_difference || serial[i] != clean[i];
+        EXPECT_TRUE(any_difference)
+            << mode << "combined fault schedule was a no-op on every cell";
+    }
 }
 
 TEST(ParallelDeterminism, OfflineOptBitIdenticalAndOrderInvariant)
@@ -338,16 +377,65 @@ TEST(ParallelDeterminism, OfflineOptCutEdges)
         const char *mode = exact ? "exact" : "adaptive";
         EXPECT_EQ(check(sweep[f].loadTimeSec, mode), f)
             << mode << ": deadline = load time at OPP " << f;
+
+        // Nothing meets a deadline <= 0: every non-max cell is cut (at
+        // -1 s its window is empty) and the uncut max-OPP run is the
+        // fallback.
+        const std::string zero = std::string(mode) + " deadline 0";
+        const std::string minus = std::string(mode) + " deadline -1";
+        EXPECT_EQ(check(0.0, zero.c_str()), sweep.size() - 1);
+        EXPECT_EQ(check(-1.0, minus.c_str()), sweep.size() - 1);
     }
     setExactTicksMode(false);
 
-    // Nothing meets a deadline <= 0: every non-max cell is cut (at -1 s
-    // its window is empty) and the uncut max-OPP run is the fallback.
-    EXPECT_EQ(check(0.0, "deadline 0"), sweep.size() - 1);
-    EXPECT_EQ(check(-1.0, "deadline -1"), sweep.size() - 1);
     // No finite cut wall, or none below maxLoadSec: nothing is cut.
     EXPECT_EQ(check(std::numeric_limits<double>::quiet_NaN(), "NaN"), 0u);
     EXPECT_EQ(check(cutConfig().maxLoadSec, "deadline = wall"), 0u);
+}
+
+TEST(ParallelDeterminism, TrainerSamplesBitIdentical)
+{
+    // Two paged workloads x two OPPs; a short load wall keeps the
+    // campaign cheap (a censored page is still a deterministic
+    // measurement).
+    ExperimentConfig config;
+    config.maxLoadSec = 1.0;
+    auto workloads = WorkloadSets::webpageInclusive();
+    workloads.resize(2);
+    const std::vector<size_t> freqs = {0, 5};
+
+    // The reference: runAtFrequency() in turn on one runner, each
+    // measurement turned into its sample by hand.
+    ExperimentRunner runner(config);
+    std::vector<std::string> reference;
+    for (const auto &w : workloads)
+        for (size_t f : freqs) {
+            const RunMeasurement m = runner.runAtFrequency(w, f);
+            const OperatingPoint &opp = runner.freqTable().opp(f);
+            TrainingSample s;
+            s.x = buildFeatureVector(w.page->features, m.meanL2Mpki,
+                                     opp.coreMhz, opp.busMhz,
+                                     m.meanCorunUtil);
+            s.busMhz = opp.busMhz;
+            s.voltage = opp.voltage;
+            s.loadTimeSec = m.loadTimeSec;
+            s.meanPowerW = m.meanPowerW;
+            s.meanTempC = m.meanTempC;
+            reference.push_back(serializeTrainingSample(s));
+        }
+
+    for (const unsigned workers : {0u, 2u}) {
+        TrainerConfig tc;
+        tc.experiment = config;
+        tc.jobs = 1;
+        tc.workers = workers;
+        Trainer trainer(tc);
+        std::vector<std::string> got;
+        for (const auto &s : trainer.collectSamples(workloads, freqs))
+            got.push_back(serializeTrainingSample(s));
+        const std::string what = "workers=" + std::to_string(workers);
+        expectSameTexts(reference, got, what.c_str());
+    }
 }
 
 TEST(ParallelDeterminism, DigestMatchesTextEquality)

@@ -5,7 +5,7 @@
  *  - sampleDevice() is deterministic, order-independent, in-range,
  *    and stable against faultIncidence flips;
  *  - the same FleetSpec produces a byte-identical population and
- *    aggregate report at every (jobs, workers, lanes) combination;
+ *    aggregate report at every (jobs, workers) combination;
  *  - replayDevice() reproduces an in-campaign cell bit-exactly;
  *  - a supervisor SIGKILLed mid-campaign resumes from the journal to
  *    a byte-identical report;
@@ -32,8 +32,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "dora/trainer.hh"
 #include "fleet/campaign.hh"
 #include "fleet/fleet_spec.hh"
+#include "harness/comparison.hh"
 #include "obs/metrics.hh"
 #include "runner/experiment.hh"
 
@@ -50,8 +52,7 @@ namespace
  * fault incidence high enough that the fault path is exercised.
  */
 FleetCampaignConfig
-smallCampaign(unsigned jobs, unsigned workers, unsigned lanes,
-              const std::string &stem = "")
+smallCampaign(unsigned jobs, unsigned workers, const std::string &stem = "")
 {
     FleetCampaignConfig config;
     config.spec.seed = 7;
@@ -61,7 +62,6 @@ smallCampaign(unsigned jobs, unsigned workers, unsigned lanes,
     config.base.maxLoadSec = 1.0;
     config.jobs = jobs;
     config.workers = workers;
-    config.lanes = lanes;
     config.journalStem = stem;
     return config;
 }
@@ -190,33 +190,30 @@ TEST(FleetSpec, FaultIncidenceFlipPerturbsNoOtherDraw)
 
 TEST(FleetDeterminism, TierCombinationsAreByteIdentical)
 {
-    FleetEngine baseline(smallCampaign(1, 0, 1));
+    FleetEngine baseline(smallCampaign(1, 0));
     const FleetReport ref = baseline.run();
     const std::string ref_text = fleetReportText(ref);
     ASSERT_FALSE(ref_text.empty());
 
     struct Combo
     {
-        unsigned jobs, workers, lanes;
+        unsigned jobs, workers;
     };
-    // Thread tier, lane tier, process tier, and an uneven tail batch
-    // (5 devices x 2 governors = 10 cells; lanes=3 leaves a rump).
-    const Combo combos[] = {{2, 0, 2}, {1, 0, 3}, {1, 2, 2}};
+    // Thread tier and process tier (an uneven fan-out at 3 workers).
+    const Combo combos[] = {{2, 0}, {4, 0}, {1, 2}, {1, 3}};
     for (const Combo &c : combos) {
-        FleetEngine engine(smallCampaign(c.jobs, c.workers, c.lanes));
+        FleetEngine engine(smallCampaign(c.jobs, c.workers));
         const FleetReport report = engine.run();
         EXPECT_EQ(report.populationDigest, ref.populationDigest)
-            << "jobs=" << c.jobs << " workers=" << c.workers
-            << " lanes=" << c.lanes;
+            << "jobs=" << c.jobs << " workers=" << c.workers;
         EXPECT_EQ(fleetReportText(report), ref_text)
-            << "jobs=" << c.jobs << " workers=" << c.workers
-            << " lanes=" << c.lanes;
+            << "jobs=" << c.jobs << " workers=" << c.workers;
     }
 }
 
 TEST(FleetDeterminism, ReplayMatchesInCampaignCell)
 {
-    FleetEngine engine(smallCampaign(1, 0, 4));
+    FleetEngine engine(smallCampaign(1, 0));
     const auto cells = engine.runAllCells();
     const auto &governors = engine.config().governors;
     ASSERT_EQ(cells.size(),
@@ -224,7 +221,8 @@ TEST(FleetDeterminism, ReplayMatchesInCampaignCell)
 
     // Replay a few devices under each governor; each must be
     // bit-identical to its in-campaign cell even though the campaign
-    // ran them 4-to-a-batch and the replay runs them alone.
+    // ran them chunk by chunk, where a cell may ride another, and the
+    // replay runs them alone.
     for (const size_t device : {size_t{0}, size_t{3}}) {
         for (size_t g = 0; g < governors.size(); ++g) {
             const RunMeasurement replayed =
@@ -244,12 +242,12 @@ TEST(FleetDeterminism, DegradedPredictiveGovernorsRideOneRun)
     // on a fault-free device EE and DORA ride DL's run, while a faulty
     // device's cells run alone (DESIGN.md §5m). Either way every cell
     // matches its lone replay, and the report every tier.
-    auto campaign = [](unsigned jobs, unsigned workers, unsigned lanes) {
-        FleetCampaignConfig config = smallCampaign(jobs, workers, lanes);
+    auto campaign = [](unsigned jobs, unsigned workers) {
+        FleetCampaignConfig config = smallCampaign(jobs, workers);
         config.governors = {"DL", "EE", "DORA"};
         return config;
     };
-    const FleetCampaignConfig serial = campaign(1, 0, 1);
+    const FleetCampaignConfig serial = campaign(1, 0);
     size_t fault_free = 0;
     for (size_t d = 0; d < serial.spec.devices; ++d)
         if (!sampleDevice(serial.spec, d).faulty)
@@ -279,20 +277,18 @@ TEST(FleetDeterminism, DegradedPredictiveGovernorsRideOneRun)
     const std::string ref = fleetReportText(FleetEngine(serial).run());
     const struct
     {
-        unsigned jobs, workers, lanes;
-    } combos[] = {{2, 0, 2}, {1, 0, 3}, {1, 2, 2}};
+        unsigned jobs, workers;
+    } combos[] = {{2, 0}, {4, 0}, {1, 2}};
     for (const auto &c : combos)
         EXPECT_EQ(fleetReportText(
-                      FleetEngine(campaign(c.jobs, c.workers, c.lanes))
-                          .run()),
+                      FleetEngine(campaign(c.jobs, c.workers)).run()),
                   ref)
-            << "jobs=" << c.jobs << " workers=" << c.workers
-            << " lanes=" << c.lanes;
+            << "jobs=" << c.jobs << " workers=" << c.workers;
 }
 
 TEST(FleetDeterminism, CohortCountsConserveThePopulation)
 {
-    FleetEngine engine(smallCampaign(1, 0, 2));
+    FleetEngine engine(smallCampaign(1, 0));
     const FleetReport report = engine.run();
     ASSERT_EQ(report.byGovernor.size(), 2u);
 
@@ -314,16 +310,11 @@ TEST(FleetDeterminism, CohortCountsConserveThePopulation)
 
 TEST(FleetDeterminism, CampaignHashSeparatesCampaigns)
 {
-    const FleetCampaignConfig a = smallCampaign(1, 0, 1);
+    const FleetCampaignConfig a = smallCampaign(1, 0);
     FleetCampaignConfig b = a;
     b.spec.seed = 8;
     FleetCampaignConfig c = a;
     c.governors = {"interactive"};
-    // Lane width is throughput policy, not identity: the lane
-    // contract makes every measurement lane-invariant, so a journal
-    // written at one lane count must resume at any other.
-    FleetCampaignConfig d = a;
-    d.lanes = 4;
     // jobs/workers are pure throughput policy — never identity.
     FleetCampaignConfig e = a;
     e.jobs = 8;
@@ -333,7 +324,6 @@ TEST(FleetDeterminism, CampaignHashSeparatesCampaigns)
     f.chunkDevices = 4;
     EXPECT_NE(fleetCampaignHash(a), fleetCampaignHash(b));
     EXPECT_NE(fleetCampaignHash(a), fleetCampaignHash(c));
-    EXPECT_EQ(fleetCampaignHash(a), fleetCampaignHash(d));
     EXPECT_EQ(fleetCampaignHash(a), fleetCampaignHash(e));
     EXPECT_NE(fleetCampaignHash(a), fleetCampaignHash(f));
 }
@@ -345,7 +335,7 @@ TEST(FleetDeterminism, ChunkWidthChangesIdentityNotStatistics)
     // population: counts are equal outright and the sketches — whose
     // compacted state is defined as "pushed one-by-one in global
     // cell order" — agree on every quantile bit-for-bit.
-    FleetCampaignConfig wide = smallCampaign(1, 0, 2);
+    FleetCampaignConfig wide = smallCampaign(1, 0);
     FleetCampaignConfig narrow = wide;
     narrow.chunkDevices = 2;  // 5 devices -> 3 chunks, one short
     const FleetReport a = FleetEngine(wide).run();
@@ -403,11 +393,33 @@ TEST(FleetAggregate, SerializeRoundTripIsBitExact)
 
 TEST(FleetDeath, UnknownGovernorIsFatal)
 {
-    FleetCampaignConfig config = smallCampaign(1, 0, 1);
+    FleetCampaignConfig config = smallCampaign(1, 0);
     config.governors = {"warp-drive"};
     FleetEngine engine(config);
     EXPECT_EXIT(engine.replayDevice(0, "warp-drive"),
                 ::testing::ExitedWithCode(1), "unknown governor");
+}
+
+TEST(LaneStubDeath, EachStubRejectsAWidthOtherThanOne)
+{
+    // The three lane members left for benchmark/rounds.cc accept 1
+    // and nothing else.
+    ComparisonHarness harness(ExperimentConfig{}, nullptr, 1);
+    harness.setLanes(1);
+    EXPECT_EXIT(harness.setLanes(4), ::testing::ExitedWithCode(1),
+                "setLanes: lanes must be 1, not 4");
+
+    TrainerConfig trainer;
+    EXPECT_EQ(trainer.lanes, 1u);
+    trainer.lanes = 2;
+    EXPECT_EXIT(Trainer{trainer}, ::testing::ExitedWithCode(1),
+                "Trainer: lanes must be 1, not 2");
+
+    FleetCampaignConfig fleet = smallCampaign(1, 0);
+    EXPECT_EQ(fleet.lanes, 1u);
+    fleet.lanes = 0;
+    EXPECT_EXIT(FleetEngine{fleet}, ::testing::ExitedWithCode(1),
+                "FleetEngine: lanes must be 1, not 0");
 }
 
 TEST(FleetKillResume, SupervisorSigkillThenResumeByteIdentical)
@@ -420,7 +432,7 @@ TEST(FleetKillResume, SupervisorSigkillThenResumeByteIdentical)
     // large to ever checkpoint: this leg isolates the journal-replay
     // resume path; the checkpoint path has its own test below.
     const auto cfg = [&](unsigned workers, const std::string &s) {
-        FleetCampaignConfig config = smallCampaign(1, workers, 2, s);
+        FleetCampaignConfig config = smallCampaign(1, workers, s);
         config.chunkDevices = 1;
         config.checkpointIntervalChunks = 1000;
         return config;
@@ -481,22 +493,20 @@ TEST(FleetKillResume, CheckpointSigkillThenResumeByteIdentical)
     // One device per chunk, checkpoint after every chunk: the
     // aggregate checkpoint (not journal replay) carries the resumed
     // prefix, and the journal is truncated beneath it.
-    const auto cfg = [&](unsigned workers, unsigned lanes,
-                         const std::string &s) {
-        FleetCampaignConfig config =
-            smallCampaign(1, workers, lanes, s);
+    const auto cfg = [&](unsigned workers, const std::string &s) {
+        FleetCampaignConfig config = smallCampaign(1, workers, s);
         config.chunkDevices = 1;
         config.checkpointIntervalChunks = 1;
         return config;
     };
 
-    FleetEngine baseline(cfg(0, 2, ""));
+    FleetEngine baseline(cfg(0, ""));
     const std::string ref_text = fleetReportText(baseline.run());
 
     const pid_t child = ::fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
-        FleetEngine engine(cfg(1, 2, stem));
+        FleetEngine engine(cfg(1, stem));
         engine.run();
         ::_exit(0);
     }
@@ -516,13 +526,13 @@ TEST(FleetKillResume, CheckpointSigkillThenResumeByteIdentical)
     int status = 0;
     ASSERT_EQ(::waitpid(child, &status, 0), child);
 
-    // Resume at a DIFFERENT lane count — lane width is not part of
-    // the campaign identity, so the checkpoint + journal written at
-    // lanes=2 must resume at lanes=4 to the identical report.
+    // Resume at a DIFFERENT worker count — the tier widths are not
+    // part of the campaign identity, so the checkpoint + journal
+    // written on 1 worker must resume on 2 to the identical report.
     const uint64_t pre_before = MetricsRegistry::global()
                                     .counter("proc.units_precompleted")
                                     .value();
-    FleetEngine resumed(cfg(1, 4, stem));
+    FleetEngine resumed(cfg(2, stem));
     const std::string resumed_text = fleetReportText(resumed.run());
     const uint64_t pre_after = MetricsRegistry::global()
                                    .counter("proc.units_precompleted")

@@ -43,28 +43,62 @@ fabricatedRecord(double base_ppw, double dora_ppw, bool dora_meets,
     return r;
 }
 
+/** Every name a ComparisonRecord stores. */
+const std::vector<std::string> kRegistry = {
+    "interactive", "performance", "powersave", "ondemand", "DL",
+    "EE",          "DORA",        "DORA_no_lkg", "offline_opt"};
+
 TEST(GovernorRegistry, DenseIdsRoundTrip)
 {
-    ASSERT_GE(governorCount(), 5u);
-    EXPECT_EQ(governorIndex("interactive"), 0u);
-    for (size_t i = 0; i < governorCount(); ++i)
-        EXPECT_EQ(governorIndex(governorName(i)), i);
+    // Every registry name keys a slot of its own: storing all of them,
+    // in reverse, reads each one back under its own name.
+    ComparisonRecord r;
+    for (size_t i = kRegistry.size(); i-- > 0;) {
+        RunMeasurement m;
+        m.governor = kRegistry[i];
+        m.ppw = static_cast<double>(i + 1);
+        r.setMeasurement(kRegistry[i], m);
+    }
+    for (size_t i = 0; i < kRegistry.size(); ++i) {
+        EXPECT_EQ(r.measurement(kRegistry[i]).governor, kRegistry[i]);
+        EXPECT_DOUBLE_EQ(r.measurement(kRegistry[i]).ppw,
+                         static_cast<double>(i + 1));
+    }
 }
 
 TEST(ComparisonRecord, FlatStorageTracksPresence)
 {
     ComparisonRecord r;
-    EXPECT_FALSE(r.hasMeasurement(governorIndex("DORA")));
     RunMeasurement m;
     m.ppw = 0.5;
     r.setMeasurement("DORA", m);
-    EXPECT_TRUE(r.hasMeasurement(governorIndex("DORA")));
-    EXPECT_FALSE(r.hasMeasurement(governorIndex("EE")));
     EXPECT_DOUBLE_EQ(r.measurement("DORA").ppw, 0.5);
     // Overwrites keep a single slot per governor.
     m.ppw = 0.75;
-    r.setMeasurement(governorIndex("DORA"), m);
+    r.setMeasurement("DORA", m);
     EXPECT_DOUBLE_EQ(r.measurement("DORA").ppw, 0.75);
+}
+
+TEST(ComparisonRecordDeathTest, UnknownGovernorIsFatal)
+{
+    ComparisonRecord r;
+    EXPECT_EXIT(r.setMeasurement("warp-drive", RunMeasurement{}),
+                ::testing::ExitedWithCode(1),
+                "unknown governor 'warp-drive'");
+    EXPECT_EXIT(r.measurement("warp-drive"), ::testing::ExitedWithCode(1),
+                "unknown governor 'warp-drive'");
+}
+
+TEST(ComparisonRecordDeathTest, MissingGovernorDies)
+{
+    ComparisonRecord r;
+    EXPECT_DEATH(r.measurement("interactive"),
+                 "no measurement for governor 'interactive'");
+    r.setMeasurement("DORA", RunMeasurement{});
+    // EE's slot sits below DORA's: grown, but never stored.
+    EXPECT_DEATH(r.measurement("EE"), "no measurement for governor 'EE'");
+    EXPECT_DEATH(r.normalizedPpw("DORA"),
+                 "no measurement for governor 'interactive'");
 }
 
 TEST(ComparisonRecord, NormalizesAgainstInteractive)
@@ -354,15 +388,13 @@ TEST_F(EndToEnd, RidersReproduceTheRunOneLoop)
         MetricsRegistry::global().counter("runner.rider_drops");
     const struct
     {
-        unsigned jobs, workers, lanes;
-    } tiers[] = {{1, 0, 1}, {4, 0, 1}, {1, 2, 1}, {1, 0, 4}};
+        unsigned jobs, workers;
+    } tiers[] = {{1, 0}, {4, 0}, {1, 2}};
     for (const auto &t : tiers) {
         const std::string where = "jobs=" + std::to_string(t.jobs) +
-            " workers=" + std::to_string(t.workers) +
-            " lanes=" + std::to_string(t.lanes);
+            " workers=" + std::to_string(t.workers);
         ComparisonHarness harness(ExperimentConfig{}, bundle_, t.jobs);
         harness.setWorkers(t.workers);
-        harness.setLanes(t.lanes);
         const uint64_t riders0 = riders.value();
         const uint64_t drops0 = drops.value();
         const auto records = harness.runAll(workloads);

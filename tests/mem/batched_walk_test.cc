@@ -342,79 +342,6 @@ TEST(BatchedWalk, StaleTagsInInvalidWaysRestoreAsInvalid)
     }
 }
 
-TEST(BatchedWalk, TickSampleManyMatchesPerSystemTickSample)
-{
-    // Fused drains over systems whose pass counts differ (different
-    // largest samples per tick) plus one the kernel does not cover
-    // (random L2): every system must end exactly where a standalone
-    // tickSample() sequence leaves its twin.
-    MemSystemConfig config;
-    config.l1.sizeBytes = 4 * 1024;
-    config.l2.sizeBytes = 64 * 1024;
-    MemSystemConfig random_l2 = config;
-    random_l2.l2.policy = ReplacementPolicy::Random;
-    const MemSystemConfig *configs[] = {&config, &config, &random_l2,
-                                        &config};
-    constexpr size_t kSystems = 4;
-    std::vector<std::unique_ptr<Rig>> fused;
-    std::vector<std::unique_ptr<Rig>> alone;
-    for (size_t j = 0; j < kSystems; ++j) {
-        fused.push_back(std::make_unique<Rig>(*configs[j], true));
-        alone.push_back(std::make_unique<Rig>(*configs[j], true));
-    }
-    const uint32_t scale[kSystems] = {1, 7, 3, 20};
-    std::vector<std::vector<MemSampleRequest>> reqs_f(kSystems);
-    std::vector<std::vector<MemSampleRequest>> reqs_a(kSystems);
-    std::vector<std::vector<MemSampleResult>> res_f(kSystems);
-    std::vector<std::vector<MemSampleResult>> res_a(kSystems);
-    for (uint32_t tick = 0; tick < 6; ++tick) {
-        std::vector<MemSystem::WalkJob> jobs(kSystems);
-        for (size_t j = 0; j < kSystems; ++j) {
-            reqs_f[j].clear();
-            reqs_a[j].clear();
-            for (uint32_t c = 0; c < config.numCores; ++c) {
-                // Idle cores on some ticks; sample counts vary by
-                // system, tick and core, so pass counts differ.
-                const uint32_t n =
-                    (tick + c + j) % 5 == 0 ? 0
-                                            : scale[j] * (9 + 13 * c + tick);
-                reqs_f[j].push_back(
-                    MemSampleRequest{c, fused[j]->streams[c].get(), n});
-                reqs_a[j].push_back(
-                    MemSampleRequest{c, alone[j]->streams[c].get(), n});
-            }
-            jobs[j] = MemSystem::WalkJob{&fused[j]->mem, &reqs_f[j],
-                                         &res_f[j]};
-            alone[j]->mem.tickSample(reqs_a[j], res_a[j]);
-        }
-        MemSystem::tickSampleMany(jobs.data(), jobs.size());
-        for (size_t j = 0; j < kSystems; ++j) {
-            EXPECT_EQ(jobs[j].fused, j != 2) << "system " << j;
-            expectSameResults(res_a[j], res_f[j]);
-            for (uint32_t c = 0; c < config.numCores; ++c) {
-                const CacheStats &a = alone[j]->mem.l2().stats(c);
-                const CacheStats &f = fused[j]->mem.l2().stats(c);
-                EXPECT_EQ(a.accesses, f.accesses);
-                EXPECT_EQ(a.misses, f.misses);
-                EXPECT_EQ(a.interferenceEvictions, f.interferenceEvictions);
-                EXPECT_EQ(a.selfEvictions, f.selfEvictions);
-            }
-        }
-    }
-    // Whole-state identity: caches, DRAM, counters and streams.
-    for (size_t j = 0; j < kSystems; ++j) {
-        SnapshotWriter wa;
-        SnapshotWriter wf;
-        alone[j]->mem.snapshot(wa);
-        fused[j]->mem.snapshot(wf);
-        EXPECT_EQ(wa.finish(), wf.finish()) << "system " << j;
-        for (uint32_t c = 0; c < config.numCores; ++c)
-            for (int i = 0; i < 16; ++i)
-                EXPECT_EQ(alone[j]->streams[c]->next(),
-                          fused[j]->streams[c]->next());
-    }
-}
-
 /** Snapshot round-trip still byte-stable with the kernel enabled. */
 TEST(BatchedWalk, SnapshotAgreesAfterBatchedTicks)
 {

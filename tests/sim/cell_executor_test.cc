@@ -26,7 +26,6 @@
 #include <unistd.h>
 
 #include "browser/page_corpus.hh"
-#include "common/lanes.hh"
 #include "exec/thread_pool.hh"
 #include "fault/fault_schedule.hh"
 #include "governor/governor.hh"
@@ -69,7 +68,6 @@ TEST(CellExecutor, ZeroResolvesToProcessDefaults)
 {
     const CellExecutor executor(CellTiers{});
     EXPECT_EQ(executor.tiers().jobs, defaultJobCount());
-    EXPECT_EQ(executor.tiers().lanes, defaultLaneCount());
     EXPECT_EQ(executor.tiers().workers, 0u);
 }
 
@@ -104,12 +102,11 @@ TEST(CellExecutor, QuarantinedUnitIsRecomputedBitIdentical)
     const size_t n = 4;
     CellTiers in_process;
     in_process.jobs = 1;
-    in_process.lanes = 2;
     const auto reference = texts(
         CellExecutor(in_process).measure(n, cheapCell, CellCampaign{}));
 
     // Cell 1 kills its worker on every attempt; only the parent can
-    // build it, so its lane batch (unit 0) must be quarantined and
+    // build it, so the one unit that holds it must be quarantined and
     // recomputed in-process.
     const pid_t parent = ::getpid();
     CellTiers proc = in_process;
@@ -216,21 +213,18 @@ struct RiderCounts
 };
 
 /**
- * Run @p make over [0, n) through the executor at @p lanes and expect
- * every cell to match its own plain run.
+ * Run @p make over [0, n) through the executor and expect every cell
+ * to match its own plain run.
  */
 void
-expectCellsMatchAlone(size_t n, const CellExecutor::CellFn &make,
-                      unsigned lanes)
+expectCellsMatchAlone(size_t n, const CellExecutor::CellFn &make)
 {
     CellTiers tiers;
     tiers.jobs = 1;
-    tiers.lanes = lanes;
     const auto got = texts(CellExecutor(tiers).measure(n, make, {}));
     ASSERT_EQ(got.size(), n);
     for (size_t i = 0; i < n; ++i)
-        EXPECT_EQ(got[i], aloneText(make(i)))
-            << "cell " << i << " lanes=" << lanes;
+        EXPECT_EQ(got[i], aloneText(make(i))) << "cell " << i;
 }
 
 TEST(CellExecutorRiders, RiderDroppedAtAnyDecisionMatchesItsOwnRun)
@@ -267,16 +261,13 @@ TEST(CellExecutorRiders, RiderDroppedAtAnyDecisionMatchesItsOwnRun)
                 "script" + std::to_string(i % per_gang),
                 deviate[i / per_gang][i % per_gang]));
     };
-    // At lanes 3 both leaders of each pass share one lane batch.
-    for (const unsigned lanes : {1u, 3u}) {
-        const RiderCounts counts;
-        expectCellsMatchAlone(workloads.size() * per_gang, make, lanes);
-        // Per gang, pass 1 keeps the twin and drops four riders; each
-        // later pass leads with the earliest deviator and drops the
-        // rest, which all deviate later: 4 + 3 + 2 + 1 drops.
-        EXPECT_EQ(counts.riders(), 2u) << "lanes=" << lanes;
-        EXPECT_EQ(counts.dropped(), 20u) << "lanes=" << lanes;
-    }
+    const RiderCounts counts;
+    expectCellsMatchAlone(workloads.size() * per_gang, make);
+    // Per gang, pass 1 keeps the twin and drops four riders; each
+    // later pass leads with the earliest deviator and drops the rest,
+    // which all deviate later: 4 + 3 + 2 + 1 drops.
+    EXPECT_EQ(counts.riders(), 2u);
+    EXPECT_EQ(counts.dropped(), 20u);
 }
 
 TEST(CellExecutorRiders, CellsThatMustRunAloneDoNotRide)
@@ -312,7 +303,7 @@ TEST(CellExecutorRiders, CellsThatMustRunAloneDoNotRide)
         TraceSession::install(differ == Differ::Trace ? &session
                                                       : nullptr);
         const RiderCounts counts;
-        expectCellsMatchAlone(2, make, 1);
+        expectCellsMatchAlone(2, make);
         TraceSession::install(nullptr);
         EXPECT_EQ(counts.riders() + counts.dropped(),
                   differ == Differ::Nothing ? 1u : 0u)

@@ -3,12 +3,14 @@
  * Snapshot/restore contract tests over real simulator state: a
  * checkpoint taken mid-run and restored onto the same objects must
  * continue bit-for-bit identically to the uninterrupted run, and
- * mismatched restores must be rejected without touching state.
+ * mismatched restores must be rejected without touching state. The
+ * same holds one level up, for a whole RunContext rewound mid-run.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,7 +19,10 @@
 #include "dora/predictive_governor.hh"
 #include "governor/governor.hh"
 #include "mem/address_stream.hh"
+#include "runner/measurement_io.hh"
+#include "runner/run_context.hh"
 #include "sim/simulator.hh"
+#include "workloads/kernel.hh"
 
 namespace dora
 {
@@ -252,6 +257,42 @@ TEST_F(SimSnapshotTest, SocRejectsMismatchedCoreCount)
     Soc other = Soc::nexus5(small);
     SnapshotReader r(snap);
     EXPECT_FALSE(other.tryRestore(r));
+}
+
+TEST(RunContextSnapshot, MidRunRewindReplaysBitIdentically)
+{
+    // Snapshot a plain run mid-flight, run it to completion, rewind
+    // it, and replay: the replayed measurement must be bit-identical
+    // to the first pass.
+    const WorkloadSpec w =
+        WorkloadSets::kernelOnly(KernelCatalog::byName("kmeans"));
+    RunCell cell =
+        makeRunCell(ExperimentConfig{}, w.page, w.kernel, w.label(),
+                    std::make_unique<InteractiveGovernor>());
+    RunContext run(cell.config, cell.params);
+    for (int quantum = 0; quantum < 10; ++quantum) {
+        ASSERT_FALSE(run.done());
+        run.advance();
+    }
+    ASSERT_FALSE(run.done());
+
+    SnapshotWriter writer;
+    run.snapshot(writer);
+    const std::string bytes = writer.finish();
+
+    while (!run.done())
+        run.advance();
+    const RunMeasurement first = run.finish();
+
+    SnapshotReader r(bytes);
+    ASSERT_TRUE(r.checksumOk());
+    ASSERT_TRUE(run.tryRestore(r));
+    ASSERT_FALSE(run.done());
+    while (!run.done())
+        run.advance();
+    const RunMeasurement replay = run.finish();
+
+    EXPECT_EQ(runMeasurementText(first), runMeasurementText(replay));
 }
 
 TEST(GovernorSnapshot, StatelessDefaultRoundTrips)

@@ -347,7 +347,7 @@ rulePerfLaneAlias(const ScannedUnit &f, std::vector<Finding> &out)
     // Anywhere in a file with lane-kernel regions: std::vector<bool>
     // is a bit-packed proxy container — its elements are not
     // byte-addressable, which blocks vectorization and makes the
-    // per-lane scratch buffers alias-hostile.
+    // kernel's scratch buffers alias-hostile.
     static const std::regex vb_re(R"(std::vector<\s*bool\s*>)");
     emitMatches(f, vb_re, "dora-perf-lane-alias",
                 "std::vector<bool> is bit-packed (proxy references, "

@@ -8,7 +8,7 @@
  *              [--fleet-checkpoint-interval N]
  *              [--fleet-report-quantiles q1,q2,...]
  *              [--fleet-replay DEV [--fleet-replay-governor NAME]]
- *              [--jobs N] [--workers N] [--lanes N] [--trace DIR]
+ *              [--jobs N] [--workers N] [--trace DIR] [--exact-ticks]
  *
  * Prints the canonical fleetReportText() (hex-float, byte-comparable
  * across tier settings and resumes) followed by a human-readable
@@ -22,7 +22,8 @@
  * that device.
  *
  * Every flag is routed through common/cli.hh, so a trailing flag with
- * a missing value is a fatal diagnostic, never silently ignored.
+ * a missing value is a fatal diagnostic, never silently ignored. So is
+ * any argument that is neither one of the flags above nor its value.
  */
 
 #include <algorithm>
@@ -69,6 +70,14 @@ splitGovernors(const std::string &text)
 int
 main(int argc, char **argv)
 {
+    cliRejectUnknownArgs(
+        argc, argv, "dora-fleet",
+        {"--fleet-devices", "--fleet-seed", "--fleet-governors",
+         "--fleet-fault-incidence", "--fleet-max-load", "--fleet-journal",
+         "--fleet-checkpoint-interval", "--fleet-report-quantiles",
+         "--fleet-replay", "--fleet-replay-governor", "--jobs",
+         "--workers", "--trace"},
+        {"--exact-ticks"});
     ObsGuard obs(argc, argv);
 
     FleetCampaignConfig config;
@@ -76,7 +85,6 @@ main(int argc, char **argv)
     config.governors = {"ondemand", "performance"};
     config.jobs = benchJobs(argc, argv);
     config.workers = benchWorkers(argc, argv);
-    config.lanes = benchLanes(argc, argv);
 
     if (const auto v = cliFlagValue(argc, argv, "--fleet-devices"))
         config.spec.devices = static_cast<size_t>(
