@@ -16,6 +16,10 @@
  * The offline-opt suites also sweep paged workloads on a cheap config
  * where offlineOptMany() cuts losing cells at the deadline, and check
  * its winners against full runAtFrequency() sweeps.
+ *
+ * The LaneBatch suite runs the same grids on harnesses whose lane stub
+ * is set to 1, the one width left (ComparisonHarness::setLanes, which
+ * benchmark/rounds.cc sets), and goes with that stub.
  */
 
 #include <gtest/gtest.h>
@@ -72,12 +76,16 @@ struct Tier
 /** The tiers every identity check runs: serial, threads, processes. */
 const Tier kTiers[] = {{1, 0}, {4, 0}, {1, 2}};
 
+/** @p lane_stub sets the harness's inert lane stub to 1 first. */
 std::vector<std::string>
 comparisonTexts(const Tier &tier, FaultInjector *injector,
-                const std::vector<std::string> &governors = kGovernors)
+                const std::vector<std::string> &governors = kGovernors,
+                bool lane_stub = false)
 {
     ComparisonHarness harness(ExperimentConfig{}, nullptr, tier.jobs);
     harness.setWorkers(tier.workers);
+    if (lane_stub)
+        harness.setLanes(1);
     if (injector)
         harness.runner().setFaultInjector(injector);
     const auto records = harness.runAll(cheapWorkloads(), governors);
@@ -200,14 +208,15 @@ cellsCut()
 /**
  * offlineOptMany() at jobs 1 and 4 and on 2 workers must pick the
  * winners of the full @p sweeps and count exactly the cells the cut
- * left unfinished. Returns that count.
+ * left unfinished. Returns that count. @p lane_stub sets each
+ * harness's inert lane stub to 1 first.
  */
 uint64_t
 expectCutMatchesFullSweep(
     const ExperimentConfig &config,
     const std::vector<WorkloadSpec> &workloads,
     const std::vector<std::vector<RunMeasurement>> &sweeps,
-    const char *what)
+    const char *what, bool lane_stub = false)
 {
     const auto want = fullSweepWinners(config, sweeps);
     const uint64_t want_cut = expectedCut(config, workloads, sweeps);
@@ -215,6 +224,8 @@ expectCutMatchesFullSweep(
          {std::pair{1u, 0u}, std::pair{4u, 0u}, std::pair{1u, 2u}}) {
         ComparisonHarness harness(config, nullptr, jobs);
         harness.setWorkers(workers);
+        if (lane_stub)
+            harness.setLanes(1);
         const uint64_t before = cellsCut();
         const auto winners = harness.offlineOptMany(workloads);
         EXPECT_EQ(cellsCut() - before, want_cut)
@@ -435,6 +446,95 @@ TEST(ParallelDeterminism, TrainerSamplesBitIdentical)
             got.push_back(serializeTrainingSample(s));
         const std::string what = "workers=" + std::to_string(workers);
         expectSameTexts(reference, got, what.c_str());
+    }
+}
+
+/**
+ * A comparison grid under the combined fault schedule, on harnesses
+ * whose lane stub is set, must match the plain loop on every tier.
+ */
+void
+expectLaneStubFaultedIdentical(bool exact)
+{
+    ModeGuard guard;
+    setExactTicksMode(exact);
+    const FaultSchedule schedule = FaultSchedule::combined(1234);
+    FaultInjector serial_injector(schedule);
+    FaultInjector lane_injector(schedule);
+    const auto serial = loopTexts(&serial_injector);
+    for (const Tier &tier : kTiers) {
+        const std::string what = "lanes=1 " + tier.name();
+        expectSameTexts(serial,
+                        comparisonTexts(tier, &lane_injector, kGovernors,
+                                        /*lane_stub=*/true),
+                        what.c_str());
+    }
+}
+
+TEST(LaneBatch, AdaptiveFaultedBitIdenticalAcrossLaneCounts)
+{
+    expectLaneStubFaultedIdentical(false);
+}
+
+TEST(LaneBatch, ExactTicksFaultedBitIdenticalAcrossLaneCounts)
+{
+    expectLaneStubFaultedIdentical(true);
+}
+
+TEST(LaneBatch, ComposesWithThreadAndProcessTiers)
+{
+    const auto serial = loopTexts(nullptr);
+    for (const Tier &tier : {Tier{2, 0}, Tier{1, 2}}) {
+        const std::string what = "lanes=1 " + tier.name();
+        expectSameTexts(serial,
+                        comparisonTexts(tier, nullptr, kGovernors,
+                                        /*lane_stub=*/true),
+                        what.c_str());
+    }
+}
+
+TEST(LaneBatch, OfflineOptManyBitIdentical)
+{
+    const auto workloads = cheapWorkloads();
+    const ExperimentConfig config;
+    ComparisonHarness plain(config, nullptr, 1);
+    ComparisonHarness stubbed(config, nullptr, 1);
+    stubbed.setLanes(1);
+
+    const auto want = fullSweepWinners(config, fullSweeps(config, workloads));
+    const auto a = plain.offlineOptMany(workloads);
+    const auto b = stubbed.offlineOptMany(workloads);
+    ASSERT_EQ(a.size(), workloads.size());
+    ASSERT_EQ(b.size(), workloads.size());
+    for (size_t w = 0; w < workloads.size(); ++w) {
+        EXPECT_EQ(want[w], runMeasurementText(a[w])) << "workload " << w;
+        EXPECT_EQ(want[w], runMeasurementText(b[w])) << "workload " << w;
+    }
+}
+
+TEST(LaneBatch, OfflineOptCutBitIdenticalAcrossLaneCounts)
+{
+    // alipay misses 0.5 s at OPPs 0-2 and 360 with a co-runner at OPPs
+    // 0-9, so 3 + 10 cells are cut; nothing meets -1 s (exact mode), so
+    // every non-max cell is cut with an empty window.
+    ModeGuard guard;
+    const std::vector<WorkloadSpec> workloads = {pagedWorkloads()[0],
+                                                 pagedWorkloads()[1]};
+    for (bool exact : {false, true}) {
+        setExactTicksMode(exact);
+        for (double deadline : {0.5, -1.0}) {
+            if (!exact && deadline < 0)
+                continue;
+            const ExperimentConfig config = cutConfig(deadline);
+            const std::string what =
+                std::string(exact ? "exact" : "adaptive") + " deadline " +
+                std::to_string(deadline) + " lanes=1";
+            EXPECT_EQ(expectCutMatchesFullSweep(
+                          config, workloads, fullSweeps(config, workloads),
+                          what.c_str(), /*lane_stub=*/true),
+                      deadline > 0 ? 13u : 26u)
+                << what;
+        }
     }
 }
 
