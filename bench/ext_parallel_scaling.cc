@@ -13,8 +13,7 @@
  *      threads enforces the >= 2x acceptance target.
  *
  * Uses only model-free governors so it runs out of the box with no
- * trained bundle. Machine-readable SCALING lines are consumed by
- * scripts/run_benches.sh.
+ * trained bundle. Each run prints a machine-readable SCALING line.
  */
 
 #include <algorithm>

@@ -28,8 +28,8 @@
  *
  * `--fleet-governors a,b,c` substitutes model-free governors so the
  * check runs with no trained bundle (the default DORA arm trains or
- * loads the cached one). Machine-readable FLEET lines are consumed by
- * scripts/run_benches.sh.
+ * loads the cached one). Each pass prints a machine-readable FLEET
+ * line.
  */
 
 #include <algorithm>

@@ -5,17 +5,12 @@
  * Guards the memory-hierarchy optimizations (structure-of-arrays cache
  * probing, O(1) occupancy counters, allocation-free tick scratch
  * buffers): google-benchmark timings for the cache access path and the
- * full Simulator::step(), plus a machine-readable HOTPATH_TICKS_PER_SEC
- * line that scripts/run_benches.sh records so tick-rate regressions are
- * visible across checkouts. Needs no trained models.
+ * full Simulator::step(), in the adaptive default or under
+ * --exact-ticks. Needs no trained models.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <iostream>
-
-#include "common/exact_ticks.hh"
 #include "mem/cache_model.hh"
 #include "obs/trace.hh"
 #include "power/device_power.hh"
@@ -128,24 +123,6 @@ BM_SimulatorStep(benchmark::State &state)
 }
 BENCHMARK(BM_SimulatorStep);
 
-/** Sustained tick rate over a fresh 20k-tick run (20 simulated s). */
-void
-printTickRate()
-{
-    SimFixture f;
-    constexpr int kTicks = 20000;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kTicks; ++i)
-        f.sim.step();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double sec =
-        std::chrono::duration<double>(t1 - t0).count();
-    std::cout << "HOTPATH_MODE "
-              << (exactTicksMode() ? "exact" : "adaptive") << "\n"
-              << "HOTPATH_TICKS_PER_SEC "
-              << static_cast<uint64_t>(kTicks / sec) << "\n";
-}
-
 } // namespace
 
 int
@@ -157,6 +134,5 @@ main(int argc, char **argv)
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    printTickRate();
     return 0;
 }

@@ -14,16 +14,11 @@
  *     of the co-runner catalog and every render phase of the page
  *     corpus (burst probabilities 0.10-0.90), in per-tick-sized calls.
  *
- * Prints machine-readable MEMSAMPLE_WALK_NS_PER_SAMPLE,
- * MEMSAMPLE_STREAM_NEXT_NS and MEMSAMPLE_NEXTRUNS_NS lines that
- * scripts/run_benches.sh records in BENCH_parallel.json. Needs no
- * trained models.
+ * Needs no trained models.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <iostream>
 #include <memory>
 #include <vector>
 
@@ -116,69 +111,31 @@ shippedStreamSpecs()
     return specs;
 }
 
-/** ns per line of nextRuns() over the shipped shapes, equal weight. */
-double
-nextRunsNsPerLine()
+/**
+ * nextRuns() over the shipped shapes, equal weight: each iteration is
+ * one per-tick-sized call on the next shape in turn, and the reported
+ * rate is in lines.
+ */
+void
+BM_AddressStreamNextRuns(benchmark::State &state)
 {
     constexpr uint32_t kCall = 256;  // a typical per-core tick sample
-    constexpr int kCalls = 256;
-    std::vector<uint64_t> out(kCall);
-    uint64_t sink = 0;
-    double ns = 0.0;
-    uint64_t lines = 0;
+    const std::vector<AddressStreamSpec> specs = shippedStreamSpecs();
+    std::vector<AddressStream> streams;
+    streams.reserve(specs.size());
     uint64_t seed = 0x9abc;
-    for (const AddressStreamSpec &spec : shippedStreamSpecs()) {
-        AddressStream stream(spec, 0, Rng(seed++));
-        const auto t0 = std::chrono::steady_clock::now();
-        for (int i = 0; i < kCalls; ++i) {
-            stream.nextRuns(out.data(), kCall);
-            sink ^= out[i % kCall];
-        }
-        const auto t1 = std::chrono::steady_clock::now();
-        ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
-        lines += static_cast<uint64_t>(kCalls) * kCall;
+    for (const AddressStreamSpec &spec : specs)
+        streams.emplace_back(spec, 0, Rng(seed++));
+    std::vector<uint64_t> out(kCall);
+    size_t next = 0;
+    for (auto _ : state) {
+        streams[next].nextRuns(out.data(), kCall);
+        benchmark::DoNotOptimize(out.data());
+        next = next + 1 == streams.size() ? 0 : next + 1;
     }
-    benchmark::DoNotOptimize(sink);
-    return ns / static_cast<double>(lines);
+    state.SetItemsProcessed(state.iterations() * kCall);
 }
-
-/** Machine-readable summary for scripts/run_benches.sh. */
-void
-printSummary()
-{
-    constexpr uint32_t kSamples = 2048;
-    constexpr int kRepeats = 200;
-    WalkFixture f(kSamples);
-    // Warm the modeled caches so the steady-state path is measured.
-    for (int i = 0; i < 50; ++i)
-        f.mem.tickSample(f.requests, f.results);
-    auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kRepeats; ++i)
-        f.mem.tickSample(f.requests, f.results);
-    auto t1 = std::chrono::steady_clock::now();
-    const double walk_ns =
-        std::chrono::duration<double, std::nano>(t1 - t0).count() /
-        (static_cast<double>(kRepeats) * 4 * kSamples);
-
-    AddressStreamSpec spec;
-    spec.workingSetBytes = 2816ull * 1024;
-    spec.hotFraction = 0.948;
-    AddressStream stream(spec, 0, Rng(0x5678));
-    constexpr int kDraws = 2000000;
-    uint64_t sink = 0;
-    t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kDraws; ++i)
-        sink ^= stream.next();
-    t1 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(sink);
-    const double next_ns =
-        std::chrono::duration<double, std::nano>(t1 - t0).count() /
-        kDraws;
-
-    std::cout << "MEMSAMPLE_WALK_NS_PER_SAMPLE " << walk_ns << "\n"
-              << "MEMSAMPLE_STREAM_NEXT_NS " << next_ns << "\n"
-              << "MEMSAMPLE_NEXTRUNS_NS " << nextRunsNsPerLine() << "\n";
-}
+BENCHMARK(BM_AddressStreamNextRuns);
 
 } // namespace
 
@@ -189,6 +146,5 @@ main(int argc, char **argv)
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    printSummary();
     return 0;
 }

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Single-entry CI pipeline: configure + build, run the dora-analyze
 # zero-findings gate and the lint stage (clang-tidy, clang
-# thread-safety build), run the full test suite, sweep the sanitizer
-# builds, gate the adaptive fast path's accuracy against exact-ticks
-# mode, and gate the simulation hot path against the recorded
-# BENCH_parallel.json baseline so tick-rate regressions (e.g. from
-# observability instrumentation) fail loudly.
+# thread-safety build), run the full test suite (which includes the
+# WorkCounts gate: exact per-run work counts of benchmark slices),
+# sweep the sanitizer builds, and gate the adaptive fast path's
+# accuracy against exact-ticks mode. No stage compares wall-clock
+# times: speed is judged by the repository benchmark (benchmark/),
+# parent against change in alternating runs.
 #
 # Usage: scripts/ci.sh [--skip-sanitizers] [--build-dir DIR]
 #
@@ -13,17 +14,6 @@
 #   DORA_SKIP_LINT=1         skip the lint stage (clang-tidy and the
 #                            clang thread-safety build, the legs that
 #                            need an optional toolchain)
-#   DORA_CI_HOTPATH_TOL_PCT  allowed ticks/sec regression vs the
-#                            baseline, percent (default 5; wall-clock
-#                            measurements on shared hosts are noisy,
-#                            so widen it there rather than deleting
-#                            the gate); applies to the adaptive AND
-#                            the exact-ticks floor
-#   DORA_CI_FLEET_TOL_PCT    allowed fleet devices/s regression vs
-#                            the BENCH_parallel.json baseline, percent
-#                            (default 10; the fleet stage is a single
-#                            short campaign, noisier than the hotpath
-#                            rate)
 #   DORA_CI_SKIP_NATIVE=1    skip the -march=native build leg
 set -euo pipefail
 
@@ -112,50 +102,9 @@ echo "== fleet: campaign determinism + checkpoint resume =="
 # conservation, and the bench's own peak-RSS ceiling. fleet_rollout
 # exits non-zero on any violation; the short load wall keeps the
 # stage to minutes (a censored page is still a deterministic
-# measurement). Device count matches the run_benches.sh recording so
-# the serial reference pass's devices/s is comparable to the
-# baseline, which gates throughput below.
-fleet_log="$(mktemp)"
+# measurement).
 "${build_dir}/bench/fleet_rollout" --fleet-devices 120 \
-    --fleet-governors interactive,ondemand --fleet-max-load 1.0 \
-    | tee "${fleet_log}"
-
-echo "== fleet throughput gate =="
-# Same mechanism as the hot-path floor: the serial reference pass's
-# devices/s must stay within DORA_CI_FLEET_TOL_PCT of the recorded
-# BENCH_parallel.json baseline.
-fleet_baseline="$(sed -n \
-    '/"fleet_rollout"/,/}/s/.*"devices_per_sec": *\([0-9.]*\).*/\1/p' \
-    "${repo_root}/BENCH_parallel.json" 2>/dev/null || true)"
-if [[ -z "${fleet_baseline}" ]]; then
-    echo "warning: no fleet_rollout baseline in BENCH_parallel.json;" \
-         "skipping the fleet floor (run scripts/run_benches.sh)"
-else
-    fleet_tol_pct="${DORA_CI_FLEET_TOL_PCT:-10}"
-    fleet_rate="$(awk '$1=="FLEET" && $2=="jobs=1" && $3=="workers=0" {
-        for (i = 4; i <= NF; ++i)
-            if (sub("^devices_per_sec=", "", $i)) print $i }' \
-        "${fleet_log}")"
-    if [[ -z "${fleet_rate}" ]]; then
-        echo "error: no serial devices_per_sec on a 'FLEET jobs=1" \
-             "workers=0' line of fleet_rollout; cannot gate fleet" \
-             "throughput" >&2
-        exit 1
-    fi
-    fleet_floor="$(awk -v b="${fleet_baseline}" -v t="${fleet_tol_pct}" \
-        'BEGIN{printf "%.2f", b * (100 - t) / 100}')"
-    echo "fleet devices/s: measured ${fleet_rate}," \
-         "baseline ${fleet_baseline}, floor ${fleet_floor}" \
-         "(tolerance ${fleet_tol_pct}%)"
-    fleet_ok="$(awk -v r="${fleet_rate}" -v f="${fleet_floor}" \
-        'BEGIN{print (r >= f) ? 1 : 0}')"
-    if [[ "${fleet_ok}" -ne 1 ]]; then
-        echo "error: fleet devices/s regressed beyond" \
-             "${fleet_tol_pct}%" >&2
-        exit 1
-    fi
-fi
-rm -f "${fleet_log}"
+    --fleet-governors interactive,ondemand --fleet-max-load 1.0
 
 if [[ "${DORA_CI_SKIP_NATIVE:-0}" -eq 1 ]]; then
     echo "== native codegen leg == (skipped: DORA_CI_SKIP_NATIVE=1)"
@@ -167,13 +116,14 @@ else
     # binary: BatchedWalk compares the walk kernel with the reference
     # walk, ParallelDeterminism every tier with the plain
     # ExperimentRunner loop, and CellExecutor ridden cells with lone
-    # runs.
+    # runs. WorkCounts checks the host-tuned build against the same
+    # fixed work counts as the scalar one.
     native_dir="${repo_root}/build-native"
     cmake -B "${native_dir}" -S "${repo_root}" -DDORA_NATIVE=ON \
         >/dev/null
     cmake --build "${native_dir}" -j "$(nproc)"
     (cd "${native_dir}" && ctest --output-on-failure \
-        -R 'BatchedWalk|ParallelDeterminism|CellExecutor')
+        -R 'BatchedWalk|ParallelDeterminism|CellExecutor|WorkCounts')
 fi
 
 if [[ "${skip_sanitizers}" -eq 0 ]]; then
@@ -189,55 +139,4 @@ echo "== adaptive accuracy gate =="
 # The bench exits non-zero on any violation.
 "${build_dir}/bench/ext_adaptive_accuracy"
 
-echo "== hot-path overhead gate =="
-baseline_json="${repo_root}/BENCH_parallel.json"
-baseline="$(sed -n '/"ovh_hotpath"/,/}/s/.*"ticks_per_sec": *\([0-9]*\).*/\1/p' \
-    "${baseline_json}")"
-if [[ -z "${baseline}" ]]; then
-    echo "warning: no ovh_hotpath baseline in ${baseline_json};" \
-         "skipping the gate (run scripts/run_benches.sh to record one)"
-    exit 0
-fi
-# --benchmark_filter that matches nothing skips the google-benchmark
-# timings; printTickRate (the gated number) always runs. Tracing stays
-# disabled — this measures the instrumented-but-off hot path.
-tol_pct="${DORA_CI_HOTPATH_TOL_PCT:-5}"
-hotpath_log="$(mktemp)"
-"${build_dir}/bench/ovh_hotpath" '--benchmark_filter=^$' \
-    > "${hotpath_log}"
-ticks="$(awk '/^HOTPATH_TICKS_PER_SEC/{print $2}' "${hotpath_log}")"
-floor="$(awk -v b="${baseline}" -v t="${tol_pct}" \
-    'BEGIN{printf "%d", b * (100 - t) / 100}')"
-echo "ticks/sec (adaptive): measured ${ticks}, baseline ${baseline}," \
-     "floor ${floor} (tolerance ${tol_pct}%)"
-if [[ "${ticks}" -lt "${floor}" ]]; then
-    echo "error: hot-path tick rate regressed beyond ${tol_pct}%" >&2
-    exit 1
-fi
-
-# Exact-ticks floor: the lock-step path is the offline-opt/training
-# hot loop and regresses independently of the adaptive fast path
-# (e.g. from batched-walk changes), so it gets its own gate.
-baseline_exact="$(sed -n \
-    '/"ovh_hotpath"/,/}/s/.*"ticks_per_sec_exact": *\([0-9]*\).*/\1/p' \
-    "${baseline_json}")"
-if [[ -z "${baseline_exact}" ]]; then
-    echo "warning: no exact-ticks baseline in ${baseline_json};" \
-         "skipping the exact floor (run scripts/run_benches.sh)"
-else
-    "${build_dir}/bench/ovh_hotpath" --exact-ticks \
-        '--benchmark_filter=^$' > "${hotpath_log}"
-    ticks_exact="$(awk '/^HOTPATH_TICKS_PER_SEC/{print $2}' \
-        "${hotpath_log}")"
-    floor_exact="$(awk -v b="${baseline_exact}" -v t="${tol_pct}" \
-        'BEGIN{printf "%d", b * (100 - t) / 100}')"
-    echo "ticks/sec (exact): measured ${ticks_exact}," \
-         "baseline ${baseline_exact}, floor ${floor_exact}" \
-         "(tolerance ${tol_pct}%)"
-    if [[ "${ticks_exact}" -lt "${floor_exact}" ]]; then
-        echo "error: exact-ticks rate regressed beyond ${tol_pct}%" >&2
-        exit 1
-    fi
-fi
-rm -f "${hotpath_log}"
 echo "ci: all gates passed"

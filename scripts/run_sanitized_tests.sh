@@ -74,8 +74,8 @@ if [[ "${sanitize}" == "thread" && ${#ctest_args[@]} -eq 0 ]]; then
     # checks, and RunContextSnapshot the mid-run snapshot rewind.
     # CellExecutorRiders and
     # EndToEnd.RidersReproduceTheRunOneLoop run governor riders
-    # (DESIGN.md §5m) on pool threads, the latter sharing one trained
-    # const ModelBundle. Pass explicit ctest args to widen it.
-    ctest_args=(-R 'JobCount|ParallelFor|ParallelMap|ThreadPool|ParallelDeterminism|RunContextSnapshot|FleetDeterminism|CellExecutor|CellExecutorRiders|EndToEnd\.RidersReproduceTheRunOneLoop|ProcSupervisorTest|KillResume')
+    # (DESIGN.md §5m) on parallelFor threads, the latter sharing one
+    # trained const ModelBundle. Pass explicit ctest args to widen it.
+    ctest_args=(-R 'JobCount|ParallelFor|ParallelMap|ParallelDeterminism|RunContextSnapshot|FleetDeterminism|CellExecutor|CellExecutorRiders|EndToEnd\.RidersReproduceTheRunOneLoop|ProcSupervisorTest|KillResume')
 fi
 ctest --output-on-failure "${ctest_args[@]}"

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/cli.hh"
+#include "common/logging.hh"
 
 namespace dora
 {
@@ -18,9 +19,16 @@ int
 resolveFromEnv()
 {
     // envNonEmpty warns when DORA_EXACT_TICKS is set-but-empty — a CI
-    // matrix that meant to select a mode but exported nothing.
+    // matrix that meant to select a mode but exported nothing. Any
+    // other value ("true", "yes", "2") is fatal: reading it as
+    // adaptive would hide that the exact mode was asked for.
     const char *env = envNonEmpty("DORA_EXACT_TICKS");
-    return (env && std::strcmp(env, "1") == 0) ? 1 : 0;
+    if (env == nullptr || std::strcmp(env, "0") == 0)
+        return 0;
+    if (std::strcmp(env, "1") == 0)
+        return 1;
+    fatal("$DORA_EXACT_TICKS: '%s' is neither 0 (adaptive) nor 1 "
+          "(exact)", env);
 }
 
 } // namespace

@@ -11,7 +11,8 @@
  * reproducing the pre-adaptive numbers bit for bit.
  *
  * The flag is resolved once from the DORA_EXACT_TICKS environment
- * variable ("1" = exact) and can be overridden programmatically (bench
+ * variable ("1" = exact, "0" or unset = adaptive; any other value is
+ * fatal) and can be overridden programmatically (bench
  * `--exact-ticks` flags, A/B tests) *before* the components that
  * consult it are constructed — Soc reads it at construction time.
  */

@@ -1,12 +1,12 @@
 /**
  * @file
- * CSV export/import for measurement samples.
+ * Binary payload encoding of one training sample.
  *
  * The trainer's measurement campaign is the expensive part of the
- * pipeline; persisting the raw (features, targets) samples lets model
- * studies (e.g. the fig05 response-surface comparison, or offline
- * experimentation in a spreadsheet/notebook) re-fit without re-running
- * hundreds of simulated page loads.
+ * pipeline. On the process execution tier each sample is computed in a
+ * worker subprocess and crosses the pipe and the results journal as
+ * these bytes, so a resumed campaign reads them back instead of
+ * re-running the page load.
  */
 
 #ifndef DORA_DORA_SAMPLE_IO_HH
@@ -14,19 +14,13 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "dora/trainer.hh"
 
 namespace dora
 {
 
-/**
- * Bit-exact binary encoding of one sample (checksummed, versioned)
- * for the process execution tier: samples computed in a worker
- * subprocess cross the pipe and the results journal as these bytes.
- * CSV is for human/export use; this is the lossless wire form.
- */
+/** Bit-exact, checksummed and versioned encoding of one sample. */
 std::string serializeTrainingSample(const TrainingSample &s);
 
 /**
@@ -35,32 +29,6 @@ std::string serializeTrainingSample(const TrainingSample &s);
  */
 [[nodiscard]] bool tryDeserializeTrainingSample(std::string_view bytes,
                                                 TrainingSample *out);
-
-/** Serialize samples as CSV (header + one row per sample). */
-std::string samplesToCsv(const std::vector<TrainingSample> &samples);
-
-/**
- * Parse samples from CSV text produced by samplesToCsv(): a header
- * line, then rows of kNumFeatures + 5 cells, each one whole finite
- * number. Returns false with a diagnostic naming the line in @p error
- * (leaving @p out untouched) on malformed input.
- */
-[[nodiscard]] bool trySamplesFromCsv(const std::string &text,
-                                     std::vector<TrainingSample> *out,
-                                     std::string *error);
-
-/** trySamplesFromCsv() that fatal()s on malformed input. */
-std::vector<TrainingSample> samplesFromCsv(const std::string &text);
-
-/** Write samples to @p path; warns and returns false on failure. */
-bool saveSamples(const std::vector<TrainingSample> &samples,
-                 const std::string &path);
-
-/**
- * Load samples from @p path; returns an empty vector when the file is
- * missing (callers treat that as "collect fresh").
- */
-std::vector<TrainingSample> loadSamples(const std::string &path);
 
 } // namespace dora
 

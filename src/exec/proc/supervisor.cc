@@ -244,7 +244,6 @@ class Supervisor
                const ProcUnitFn &run_unit)
         : config_(config), unitCount_(unit_count), runUnit_(run_unit)
     {
-        report_.results.resize(unit_count);
         report_.completed.assign(unit_count, 0);
         lastError_.resize(unit_count);
     }
@@ -259,9 +258,8 @@ class Supervisor
     void spawnWorker(WorkerSlot &slot);
     void reapWorkers(double now);
     void drainWorkerPipe(WorkerSlot &slot, double now);
-    void handleFrame(WorkerSlot &slot, Frame &frame, double now);
-    void completeUnit(uint64_t unit, uint32_t attempt,
-                      std::string payload, bool from_journal);
+    void handleFrame(WorkerSlot &slot, const Frame &frame, double now);
+    void completeUnit(uint64_t unit, const std::string &payload);
     void failUnit(uint64_t unit, uint32_t attempt,
                   const std::string &error, double now);
     void dispatchEligible(double now);
@@ -360,8 +358,6 @@ Supervisor::resumeFromJournal()
         ++doneCount_;
         ++report_.unitsResumed;
         notifyComplete(unit, payload);
-        if (!config_.discardResults)
-            report_.results[unit] = payload;
     }
     maybeCompact();
     if (report_.unitsResumed > 0)
@@ -403,30 +399,22 @@ Supervisor::spawnWorker(WorkerSlot &slot)
 }
 
 void
-Supervisor::completeUnit(uint64_t unit, uint32_t attempt,
-                         std::string payload, bool from_journal)
+Supervisor::completeUnit(uint64_t unit, const std::string &payload)
 {
     if (unit >= unitCount_ || report_.completed[unit])
         return;  // duplicate (late result after a timeout retry)
     report_.completed[unit] = 1;
     ++doneCount_;
-    if (!from_journal) {
-        ++report_.unitsRun;
-        // Journal before notifying: the streaming consumer's durable
-        // floor must never run ahead of what the journal holds.
-        if (journal_.isOpen() && !journal_.append(unit, payload))
-            warn("proc supervisor: journal append failed (%s); "
-                 "campaign continues but will not resume past unit "
-                 "%llu",
-                 journal_.error().c_str(),
-                 static_cast<unsigned long long>(unit));
-    }
+    ++report_.unitsRun;
+    // Journal before notifying: the streaming consumer's durable floor
+    // must never run ahead of what the journal holds.
+    if (journal_.isOpen() && !journal_.append(unit, payload))
+        warn("proc supervisor: journal append failed (%s); campaign "
+             "continues but will not resume past unit %llu",
+             journal_.error().c_str(),
+             static_cast<unsigned long long>(unit));
     notifyComplete(unit, payload);
-    if (!config_.discardResults)
-        report_.results[unit] = std::move(payload);
-    if (!from_journal)
-        maybeCompact();
-    (void)attempt;
+    maybeCompact();
 }
 
 void
@@ -460,7 +448,8 @@ Supervisor::failUnit(uint64_t unit, uint32_t attempt,
 }
 
 void
-Supervisor::handleFrame(WorkerSlot &slot, Frame &frame, double now)
+Supervisor::handleFrame(WorkerSlot &slot, const Frame &frame,
+                        double now)
 {
     switch (frame.type) {
       case FrameType::Heartbeat:
@@ -470,8 +459,7 @@ Supervisor::handleFrame(WorkerSlot &slot, Frame &frame, double now)
         slot.lastBeat = now;
         if (slot.busy && frame.unit == slot.unit)
             slot.busy = false;
-        completeUnit(frame.unit, frame.attempt,
-                     std::move(frame.payload), false);
+        completeUnit(frame.unit, frame.payload);
         break;
       case FrameType::WorkerError:
         slot.lastBeat = now;

@@ -28,8 +28,9 @@
  * any worker, on any attempt, or replayed from the journal.
  *
  * Precondition: the caller forks from a quiescent process — no
- * ThreadPool jobs in flight (forked children inherit only the calling
- * thread; a lock held by a pool thread would deadlock the child).
+ * parallelFor() threads in flight (forked children inherit only the
+ * calling thread; a lock held by another thread would deadlock the
+ * child).
  */
 
 #ifndef DORA_EXEC_PROC_SUPERVISOR_HH
@@ -84,20 +85,15 @@ struct ProcSweepConfig
     /**
      * Streaming completion hook, called once per newly completed or
      * journal-resumed unit (after the unit is journaled, in the
-     * supervisor's single control thread). The return value is the
-     * caller's durable floor: every unit below it is durable outside
-     * the journal, so the supervisor may drop those records
+     * supervisor's single control thread). It is the only consumer of
+     * unit payloads: the supervisor keeps none, so its memory stays
+     * O(open units) instead of O(campaign results). The return value
+     * is the caller's durable floor: every unit below it is durable
+     * outside the journal, so the supervisor may drop those records
      * (journal high-water-mark truncation). Return 0 to keep all.
      */
     std::function<uint64_t(uint64_t unit, const std::string &payload)>
         onUnitComplete;
-
-    /**
-     * Do not retain unit payloads in the report (the streaming hook
-     * is the consumer): supervisor memory stays O(open units)
-     * instead of O(campaign results).
-     */
-    bool discardResults = false;
 };
 
 /** A unit that exhausted its attempts. */
@@ -111,9 +107,6 @@ struct ProcUnitFailure
 /** Outcome of one runProcSweep() campaign. */
 struct ProcSweepReport
 {
-    /** Unit-indexed result payloads (empty for incomplete units). */
-    std::vector<std::string> results;
-
     /** Unit-indexed completion flags. */
     std::vector<uint8_t> completed;
 
@@ -130,13 +123,13 @@ struct ProcSweepReport
     bool drained = false;
     int drainSignal = 0;         //!< the signal that triggered drain
 
-    /** Every unit has a result (no quarantine, no drain gap). */
+    /** Every unit completed (no quarantine, no drain gap). */
     bool allCompleted() const
     {
         for (const uint8_t c : completed)
             if (!c)
                 return false;
-        return !completed.empty() || results.empty();
+        return true;
     }
 };
 

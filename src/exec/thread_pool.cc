@@ -1,12 +1,19 @@
 #include "exec/thread_pool.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
+#include <exception>
 #include <string>
+#include <system_error>
+#include <thread>
+#include <utility>
 
 #include "common/cli.hh"
 #include "common/logging.hh"
+#include "common/mutex.hh"
+#include "common/thread_annotations.hh"
 #include "obs/metrics.hh"
 
 namespace dora
@@ -14,6 +21,31 @@ namespace dora
 
 namespace
 {
+
+/** The exception of the lowest throwing index of one parallelFor(). */
+class FirstError
+{
+  public:
+    void offer(size_t index, std::exception_ptr error) EXCLUDES(mutex_)
+    {
+        MutexLock lock(mutex_);
+        if (!error_ || index < index_) {
+            error_ = std::move(error);
+            index_ = index;
+        }
+    }
+
+    std::exception_ptr take() EXCLUDES(mutex_)
+    {
+        MutexLock lock(mutex_);
+        return std::move(error_);
+    }
+
+  private:
+    Mutex mutex_;
+    size_t index_ GUARDED_BY(mutex_) = 0;
+    std::exception_ptr error_ GUARDED_BY(mutex_);
+};
 
 /** Parse a strictly positive integer; 0 on failure. */
 unsigned
@@ -62,60 +94,19 @@ jobCountFromArgs(int argc, char **argv)
     return defaultJobCount();
 }
 
-ThreadPool::ThreadPool(unsigned jobs)
-    : jobs_(jobs == 0 ? 1 : jobs)
-{
-    workers_.reserve(jobs_ - 1);
-    for (unsigned w = 1; w < jobs_; ++w)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        MutexLock lock(mutex_);
-        stopping_ = true;
-    }
-    workCv_.notify_all();
-    for (auto &worker : workers_)
-        worker.join();
-}
-
 void
-ThreadPool::workerLoop()
+parallelFor(size_t n, const std::function<void(size_t)> &fn,
+            unsigned jobs)
 {
-    uint64_t seen = 0;
-    for (;;) {
-        Batch *batch = nullptr;
-        {
-            MutexLock lock(mutex_);
-            // Explicit wait loop (not the predicate overload): the
-            // guarded fields are read here, where the analysis can see
-            // mutex_ is held, instead of inside an unannotated lambda.
-            while (!stopping_ &&
-                   !(batch_ != nullptr && generation_ != seen))
-                workCv_.wait(lock);
-            if (stopping_)
-                return;
-            seen = generation_;
-            batch = batch_;
-            // Registering inside the same critical section that
-            // publishes the batch pointer keeps the caller from
-            // retiring the batch while this worker still holds it.
-            ++batch->workersInside;
-        }
-        runBatch(*batch);
-        {
-            MutexLock lock(mutex_);
-            --batch->workersInside;
-        }
-        doneCv_.notify_all();
+    if (jobs == 0)
+        jobs = defaultJobCount();
+    if (jobs <= 1 || n <= 1) {
+        // Exact legacy path: plain serial loop, natural exception flow.
+        for (size_t i = 0; i < n; ++i)
+            fn(i);
+        return;
     }
-}
 
-void
-ThreadPool::runBatch(Batch &batch)
-{
     // Cached registry lookups: one-time name resolution, then each job
     // costs two relaxed atomic ops and a clock read. Wall-clock
     // observations stay in the metrics registry (stderr only) — never
@@ -127,92 +118,47 @@ ThreadPool::runBatch(Batch &batch)
         MetricsRegistry::global().histogram("exec.job_wall_sec");
     static MetricGauge &queue_depth =
         MetricsRegistry::global().gauge("exec.queue_depth");
-    for (;;) {
-        const size_t i =
-            batch.next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= batch.n)
-            return;
-        queue_depth.set(static_cast<double>(batch.n - i - 1));
-        const auto job_start = std::chrono::steady_clock::now();
-        try {
-            (*batch.fn)(i);
-        } catch (...) {
-            MutexLock lock(batch.errorMutex);
-            if (!batch.error || i < batch.errorIndex) {
-                batch.error = std::current_exception();
-                batch.errorIndex = i;
+
+    std::atomic<size_t> next{0};
+    FirstError first;
+    const auto drain = [&] {
+        for (;;) {
+            const size_t i = next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n)
+                return;
+            queue_depth.set(static_cast<double>(n - i - 1));
+            const auto job_start = std::chrono::steady_clock::now();
+            try {
+                fn(i);
+            } catch (...) {
+                first.offer(i, std::current_exception());
             }
+            job_wall_sec.record(std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - job_start).count());
+            jobs_run.add();
         }
-        job_wall_sec.record(std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - job_start).count());
-        jobs_run.add();
-        batch.done.fetch_add(1, std::memory_order_acq_rel);
-    }
-}
+    };
 
-void
-ThreadPool::forEach(size_t n, const std::function<void(size_t)> &fn)
-{
-    if (n == 0)
-        return;
-    if (jobs_ == 1 || n == 1) {
-        // Exact legacy path: plain serial loop, natural exception flow.
-        for (size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
+    // The caller is the last of the min(jobs, n) workers.
+    const size_t workers = std::min<size_t>(jobs, n);
+    std::vector<std::thread> threads;
+    threads.reserve(workers - 1);
+    for (size_t w = 1; w < workers; ++w) {
+        try {
+            threads.emplace_back(drain);
+        } catch (const std::system_error &e) {
+            // The caller and the threads already started still cover
+            // every index, so run on with fewer rather than abort.
+            warn("parallelFor: started %zu of %zu threads: %s",
+                 threads.size() + 1, workers, e.what());
+            break;
+        }
     }
-
-    Batch batch;
-    batch.n = n;
-    batch.fn = &fn;
-    {
-        MutexLock lock(mutex_);
-        batch_ = &batch;
-        ++generation_;
-    }
-    workCv_.notify_all();
-
-    // The caller is the jobs_-th worker.
-    runBatch(batch);
-
-    {
-        MutexLock lock(mutex_);
-        // The batch is drained only when every index ran AND every
-        // worker has left runBatch — a worker's final (empty-handed)
-        // next.fetch_add must not outlive this stack frame.
-        while (batch.done.load(std::memory_order_acquire) != batch.n ||
-               batch.workersInside != 0)
-            doneCv_.wait(lock);
-        // Detach the batch; late-waking workers re-check batch_ under
-        // the lock and keep waiting.
-        batch_ = nullptr;
-    }
-    // The drain above made workers quiescent, but the analysis (and
-    // TSan) still wants the guarded read under its lock.
-    std::exception_ptr error;
-    {
-        MutexLock lock(batch.errorMutex);
-        error = batch.error;
-    }
-    if (error)
+    drain();
+    for (std::thread &thread : threads)
+        thread.join();
+    if (const std::exception_ptr error = first.take())
         std::rethrow_exception(error);
-}
-
-void
-parallelFor(size_t n, const std::function<void(size_t)> &fn,
-            unsigned jobs)
-{
-    if (jobs == 0)
-        jobs = defaultJobCount();
-    if (jobs <= 1 || n <= 1) {
-        for (size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-    if (jobs > n)
-        jobs = static_cast<unsigned>(n);
-    ThreadPool pool(jobs);
-    pool.forEach(n, fn);
 }
 
 } // namespace dora

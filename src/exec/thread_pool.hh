@@ -1,7 +1,7 @@
 /**
  * @file
- * Fixed-size worker pool and deterministic parallel-for / parallel-map
- * primitives for the experiment engine.
+ * Deterministic parallel-for / parallel-map primitives for the
+ * experiment engine.
  *
  * Every figure and training campaign in this reproduction is a set of
  * independent, deterministic simulations (each run constructs its own
@@ -12,7 +12,7 @@
  *   - results are delivered in index order (results[i] == fn(i)), so a
  *     parallel sweep assembles the *same* tables as the serial loop;
  *   - a job count of 1 executes the exact legacy serial path in the
- *     calling thread — no pool, no atomics, no reordering;
+ *     calling thread — no threads, no atomics, no reordering;
  *   - exceptions thrown by the body are captured and the one from the
  *     lowest index is rethrown in the calling thread after every index
  *     has been attempted (deterministic propagation).
@@ -31,15 +31,9 @@
 #ifndef DORA_EXEC_THREAD_POOL_HH
 #define DORA_EXEC_THREAD_POOL_HH
 
-#include <atomic>
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <thread>
 #include <vector>
-
-#include "common/mutex.hh"
-#include "common/thread_annotations.hh"
 
 namespace dora
 {
@@ -62,75 +56,13 @@ unsigned defaultJobCount();
 unsigned jobCountFromArgs(int argc, char **argv);
 
 /**
- * A fixed-size pool of worker threads executing index-based batches.
- *
- * The pool owns jobs-1 threads; the thread calling forEach()
- * participates as the jobs-th worker, so `ThreadPool(1)` spawns
- * nothing and forEach() degenerates to a plain serial loop.
- */
-class ThreadPool
-{
-  public:
-    /** @param jobs total parallelism (clamped to >= 1). */
-    explicit ThreadPool(unsigned jobs);
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    ~ThreadPool();
-
-    /** Total parallelism (worker threads + the calling thread). */
-    unsigned jobs() const { return jobs_; }
-
-    /**
-     * Execute fn(i) for every i in [0, n), distributing indices across
-     * the pool; blocks until all n indices have been attempted. If any
-     * invocation throws, the exception from the lowest index is
-     * rethrown here after the batch drains.
-     */
-    void forEach(size_t n, const std::function<void(size_t)> &fn)
-        EXCLUDES(mutex_);
-
-  private:
-    /** One forEach() invocation in flight. */
-    struct Batch
-    {
-        size_t n = 0;
-        const std::function<void(size_t)> *fn = nullptr;
-        std::atomic<size_t> next{0};
-        std::atomic<size_t> done{0};
-        /**
-         * Workers currently in runBatch. Guarded by the owning pool's
-         * mutex_ — a cross-object invariant the capability attributes
-         * cannot name from this nested struct, so it stays a comment.
-         */
-        unsigned workersInside = 0;
-        Mutex errorMutex;
-        size_t errorIndex GUARDED_BY(errorMutex) = 0;
-        std::exception_ptr error GUARDED_BY(errorMutex);
-    };
-
-    void workerLoop() EXCLUDES(mutex_);
-
-    /** Pull and run indices until the batch is exhausted. */
-    void runBatch(Batch &batch) EXCLUDES(mutex_);
-
-    unsigned jobs_;
-    std::vector<std::thread> workers_;
-    Mutex mutex_;
-    CondVar workCv_;  //!< wakes workers for a batch
-    CondVar doneCv_;  //!< wakes the caller on drain
-    /** Current batch; null when idle. */
-    Batch *batch_ GUARDED_BY(mutex_) = nullptr;
-    /** Bumped per forEach(). */
-    uint64_t generation_ GUARDED_BY(mutex_) = 0;
-    bool stopping_ GUARDED_BY(mutex_) = false;
-};
-
-/**
- * Run fn(i) for i in [0, n) on a transient pool of @p jobs workers
- * (0 = defaultJobCount()). jobs <= 1 or n <= 1 runs the exact serial
- * loop in the calling thread.
+ * Run fn(i) for every i in [0, n) on min(@p jobs, n) threads
+ * (0 = defaultJobCount()): the caller and min(jobs, n) - 1 threads
+ * started for this call pull indices from one shared counter, and
+ * the call joins those threads before it returns. jobs <= 1 or n <= 1
+ * runs the exact serial loop in the calling thread. If any invocation
+ * throws, the exception from the lowest index is rethrown here after
+ * every index has been attempted.
  */
 void parallelFor(size_t n, const std::function<void(size_t)> &fn,
                  unsigned jobs = 0);
@@ -138,7 +70,8 @@ void parallelFor(size_t n, const std::function<void(size_t)> &fn,
 /**
  * Map [0, n) through @p fn with deterministic result ordering:
  * result[i] == fn(i) regardless of thread count or completion order.
- * R must be default-constructible. Exception semantics as forEach().
+ * R must be default-constructible. Exception semantics as
+ * parallelFor().
  */
 template <typename R>
 std::vector<R>

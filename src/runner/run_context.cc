@@ -583,6 +583,14 @@ RunContext::finish()
     MetricsRegistry &reg = MetricsRegistry::global();
     reg.counter("runner.runs").add();
     reg.counter("sim.ticks").add(sim_->tickCount());
+    // Cache probes count the walk work in either mode; exact-ticks
+    // mode walks every tick, so mem.sample.walks stays 0 there.
+    const MemSystem &mem = soc_->mem();
+    uint64_t l1_probes = 0;
+    for (uint32_t c = 0; c < mem.config().numCores; ++c)
+        l1_probes += mem.l1(c).totalStats().accesses;
+    reg.counter("mem.l1_probes").add(l1_probes);
+    reg.counter("mem.l2_probes").add(mem.l2().totalStats().accesses);
     reg.counter("sim.macrotick.batches").add(sim_->macroBatches());
     reg.counter("sim.macrotick.batched_ticks")
         .add(sim_->macroBatchedTicks());

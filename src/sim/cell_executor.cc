@@ -182,9 +182,8 @@ CellExecutor::runInWorkers(
         proc.journalPath = tiers_.journalStem + "." +
             hexU64(campaign.hash) + ".jrn";
     proc.precompletedPrefix = campaign.durablePrefix;
-    // The completion hook consumes every payload, so the supervisor
-    // keeps none: its memory is O(workers + reorder window).
-    proc.discardResults = true;
+    // The completion hook is the only consumer of payloads, so the
+    // supervisor's memory is O(workers + reorder window).
     proc.onUnitComplete = [&](uint64_t unit,
                               const std::string &payload) -> uint64_t {
         if (!accept(unit, payload))

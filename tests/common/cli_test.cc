@@ -17,9 +17,11 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cli.hh"
+#include "common/exact_ticks.hh"
 #include "common/logging.hh"
 #include "exec/thread_pool.hh"
 #include "obs/trace.hh"
@@ -198,6 +200,30 @@ TEST(CliDeath, MalformedDoubleIsFatal)
     EXPECT_EXIT(cliParseDouble("1.5", "--fleet-fault-incidence", 0.0,
                                1.0),
                 ::testing::ExitedWithCode(1), "--fleet-fault-incidence");
+}
+
+TEST(ExactTicksDeathTest, EnvAcceptsOnlyZeroOrOne)
+{
+    // The mode resolves from the environment once per process, so each
+    // case runs in a freshly executed child that has not resolved it.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const char *value : {"true", "yes", "2"}) {
+        ScopedEnv env("DORA_EXACT_TICKS", value);
+        EXPECT_EXIT(exactTicksMode(), ::testing::ExitedWithCode(1),
+                    "\\$DORA_EXACT_TICKS: '" + std::string(value) +
+                        "' is neither 0 \\(adaptive\\) nor 1 "
+                        "\\(exact\\)");
+    }
+    // 0, 1, empty and unset resolve as they always did: exit status
+    // 11 reports exact mode, 10 adaptive.
+    const auto mode_exit = [] { std::exit(exactTicksMode() ? 11 : 10); };
+    for (const auto &[value, status] :
+         {std::pair<const char *, int>{"1", 11}, {"0", 10}, {"", 10},
+          {nullptr, 10}}) {
+        ScopedEnv env("DORA_EXACT_TICKS", value);
+        EXPECT_EXIT(mode_exit(), ::testing::ExitedWithCode(status), "")
+            << (value ? value : "(unset)");
+    }
 }
 
 TEST(CliParse, AcceptsValuesInsideRange)

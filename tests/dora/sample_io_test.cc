@@ -1,11 +1,10 @@
 /**
  * @file
- * Unit tests for training-sample CSV round-tripping.
+ * Unit tests for the training-sample payload encoding.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 
 #include "dora/features.hh"
@@ -34,85 +33,20 @@ makeSamples()
     return samples;
 }
 
-TEST(SampleIo, CsvHasHeaderAndRows)
-{
-    const std::string csv = samplesToCsv(makeSamples());
-    EXPECT_EQ(csv.rfind("dom_nodes,", 0), 0u);
-    EXPECT_NE(csv.find("mean_temp_c"), std::string::npos);
-    // Header + 3 rows.
-    EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 4);
-}
-
 TEST(SampleIo, RoundTripPreservesValues)
 {
-    const auto original = makeSamples();
-    const auto parsed = samplesFromCsv(samplesToCsv(original));
-    ASSERT_EQ(parsed.size(), original.size());
-    for (size_t i = 0; i < original.size(); ++i) {
-        EXPECT_EQ(parsed[i].x, original[i].x);
-        EXPECT_DOUBLE_EQ(parsed[i].busMhz, original[i].busMhz);
-        EXPECT_DOUBLE_EQ(parsed[i].voltage, original[i].voltage);
-        EXPECT_DOUBLE_EQ(parsed[i].loadTimeSec,
-                         original[i].loadTimeSec);
-        EXPECT_DOUBLE_EQ(parsed[i].meanPowerW, original[i].meanPowerW);
-        EXPECT_DOUBLE_EQ(parsed[i].meanTempC, original[i].meanTempC);
+    // Bit-exact: a resumed campaign must refit the very same doubles.
+    for (const TrainingSample &original : makeSamples()) {
+        TrainingSample parsed;
+        ASSERT_TRUE(tryDeserializeTrainingSample(
+            serializeTrainingSample(original), &parsed));
+        EXPECT_EQ(parsed.x, original.x);
+        EXPECT_EQ(parsed.busMhz, original.busMhz);
+        EXPECT_EQ(parsed.voltage, original.voltage);
+        EXPECT_EQ(parsed.loadTimeSec, original.loadTimeSec);
+        EXPECT_EQ(parsed.meanPowerW, original.meanPowerW);
+        EXPECT_EQ(parsed.meanTempC, original.meanTempC);
     }
-}
-
-/** @p csv with the first cell of its first data row replaced. */
-std::string
-withFirstCell(const std::string &csv, const std::string &cell)
-{
-    const size_t row = csv.find('\n') + 1;
-    return csv.substr(0, row) + cell + csv.substr(csv.find(',', row));
-}
-
-TEST(SampleIo, CellThatIsNotOneFiniteNumberIsFatal)
-{
-    // std::stod once aborted the process on "abc" (an uncaught
-    // std::invalid_argument) and read "1.5abc" as 1.5.
-    const std::string csv = samplesToCsv(makeSamples());
-    for (const std::string cell : {"abc", "1.5abc"}) {
-        EXPECT_EXIT(samplesFromCsv(withFirstCell(csv, cell)),
-                    ::testing::ExitedWithCode(1),
-                    "samplesFromCsv: line 2 column 1: '" + cell +
-                        "' is not a finite number");
-    }
-    for (const std::string cell : {"abc", "1.5abc", "", " 1", "nan",
-                                   "inf", "1e999", "0x10"}) {
-        std::vector<TrainingSample> out;
-        std::string error;
-        EXPECT_FALSE(trySamplesFromCsv(withFirstCell(csv, cell), &out,
-                                       &error))
-            << "'" << cell << "'";
-        EXPECT_EQ(error.rfind("line 2 column 1: ", 0), 0u) << error;
-        EXPECT_TRUE(out.empty());
-    }
-    std::vector<TrainingSample> out;
-    std::string error;
-    ASSERT_TRUE(trySamplesFromCsv(withFirstCell(csv, "-1.5e-3"), &out,
-                                  &error))
-        << error;
-    EXPECT_DOUBLE_EQ(out.front().x.front(), -1.5e-3);
-}
-
-TEST(SampleIo, FileRoundTrip)
-{
-    const std::string path = "/tmp/dora_samples_test.csv";
-    ASSERT_TRUE(saveSamples(makeSamples(), path));
-    const auto loaded = loadSamples(path);
-    EXPECT_EQ(loaded.size(), 3u);
-    std::remove(path.c_str());
-}
-
-TEST(SampleIo, MissingFileYieldsEmpty)
-{
-    EXPECT_TRUE(loadSamples("/tmp/definitely-not-here.csv").empty());
-}
-
-TEST(SampleIo, SaveToBadPathFails)
-{
-    EXPECT_FALSE(saveSamples(makeSamples(), "/no-such-dir/x.csv"));
 }
 
 } // namespace

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the parallel execution primitives: deterministic
  * result ordering, exception propagation, job-count resolution, and
- * pool reuse across batches.
+ * inline execution at one job.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +11,8 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "exec/thread_pool.hh"
 
@@ -143,27 +145,13 @@ TEST(ParallelFor, EveryIndexAttemptedDespiteException)
     EXPECT_EQ(total, 50);
 }
 
-TEST(ThreadPool, ReusableAcrossBatches)
+TEST(ParallelFor, SingleJobRunsInline)
 {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.jobs(), 4u);
-    for (int round = 0; round < 20; ++round) {
-        std::atomic<size_t> sum{0};
-        pool.forEach(round + 1,
-                     [&sum](size_t i) { sum.fetch_add(i + 1); });
-        const size_t n = static_cast<size_t>(round) + 1;
-        EXPECT_EQ(sum.load(), n * (n + 1) / 2);
-    }
-}
-
-TEST(ThreadPool, SingleJobRunsInline)
-{
-    ThreadPool pool(1);
     const auto caller = std::this_thread::get_id();
     std::vector<std::thread::id> seen(8);
-    pool.forEach(8, [&seen](size_t i) {
-        seen[i] = std::this_thread::get_id();
-    });
+    parallelFor(
+        8, [&seen](size_t i) { seen[i] = std::this_thread::get_id(); },
+        1);
     for (const auto &id : seen)
         EXPECT_EQ(id, caller);
 }

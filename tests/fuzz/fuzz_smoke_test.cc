@@ -5,7 +5,7 @@
  * (QuantileSketch, RunningStat), FleetShardAggregate blobs, the
  * supervisor/worker wire-frame parser, the results journal, run-
  * measurement payloads, ModelBundle text blobs, and training-sample
- * CSV.
+ * payloads.
  *
  * The contract under test is uniform: feed a corrupted input and the
  * decoder must return failure (or truncate, for the journal) without
@@ -22,7 +22,6 @@
  * out-of-bounds read into a hard failure.
  */
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -397,47 +396,36 @@ TEST(FuzzSmoke, ModelBundleDeserializeSurvivesCorruption)
     }
 }
 
-TEST(FuzzSmoke, SamplesCsvParseSurvivesCorruption)
+TEST(FuzzSmoke, TrainingSamplePayloadSurvivesCorruption)
 {
-    Rng rng("fuzz:samples-csv");
-    std::vector<TrainingSample> samples(2);
-    for (TrainingSample &s : samples) {
-        for (size_t i = 0; i < kNumFeatures; ++i)
-            s.x.push_back(rng.uniform(-1e3, 1e3));
-        s.busMhz = rng.uniform(100.0, 1000.0);
-        s.voltage = rng.uniform(0.7, 1.1);
-        s.loadTimeSec = rng.uniform(0.5, 8.0);
-        s.meanPowerW = rng.uniform(0.5, 4.0);
-        s.meanTempC = rng.uniform(30.0, 70.0);
-    }
-    const std::string blob = samplesToCsv(samples);
-    std::vector<TrainingSample> round_trip;
-    std::string error;
-    ASSERT_TRUE(trySamplesFromCsv(blob, &round_trip, &error)) << error;
-    ASSERT_EQ(round_trip.size(), samples.size());
+    Rng rng("fuzz:training-sample");
+    TrainingSample sample;
+    for (size_t i = 0; i < kNumFeatures; ++i)
+        sample.x.push_back(rng.uniform(-1e3, 1e3));
+    sample.busMhz = rng.uniform(100.0, 1000.0);
+    sample.voltage = rng.uniform(0.7, 1.1);
+    sample.loadTimeSec = rng.uniform(0.5, 8.0);
+    sample.meanPowerW = rng.uniform(0.5, 4.0);
+    sample.meanTempC = rng.uniform(30.0, 70.0);
+    const std::string blob = serializeTrainingSample(sample);
+    TrainingSample round_trip;
+    ASSERT_TRUE(tryDeserializeTrainingSample(blob, &round_trip));
+    ASSERT_EQ(serializeTrainingSample(round_trip), blob);
 
-    // A parsed CSV is well-formed by construction: full rows of finite
-    // numbers; a rejected one says why.
-    const auto check = [](const std::string &text) {
-        std::vector<TrainingSample> out;
-        std::string why;
-        if (!trySamplesFromCsv(text, &out, &why)) {
-            EXPECT_FALSE(why.empty());
-            return;
-        }
-        for (const TrainingSample &s : out) {
-            EXPECT_EQ(s.x.size(), kNumFeatures);
-            for (double v : s.x)
-                EXPECT_TRUE(std::isfinite(v));
-            for (double v : {s.busMhz, s.voltage, s.loadTimeSec,
-                             s.meanPowerW, s.meanTempC})
-                EXPECT_TRUE(std::isfinite(v));
-        }
+    // A decoded payload is the one that was encoded (the checksum
+    // covers every byte); a rejected one leaves the output untouched.
+    const auto check = [&blob](const std::string &bytes) {
+        TrainingSample out;
+        out.busMhz = -1.0;
+        if (tryDeserializeTrainingSample(bytes, &out))
+            EXPECT_EQ(serializeTrainingSample(out), blob);
+        else
+            EXPECT_EQ(out.busMhz, -1.0);
     };
     for (const std::string &mutant : mutantCorpus(blob, rng))
         check(mutant);
     for (int i = 0; i < 256; ++i)
-        check(randomBytes(rng, rng.below(1024)));
+        check(randomBytes(rng, rng.below(512)));
 }
 
 } // namespace dora

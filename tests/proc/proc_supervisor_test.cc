@@ -14,6 +14,7 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 
@@ -70,22 +71,40 @@ class ProcSupervisorTest : public ::testing::Test
         return config;
     }
 
+    /**
+     * runProcSweep() that records every payload its completion hook
+     * hands out (the only way the supervisor delivers results) into
+     * payloads_, keyed by unit.
+     */
+    ProcSweepReport sweep(ProcSweepConfig config, uint64_t n,
+                          const ProcUnitFn &unit_fn)
+    {
+        payloads_.clear();
+        config.onUnitComplete = [this](uint64_t unit,
+                                       const std::string &payload) {
+            EXPECT_TRUE(payloads_.emplace(unit, payload).second)
+                << "unit " << unit << " delivered twice";
+            return uint64_t{0};
+        };
+        return runProcSweep(config, n, unit_fn);
+    }
+
     void expectAllCorrect(const ProcSweepReport &report, uint64_t n)
     {
         ASSERT_TRUE(report.allCompleted());
-        ASSERT_EQ(report.results.size(), n);
+        ASSERT_EQ(payloads_.size(), n);
         for (uint64_t u = 0; u < n; ++u)
-            EXPECT_EQ(report.results[u], expectedPayload(u))
-                << "unit " << u;
+            EXPECT_EQ(payloads_[u], expectedPayload(u)) << "unit " << u;
     }
 
     std::string stem_, journal_, marker_;
+    std::map<uint64_t, std::string> payloads_;
 };
 
 TEST_F(ProcSupervisorTest, HealthySweepCompletesEveryUnit)
 {
     for (const uint32_t workers : {1u, 4u}) {
-        const ProcSweepReport report = runProcSweep(
+        const ProcSweepReport report = sweep(
             fastConfig(workers), 9, expectedPayload);
         expectAllCorrect(report, 9);
         EXPECT_EQ(report.unitsRun, 9u);
@@ -98,7 +117,7 @@ TEST_F(ProcSupervisorTest, HealthySweepCompletesEveryUnit)
 TEST_F(ProcSupervisorTest, ZeroUnitsIsANoop)
 {
     const ProcSweepReport report =
-        runProcSweep(fastConfig(2), 0, expectedPayload);
+        sweep(fastConfig(2), 0, expectedPayload);
     EXPECT_TRUE(report.allCompleted());
     EXPECT_EQ(report.unitsRun, 0u);
 }
@@ -111,7 +130,7 @@ TEST_F(ProcSupervisorTest, CrashedWorkerIsRespawnedAndUnitRetried)
         return expectedPayload(unit);
     };
     const ProcSweepReport report =
-        runProcSweep(fastConfig(2), 6, unit_fn);
+        sweep(fastConfig(2), 6, unit_fn);
     expectAllCorrect(report, 6);
     EXPECT_GE(report.workerCrashes, 1u);
     EXPECT_GE(report.retries, 1u);
@@ -126,7 +145,7 @@ TEST_F(ProcSupervisorTest, ThrowingUnitIsRetriedWithoutACrash)
         return expectedPayload(unit);
     };
     const ProcSweepReport report =
-        runProcSweep(fastConfig(1), 4, unit_fn);
+        sweep(fastConfig(1), 4, unit_fn);
     expectAllCorrect(report, 4);
     EXPECT_EQ(report.workerCrashes, 0u);  // worker survived the throw
     EXPECT_GE(report.retries, 1u);
@@ -141,7 +160,7 @@ TEST_F(ProcSupervisorTest, HungWorkerIsKilledByHeartbeatWatchdog)
     };
     ProcSweepConfig config = fastConfig(1);
     config.heartbeatTimeoutSec = 0.3;
-    const ProcSweepReport report = runProcSweep(config, 4, unit_fn);
+    const ProcSweepReport report = sweep(config, 4, unit_fn);
     expectAllCorrect(report, 4);
     EXPECT_GE(report.workerCrashes, 1u);
     EXPECT_GE(report.retries, 1u);
@@ -156,7 +175,7 @@ TEST_F(ProcSupervisorTest, SlowUnitIsKilledByUnitTimeout)
     };
     ProcSweepConfig config = fastConfig(1);
     config.unitTimeoutSec = 0.4;
-    const ProcSweepReport report = runProcSweep(config, 3, unit_fn);
+    const ProcSweepReport report = sweep(config, 3, unit_fn);
     expectAllCorrect(report, 3);
     EXPECT_GE(report.workerCrashes, 1u);
 }
@@ -170,7 +189,7 @@ TEST_F(ProcSupervisorTest, PoisonUnitIsQuarantinedNotFatal)
     };
     ProcSweepConfig config = fastConfig(2);
     config.maxAttempts = 2;
-    const ProcSweepReport report = runProcSweep(config, 5, unit_fn);
+    const ProcSweepReport report = sweep(config, 5, unit_fn);
     EXPECT_FALSE(report.allCompleted());
     ASSERT_EQ(report.quarantined.size(), 1u);
     EXPECT_EQ(report.quarantined[0].unit, 2u);
@@ -180,7 +199,7 @@ TEST_F(ProcSupervisorTest, PoisonUnitIsQuarantinedNotFatal)
         if (u == 2)
             continue;
         EXPECT_TRUE(report.completed[u]) << "unit " << u;
-        EXPECT_EQ(report.results[u], expectedPayload(u));
+        EXPECT_EQ(payloads_[u], expectedPayload(u));
     }
 }
 
@@ -197,20 +216,20 @@ TEST_F(ProcSupervisorTest, JournalResumeSkipsCompletedUnits)
     config.maxAttempts = 1;
     config.journalPath = journal_;
     config.campaignHash = 0xfeedbeef;
-    const ProcSweepReport first = runProcSweep(config, 6, poison_fn);
+    const ProcSweepReport first = sweep(config, 6, poison_fn);
     EXPECT_EQ(first.quarantined.size(), 1u);
     EXPECT_EQ(first.unitsRun, 5u);
 
     // Second campaign over the same journal: only unit 4 runs; the
     // counter proves the other five came from the journal.
     const ProcSweepReport second =
-        runProcSweep(config, 6, expectedPayload);
+        sweep(config, 6, expectedPayload);
     expectAllCorrect(second, 6);
     EXPECT_EQ(second.unitsResumed, 5u);
     EXPECT_EQ(second.unitsRun, 1u);
 
     // Third open: fully resumed, zero work.
-    const ProcSweepReport third = runProcSweep(
+    const ProcSweepReport third = sweep(
         config, 6,
         [](uint64_t) -> std::string { ::abort(); });
     expectAllCorrect(third, 6);
@@ -239,7 +258,7 @@ TEST_F(ProcSupervisorTest, SigintDrainsInFlightAndJournalsProgress)
     timer.it_value.tv_usec = 400000;
     ASSERT_EQ(::setitimer(ITIMER_REAL, &timer, nullptr), 0);
     const ProcSweepReport drained =
-        runProcSweep(config, 20, slow_fn);
+        sweep(config, 20, slow_fn);
     ::sigaction(SIGALRM, &previous, nullptr);
 
     EXPECT_TRUE(drained.drained);
@@ -249,7 +268,7 @@ TEST_F(ProcSupervisorTest, SigintDrainsInFlightAndJournalsProgress)
 
     // Resume finishes the campaign; drained units are not recomputed.
     const ProcSweepReport resumed =
-        runProcSweep(config, 20, slow_fn);
+        sweep(config, 20, slow_fn);
     expectAllCorrect(resumed, 20);
     EXPECT_EQ(resumed.unitsResumed, drained.unitsRun);
     EXPECT_EQ(resumed.unitsRun, 20u - drained.unitsRun);
