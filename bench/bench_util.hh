@@ -15,6 +15,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/cli.hh"
 #include "common/logging.hh"
@@ -45,7 +46,7 @@ benchJobs(int argc, char **argv)
  * `--workers N` / `--workers=N` on the command line, else
  * $DORA_WORKERS, else 0 (in-process execution). Results are
  * bit-identical at any worker count; workers > 0 additionally buys
- * crash isolation and checkpoint/resume (see exec/proc).
+ * crash isolation and journal resume (see exec/proc).
  */
 inline unsigned
 benchWorkers(int argc, char **argv)
@@ -62,8 +63,31 @@ benchWorkers(int argc, char **argv)
     }
     if (workers > 0)
         std::cerr << "[bench] workers=" << workers << " (" << from
-                  << "; process tier with checkpoint/resume)\n";
+                  << "; process tier with journal resume)\n";
     return static_cast<unsigned>(workers);
+}
+
+/**
+ * Split a comma-separated flag value (`a,b,c`) into its non-empty
+ * pieces.
+ */
+inline std::vector<std::string>
+splitGovernors(const std::string &text)
+{
+    std::vector<std::string> names;
+    std::string current;
+    for (char c : text) {
+        if (c == ',') {
+            if (!current.empty())
+                names.push_back(current);
+            current.clear();
+        } else {
+            current += c;
+        }
+    }
+    if (!current.empty())
+        names.push_back(current);
+    return names;
 }
 
 /**

@@ -31,6 +31,15 @@ dora_add_bench(ext_parallel_scaling)
 
 dora_add_bench(fleet_rollout)
 target_link_libraries(fleet_rollout PRIVATE dora_fleet)
+# Smoke run: a misspelt flag must be a fatal diagnostic that names it,
+# before the campaign (10k devices by default) starts.
+add_test(NAME fleet_rollout_rejects_unknown_argument
+         COMMAND fleet_rollout --fleet-governors interactive
+                 --fleet-device 120)
+set_tests_properties(fleet_rollout_rejects_unknown_argument PROPERTIES
+    PASS_REGULAR_EXPRESSION "unknown argument '--fleet-device'"
+    FAIL_REGULAR_EXPRESSION "fleet rollout:"
+    TIMEOUT 60)
 
 dora_add_bench(ovh_overhead)
 target_link_libraries(ovh_overhead PRIVATE benchmark::benchmark)

@@ -13,9 +13,9 @@
  *      (jobs, workers) in {(1,0), (4,0), (1,2), (1,3)}
  *      (fleetReportText renders every double as a hex float, so any
  *      single-ULP divergence fails);
- *   2. a campaign SIGKILLed after its first aggregate checkpoint
- *      landed resumes — checkpoint restore plus journal tail replay —
- *      to the same bytes;
+ *   2. a campaign SIGKILLed once its journal holds a chunk resumes —
+ *      journal replay through the same in-order fold — to the same
+ *      bytes;
  *   3. cohort device counts conserve the population;
  *   4. the whole bench stays under a peak-RSS ceiling
  *      (`--fleet-rss-ceiling-mb`, default 768): streaming aggregation
@@ -29,7 +29,8 @@
  * `--fleet-governors a,b,c` substitutes model-free governors so the
  * check runs with no trained bundle (the default DORA arm trains or
  * loads the cached one). Each pass prints a machine-readable FLEET
- * line.
+ * line. Any argument that is neither one of the flags above (nor
+ * `--trace DIR` / `--exact-ticks`) nor a flag's value is fatal.
  */
 
 #include <algorithm>
@@ -48,6 +49,7 @@
 
 #include "bench_util.hh"
 #include "fleet/campaign.hh"
+#include "harness/comparison.hh"
 
 using namespace dora;
 
@@ -55,33 +57,6 @@ namespace fs = std::filesystem;
 
 namespace
 {
-
-/** Governors that need a trained ModelBundle to run. */
-bool
-needsModels(const std::string &name)
-{
-    return name == "DORA" || name == "DORA_no_lkg" || name == "EE" ||
-        name == "DL";
-}
-
-std::vector<std::string>
-splitGovernors(const std::string &text)
-{
-    std::vector<std::string> names;
-    std::string current;
-    for (char c : text) {
-        if (c == ',') {
-            if (!current.empty())
-                names.push_back(current);
-            current.clear();
-        } else {
-            current += c;
-        }
-    }
-    if (!current.empty())
-        names.push_back(current);
-    return names;
-}
 
 double
 wallSeconds(const std::chrono::steady_clock::time_point &t0)
@@ -103,20 +78,17 @@ clearJournals(const std::string &stem)
             fs::remove(entry.path());
 }
 
-/** Path of the first `<stem>.*<suffix>` artifact, or empty. */
+/** Path of the `<stem>.*.jrn` journal, or empty. */
 std::string
-findArtifact(const std::string &stem, const std::string &suffix)
+findJournal(const std::string &stem)
 {
     const fs::path dir = fs::path(stem).parent_path();
     const std::string prefix = fs::path(stem).filename().string();
     if (fs::exists(dir))
-        for (const auto &entry : fs::directory_iterator(dir)) {
-            const std::string name = entry.path().filename().string();
-            if (name.rfind(prefix, 0) == 0 && name.size() > suffix.size() &&
-                name.compare(name.size() - suffix.size(), suffix.size(),
-                             suffix) == 0)
+        for (const auto &entry : fs::directory_iterator(dir))
+            if (entry.path().filename().string().rfind(prefix, 0) == 0 &&
+                entry.path().extension() == ".jrn")
                 return entry.path().string();
-        }
     return "";
 }
 
@@ -136,6 +108,12 @@ peakRssMb()
 int
 main(int argc, char **argv)
 {
+    cliRejectUnknownArgs(
+        argc, argv, "fleet_rollout",
+        {"--fleet-devices", "--fleet-seed", "--fleet-governors",
+         "--fleet-max-load", "--fleet-rss-ceiling-mb", "--fleet-rss-smoke",
+         "--trace"},
+        {"--exact-ticks"});
     ObsGuard obs(argc, argv);
 
     FleetCampaignConfig base;
@@ -266,13 +244,10 @@ main(int argc, char **argv)
         engine.run();
         ::_exit(0);
     }
-    // Kill once an aggregate checkpoint landed: the .ckpt file proves
-    // at least one chunk was absorbed into the campaign prefix, so the
-    // resume exercises checkpoint restore + journal tail replay.
-    // (Polling the journal's size instead races with the checkpoint's
-    // high-water-mark truncation, which shrinks it back to its
-    // header.) A fast campaign may finish before the poll catches it —
-    // then the rerun below still validates an idempotent resume.
+    // Kill once the journal holds a record (its header is 36 bytes),
+    // so the resume replays real progress. A fast campaign may finish
+    // before the poll catches it — then the rerun below still
+    // validates an idempotent resume.
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::minutes(30);
     bool child_exited = false;
@@ -283,8 +258,8 @@ main(int argc, char **argv)
             break;
         }
         std::error_code ec;
-        const std::string ckpt = findArtifact(stem, ".ckpt");
-        if (!ckpt.empty() && fs::file_size(ckpt, ec) > 0 && !ec)
+        const std::string journal = findJournal(stem);
+        if (!journal.empty() && fs::file_size(journal, ec) > 36 && !ec)
             break;
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
@@ -295,9 +270,8 @@ main(int argc, char **argv)
         std::cerr << "NOTE: campaign finished before the kill window; "
                      "resume leg degrades to an idempotent rerun\n";
     }
-    if (findArtifact(stem, ".ckpt").empty() &&
-        findArtifact(stem, ".jrn").empty())
-        fatal("fleet_rollout: campaign left no checkpoint or journal");
+    if (findJournal(stem).empty())
+        fatal("fleet_rollout: campaign left no journal");
 
     FleetEngine resumed_engine(resume_config);
     const FleetReport resumed = resumed_engine.run();
@@ -337,7 +311,7 @@ main(int argc, char **argv)
         return 1;
     }
     std::cout << "fleet rollout bit-identical across " << cells
-              << " cells x 4 tier combinations + checkpoint resume, "
+              << " cells x 4 tier combinations + journal resume, "
               << "peak RSS " << static_cast<int>(rss_mb) << " MB\n";
     return 0;
 }

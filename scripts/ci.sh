@@ -95,10 +95,10 @@ echo "== crash: process-tier resilience =="
 (cd "${build_dir}" && ctest --output-on-failure \
     -R 'ProcWire|ProcJournalTest|ProcSupervisorTest|KillResume|BundleCacheLockTest|ObsGuardSignal')
 
-echo "== fleet: campaign determinism + checkpoint resume =="
+echo "== fleet: campaign determinism + journal resume =="
 # Rollout under model-free governors (no trained bundle needed):
 # byte-identity across the (jobs, workers) tier matrix,
-# mid-campaign SIGKILL + aggregate-checkpoint resume, cohort-count
+# mid-campaign SIGKILL + journal resume, cohort-count
 # conservation, and the bench's own peak-RSS ceiling. fleet_rollout
 # exits non-zero on any violation; the short load wall keeps the
 # stage to minutes (a censored page is still a deterministic

@@ -7,7 +7,6 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "dora/features.hh"
-#include "dora/sample_io.hh"
 #include "power/leakage.hh"
 #include "sim/cell_executor.hh"
 
@@ -47,11 +46,10 @@ trainingConfigHash(const TrainerConfig &config)
     text << " timeridge " << config.timeRidge << " powerridge "
          << config.powerRidge << " maxworkloads "
          << config.maxTrainingWorkloads;
-    // config.jobs, config.workers, config.lanes, and
-    // config.procJournalStem are deliberately not hashed: parallel and
-    // process-tier collection are bit-identical to serial, so the
-    // execution tier does not shape the trained coefficients and must
-    // not invalidate cached bundles.
+    // config.jobs and config.lanes are deliberately not hashed:
+    // parallel collection is bit-identical to serial, so the thread
+    // count does not shape the trained coefficients and must not
+    // invalidate cached bundles.
     return hashLabel(text.str());
 }
 
@@ -89,13 +87,21 @@ Trainer::collectSamples(const std::vector<WorkloadSpec> &workloads,
                            workload.kernel, workload.label(),
                            std::make_unique<FixedGovernor>(f), f);
     };
-    // Runs where the cell ran, so a campaign keeps (and a worker
-    // ships) samples, never whole measurements.
-    const auto to_sample = [&](size_t cell, RunMeasurement &&m) {
+    CellTiers tiers;
+    tiers.jobs = config_.jobs;
+    CellCampaign campaign;
+    campaign.name = "trainer";
+    campaign.doneMetric = "trainer.samples_collected";
+    const std::vector<RunMeasurement> measured = CellExecutor(tiers).measure(
+        workloads.size() * freqs, make_cell, campaign);
+
+    std::vector<TrainingSample> samples(measured.size());
+    for (size_t cell = 0; cell < measured.size(); ++cell) {
+        const RunMeasurement &m = measured[cell];
         const WorkloadSpec &workload = workloads[cell / freqs];
         const OperatingPoint &opp =
             runner_.freqTable().opp(freq_indices[cell % freqs]);
-        TrainingSample s;
+        TrainingSample &s = samples[cell];
         s.x = buildFeatureVector(workload.page->features, m.meanL2Mpki,
                                  opp.coreMhz, opp.busMhz,
                                  m.meanCorunUtil);
@@ -104,25 +110,8 @@ Trainer::collectSamples(const std::vector<WorkloadSpec> &workloads,
         s.loadTimeSec = m.loadTimeSec;
         s.meanPowerW = m.meanPowerW;
         s.meanTempC = m.meanTempC;
-        return s;
-    };
-
-    std::ostringstream identity;
-    identity << "collectSamples " << trainingConfigHash(config_);
-    for (const auto &w : workloads)
-        identity << " " << w.label();
-    for (size_t f : freq_indices)
-        identity << " " << f;
-    CellCampaign campaign;
-    campaign.name = "trainer";
-    campaign.hash = hashLabel(identity.str());
-    campaign.doneMetric = "trainer.samples_collected";
-    const CellExecutor executor(
-        {config_.jobs, config_.workers, config_.procJournalStem});
-    return executor.mapCells<TrainingSample>(
-        workloads.size() * freqs, make_cell, to_sample,
-        {serializeTrainingSample, tryDeserializeTrainingSample},
-        campaign);
+    }
+    return samples;
 }
 
 GaussNewtonResult

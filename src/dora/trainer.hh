@@ -73,27 +73,11 @@ struct TrainerConfig
     unsigned jobs = 0;  // dora:hash-exclude(bit-identical at any job count)
 
     /**
-     * Route the measurement campaign through the crash-resilient
-     * process tier (exec/proc): worker subprocesses per campaign
-     * (0 = in-process thread pool, the default). Bit-identical to
-     * workers=0 and, like jobs, excluded from trainingConfigHash().
-     */
-    unsigned workers = 0;  // dora:hash-exclude(bit-identical to workers=0)
-
-    /**
      * Inert: the only accepted value is 1, and Trainer fatal()s on any
      * other. Its only caller is benchmark/rounds.cc, and it goes with
      * that line.
      */
     unsigned lanes = 1;  // dora:hash-exclude(inert, always 1)
-
-    /**
-     * Journal stem for process-tier campaigns: completed cells land in
-     * `<stem>.<campaign-hash>.jrn` and a rerun resumes from them.
-     * Empty disables journaling. Excluded from trainingConfigHash().
-     */
-    // dora:hash-exclude(resume aid, not part of the protocol)
-    std::string procJournalStem;
 };
 
 /** One (features -> targets) observation from a measurement run. */

@@ -121,8 +121,7 @@ ResultsJournal::open(const std::string &path, uint64_t campaign_hash,
     loaded_.clear();
     truncatedTail_ = false;
     error_.clear();
-    path_ = path;
-    header_ = encodeHeader(campaign_hash, unit_count);
+    const std::string header = encodeHeader(campaign_hash, unit_count);
 
     fd_ = ::open(path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
     if (fd_ < 0) {
@@ -139,7 +138,6 @@ ResultsJournal::open(const std::string &path, uint64_t campaign_hash,
 
     if (bytes.empty()) {
         // Fresh journal: write and sync the header.
-        const std::string &header = header_;
         if (!writeAll(fd_, header.data(), header.size()) ||
             ::fsync(fd_) != 0) {
             error_ = "write header(" + path + "): " +
@@ -152,7 +150,7 @@ ResultsJournal::open(const std::string &path, uint64_t campaign_hash,
 
     // Existing journal: the header must match this campaign exactly.
     if (bytes.size() < kHeaderBytes ||
-        bytes.compare(0, kHeaderBytes, header_) != 0) {
+        bytes.compare(0, kHeaderBytes, header) != 0) {
         error_ = "journal " + path +
             " does not match this campaign (different sweep, config, "
             "or build?); refusing to resume from it";
@@ -227,80 +225,6 @@ ResultsJournal::append(uint64_t unit, std::string_view payload)
         error_ = std::string("fsync: ") + std::strerror(errno);
         return false;
     }
-    return true;
-}
-
-bool
-ResultsJournal::compactBelow(uint64_t floor)
-{
-    if (fd_ < 0) {
-        error_ = "compactBelow on closed journal";
-        return false;
-    }
-
-    // Re-read the live file: the journal keeps no in-memory copy of
-    // appended payloads (that would defeat the memory bound the
-    // compaction exists to preserve).
-    if (::lseek(fd_, 0, SEEK_SET) < 0) {
-        error_ = std::string("seek: ") + std::strerror(errno);
-        return false;
-    }
-    std::string bytes;
-    if (!readWhole(fd_, &bytes)) {
-        error_ = std::string("read: ") + std::strerror(errno);
-        return false;
-    }
-
-    std::string out = header_;
-    size_t pos = kHeaderBytes;
-    while (pos < bytes.size()) {
-        if (bytes.size() - pos < kRecordHeadBytes)
-            break;
-        uint32_t magic, len;
-        uint64_t unit;
-        std::memcpy(&magic, bytes.data() + pos, sizeof(magic));
-        std::memcpy(&unit, bytes.data() + pos + 4, sizeof(unit));
-        std::memcpy(&len, bytes.data() + pos + 12, sizeof(len));
-        if (magic != kRecordMagic || len > kMaxRecordPayload)
-            break;
-        const size_t total = kRecordHeadBytes + len + kChecksumBytes;
-        if (bytes.size() - pos < total)
-            break;
-        if (unit >= floor)
-            out.append(bytes, pos, total);
-        pos += total;
-    }
-
-    const std::string tmp = path_ + ".compact";
-    const int tfd =
-        ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC,
-               0644);
-    if (tfd < 0) {
-        error_ = "open(" + tmp + "): " + std::strerror(errno);
-        return false;
-    }
-    if (!writeAll(tfd, out.data(), out.size()) || ::fsync(tfd) != 0) {
-        error_ = "write(" + tmp + "): " + std::strerror(errno);
-        ::close(tfd);
-        ::unlink(tmp.c_str());
-        return false;
-    }
-    ::close(tfd);
-    if (::rename(tmp.c_str(), path_.c_str()) != 0) {
-        error_ = "rename(" + tmp + "): " + std::strerror(errno);
-        ::unlink(tmp.c_str());
-        return false;
-    }
-
-    // Swap the append fd to the compacted file.
-    const int nfd =
-        ::open(path_.c_str(), O_RDWR | O_APPEND | O_CLOEXEC, 0644);
-    if (nfd < 0) {
-        error_ = "reopen(" + path_ + "): " + std::strerror(errno);
-        return false;
-    }
-    ::close(fd_);
-    fd_ = nfd;
     return true;
 }
 

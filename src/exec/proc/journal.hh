@@ -73,19 +73,6 @@ class ResultsJournal
      */
     [[nodiscard]] bool append(uint64_t unit, std::string_view payload);
 
-    /**
-     * High-water-mark truncation: atomically rewrite the journal
-     * without the records whose unit index is below @p floor — used
-     * once those units are durable in a campaign aggregate
-     * checkpoint, so resume replays O(checkpoint interval) records
-     * instead of the whole journal. Write path: temp file + fsync +
-     * rename, so a kill mid-compaction leaves either the old or the
-     * new journal, never a hybrid.
-     * @return false on I/O failure (reason in error(); the old
-     *         journal stays in effect).
-     */
-    [[nodiscard]] bool compactBelow(uint64_t floor);
-
     /** Human-readable reason of the last failure. */
     const std::string &error() const { return error_; }
 
@@ -97,8 +84,6 @@ class ResultsJournal
 
   private:
     int fd_ = -1;
-    std::string path_;
-    std::string header_;
     std::string error_;
     std::vector<std::pair<uint64_t, std::string>> loaded_;
     bool truncatedTail_ = false;

@@ -251,10 +251,8 @@ class Supervisor
     ProcSweepReport run();
 
   private:
-    void markPrecompletedPrefix();
     void resumeFromJournal();
     void notifyComplete(uint64_t unit, const std::string &payload);
-    void maybeCompact();
     void spawnWorker(WorkerSlot &slot);
     void reapWorkers(double now);
     void drainWorkerPipe(WorkerSlot &slot, double now);
@@ -293,54 +291,14 @@ class Supervisor
     std::vector<Incident> incidents_;
     uint64_t doneCount_ = 0;
     uint64_t quarantinedCount_ = 0;
-    uint64_t compactFloor_ = 0;    //!< durable-outside-journal floor
-    uint64_t compactedBelow_ = 0;  //!< floor already applied on disk
     bool forcedStop_ = false;
 };
 
 void
-Supervisor::markPrecompletedPrefix()
-{
-    const uint64_t prefix =
-        std::min(config_.precompletedPrefix, unitCount_);
-    for (uint64_t u = 0; u < prefix; ++u) {
-        if (report_.completed[u])
-            continue;
-        report_.completed[u] = 1;
-        ++doneCount_;
-        ++report_.unitsPrecompleted;
-    }
-    // Everything below the prefix is durable in the caller's
-    // artifact, so those journal records are dead weight.
-    compactFloor_ = std::max(compactFloor_, prefix);
-    if (report_.unitsPrecompleted > 0)
-        inform("proc supervisor: %llu/%llu units already durable in "
-               "the caller's checkpoint",
-               static_cast<unsigned long long>(
-                   report_.unitsPrecompleted),
-               static_cast<unsigned long long>(unitCount_));
-}
-
-void
 Supervisor::notifyComplete(uint64_t unit, const std::string &payload)
 {
-    if (!config_.onUnitComplete)
-        return;
-    const uint64_t floor = config_.onUnitComplete(unit, payload);
-    compactFloor_ = std::max(compactFloor_, floor);
-}
-
-void
-Supervisor::maybeCompact()
-{
-    if (compactFloor_ <= compactedBelow_ || !journal_.isOpen())
-        return;
-    if (!journal_.compactBelow(compactFloor_))
-        warn("proc supervisor: journal compaction failed (%s); resume "
-             "will replay extra records",
-             journal_.error().c_str());
-    else
-        compactedBelow_ = compactFloor_;
+    if (config_.onUnitComplete)
+        config_.onUnitComplete(unit, payload);
 }
 
 void
@@ -359,7 +317,6 @@ Supervisor::resumeFromJournal()
         ++report_.unitsResumed;
         notifyComplete(unit, payload);
     }
-    maybeCompact();
     if (report_.unitsResumed > 0)
         inform("proc supervisor: resumed %llu/%llu units from %s",
                static_cast<unsigned long long>(report_.unitsResumed),
@@ -406,15 +363,12 @@ Supervisor::completeUnit(uint64_t unit, const std::string &payload)
     report_.completed[unit] = 1;
     ++doneCount_;
     ++report_.unitsRun;
-    // Journal before notifying: the streaming consumer's durable floor
-    // must never run ahead of what the journal holds.
     if (journal_.isOpen() && !journal_.append(unit, payload))
         warn("proc supervisor: journal append failed (%s); campaign "
              "continues but will not resume past unit %llu",
              journal_.error().c_str(),
              static_cast<unsigned long long>(unit));
     notifyComplete(unit, payload);
-    maybeCompact();
 }
 
 void
@@ -695,7 +649,6 @@ Supervisor::emitTrace()
 ProcSweepReport
 Supervisor::run()
 {
-    markPrecompletedPrefix();
     resumeFromJournal();
 
     for (uint64_t u = 0; u < unitCount_; ++u)
@@ -707,9 +660,6 @@ Supervisor::run()
         MetricsRegistry::global()
             .counter("proc.units_resumed")
             .add(report_.unitsResumed);
-        MetricsRegistry::global()
-            .counter("proc.units_precompleted")
-            .add(report_.unitsPrecompleted);
         return std::move(report_);
     }
 
@@ -794,9 +744,6 @@ Supervisor::run()
     MetricsRegistry::global()
         .counter("proc.units_resumed")
         .add(report_.unitsResumed);
-    MetricsRegistry::global()
-        .counter("proc.units_precompleted")
-        .add(report_.unitsPrecompleted);
     emitTrace();
     return std::move(report_);
 }

@@ -75,24 +75,13 @@ struct ProcSweepConfig
     uint64_t campaignHash = 0;
 
     /**
-     * Units [0, precompletedPrefix) are already durable in an
-     * external artifact (e.g. a campaign aggregate checkpoint): the
-     * supervisor marks them complete with an empty payload, never
-     * dispatches them, and skips their journal records on resume.
-     */
-    uint64_t precompletedPrefix = 0;
-
-    /**
      * Streaming completion hook, called once per newly completed or
      * journal-resumed unit (after the unit is journaled, in the
      * supervisor's single control thread). It is the only consumer of
      * unit payloads: the supervisor keeps none, so its memory stays
-     * O(open units) instead of O(campaign results). The return value
-     * is the caller's durable floor: every unit below it is durable
-     * outside the journal, so the supervisor may drop those records
-     * (journal high-water-mark truncation). Return 0 to keep all.
+     * O(open units) instead of O(campaign results).
      */
-    std::function<uint64_t(uint64_t unit, const std::string &payload)>
+    std::function<void(uint64_t unit, const std::string &payload)>
         onUnitComplete;
 };
 
@@ -117,7 +106,6 @@ struct ProcSweepReport
     uint64_t retries = 0;        //!< re-dispatches after a failure
     uint64_t unitsResumed = 0;   //!< satisfied from the journal
     uint64_t unitsRun = 0;       //!< executed by workers this call
-    uint64_t unitsPrecompleted = 0; //!< satisfied by the caller's prefix
 
     /** True when SIGINT/SIGTERM interrupted the campaign. */
     bool drained = false;

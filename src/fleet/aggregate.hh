@@ -10,7 +10,7 @@
  * counters, and an order-sensitive digest chain over the chunk's
  * measurement digests. Workers ship this one aggregate per chunk
  * instead of per-device measurements, and every aggregation path —
- * serial, thread tier, process tier, checkpoint resume — folds the
+ * serial, thread tier, process tier, journal resume — folds the
  * chunk aggregates **left-to-right in chunk-index order** (the
  * canonical fold), so the campaign-level aggregate is bit-identical
  * at any (jobs, workers) combination and across a SIGKILL +
@@ -42,8 +42,8 @@ namespace dora
 
 /**
  * Reduction of one chunk of cells — or, after merging, of a
- * contiguous prefix of chunks (the campaign accumulator and the
- * checkpoint payload are this same type).
+ * contiguous prefix of chunks (the campaign accumulator is this same
+ * type).
  */
 class FleetShardAggregate
 {
@@ -119,7 +119,7 @@ class FleetShardAggregate
         return cohorts_;
     }
 
-    /** Wire/journal/checkpoint format (versioned snapshot section). */
+    /** Wire and journal format (versioned snapshot section). */
     std::string serialize() const;
     [[nodiscard]] bool tryDeserialize(std::string_view bytes);
 

@@ -1,17 +1,11 @@
 #include "fleet/campaign.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
-
-#include <fcntl.h>
-#include <unistd.h>
 
 #include "browser/page_corpus.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "common/snapshot.hh"
 #include "harness/comparison.hh"
 #include "obs/trace.hh"
 
@@ -29,136 +23,13 @@ appendHexDouble(std::string &text, double value)
     text += buf;
 }
 
-bool
-writeAllFd(int fd, const char *p, size_t n)
-{
-    while (n > 0) {
-        const ssize_t w = ::write(fd, p, n);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        p += w;
-        n -= static_cast<size_t>(w);
-    }
-    return true;
-}
-
-/** Whole-file read; false when the file is absent or unreadable. */
-bool
-readFile(const std::string &path, std::string *out)
-{
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0)
-        return false;
-    char buf[64 * 1024];
-    for (;;) {
-        const ssize_t r = ::read(fd, buf, sizeof(buf));
-        if (r < 0) {
-            if (errno == EINTR)
-                continue;
-            ::close(fd);
-            return false;
-        }
-        if (r == 0)
-            break;
-        out->append(buf, static_cast<size_t>(r));
-    }
-    ::close(fd);
-    return true;
-}
-
-/** Temp + fsync + rename: a kill leaves the old file or the new one. */
-bool
-writeFileAtomic(const std::string &path, std::string_view bytes)
-{
-    const std::string tmp = path + ".tmp";
-    const int fd = ::open(tmp.c_str(),
-                          O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC,
-                          0644);
-    if (fd < 0)
-        return false;
-    if (!writeAllFd(fd, bytes.data(), bytes.size()) ||
-        ::fsync(fd) != 0) {
-        ::close(fd);
-        ::unlink(tmp.c_str());
-        return false;
-    }
-    ::close(fd);
-    if (::rename(tmp.c_str(), path.c_str()) != 0) {
-        ::unlink(tmp.c_str());
-        return false;
-    }
-    return true;
-}
-
-/**
- * Campaign aggregate checkpoint: the absorbed-prefix FleetShardAggregate
- * plus enough identity (campaign hash, chunk geometry) to refuse a
- * checkpoint from any other campaign. Versioned snapshot section.
- */
-std::string
-checkpointBytes(uint64_t hash, uint64_t chunk_count,
-                uint32_t chunk_devices, uint64_t absorbed,
-                const FleetShardAggregate &campaign)
-{
-    SnapshotWriter w;
-    w.beginSection("fckp", 1);
-    w.putU64(hash);
-    w.putU64(chunk_count);
-    w.putU32(chunk_devices);
-    w.putU64(absorbed);
-    w.putString(campaign.serialize());
-    return w.finish();
-}
-
-bool
-tryLoadCheckpoint(const std::string &path, uint64_t hash,
-                  uint64_t chunk_count, uint32_t chunk_devices,
-                  uint64_t device_total, size_t gcount,
-                  uint64_t *absorbed, FleetShardAggregate *campaign)
-{
-    std::string bytes;
-    if (!readFile(path, &bytes))
-        return false;  // no checkpoint yet: a fresh campaign
-    SnapshotReader r(bytes);
-    uint64_t h = 0, chunks = 0, a = 0;
-    uint32_t cd = 0;
-    std::string agg;
-    if (!r.checksumOk() || !r.beginSection("fckp", 1) ||
-        !r.getU64(&h) || !r.getU64(&chunks) || !r.getU32(&cd) ||
-        !r.getU64(&a) || !r.getString(&agg) || !r.atEnd() ||
-        h != hash || chunks != chunk_count || cd != chunk_devices ||
-        a > chunk_count) {
-        warn("fleet: ignoring checkpoint %s (different campaign, "
-             "torn write, or newer format); the journal still covers "
-             "completed chunks",
-             path.c_str());
-        return false;
-    }
-    FleetShardAggregate loaded;
-    const uint64_t expect_cells =
-        std::min<uint64_t>(a * chunk_devices, device_total) * gcount;
-    if (!loaded.tryDeserialize(agg) || loaded.firstCell() != 0 ||
-        loaded.cellCount() != expect_cells) {
-        warn("fleet: ignoring checkpoint %s (aggregate does not match "
-             "the stated chunk prefix)",
-             path.c_str());
-        return false;
-    }
-    *absorbed = a;
-    *campaign = std::move(loaded);
-    return true;
-}
-
 } // namespace
 
 uint64_t
 fleetCampaignHash(const FleetCampaignConfig &config)
 {
     // "rev2": bump on any change to the cell grid layout or the unit
-    // payload format — the hash names resume journals and checkpoints.
+    // payload format — the hash names resume journals.
     // rev2 units are chunk aggregates (rev1 shipped raw measurements
     // in smaller units), so the chunk width is part of the identity;
     // the tier widths are not, since every cell's measurement is the
@@ -181,10 +52,9 @@ FleetEngine::FleetEngine(FleetCampaignConfig config)
     validateFleetSpec(config_.spec);
     if (config_.governors.empty())
         fatal("FleetEngine: empty governor list");
+    checkGovernorList("FleetEngine", config_.governors, config_.models);
     if (config_.chunkDevices == 0)
         config_.chunkDevices = 1;
-    if (config_.checkpointIntervalChunks == 0)
-        config_.checkpointIntervalChunks = 1;
 }
 
 size_t
@@ -265,21 +135,6 @@ FleetEngine::runChunk(size_t chunk_index) const
     return agg;
 }
 
-std::vector<RunMeasurement>
-FleetEngine::runAllCells() const
-{
-    const size_t gcount = config_.governors.size();
-    CellCampaign campaign;
-    campaign.name = "fleet";
-    campaign.hash = fleetCampaignHash(config_);
-    return executor_.measure(
-        cellCount(),
-        [&](size_t cell) {
-            return makeCell(cell, sampleDevice(config_.spec, cell / gcount));
-        },
-        campaign);
-}
-
 FleetReport
 FleetEngine::buildReport(const FleetShardAggregate &campaign) const
 {
@@ -340,59 +195,19 @@ FleetReport
 FleetEngine::run()
 {
     const size_t gcount = config_.governors.size();
-    const uint64_t chunks = chunkCount();
     CellCampaign campaign;
     campaign.name = "fleet";
     campaign.hash = fleetCampaignHash(config_);
 
     // Chunk aggregates fold left-to-right in chunk order (the canonical
     // fold) as the executor hands them over, so at most the chunks
-    // that finished out of order are held, on every tier.
+    // that finished out of order are held, on every tier. A resumed
+    // campaign replays its journaled chunks through the same fold.
     FleetShardAggregate folded = FleetShardAggregate::forCampaign(gcount);
-    uint64_t absorbed = 0;    // chunks folded into `folded`
-    uint64_t durable = 0;     // chunks durable in the checkpoint
-    uint64_t since_ckpt = 0;  // chunks folded since the last write
-    std::string ckpt_path;
-    if (config_.workers > 0 && !config_.journalStem.empty()) {
-        ckpt_path = config_.journalStem + "." + hexU64(campaign.hash) +
-            ".ckpt";
-        if (tryLoadCheckpoint(ckpt_path, campaign.hash, chunks,
-                              config_.chunkDevices, config_.spec.devices,
-                              gcount, &absorbed, &folded)) {
-            durable = absorbed;
-            inform("fleet: checkpoint %s covers %llu/%llu chunks; "
-                   "resuming past them",
-                   ckpt_path.c_str(),
-                   static_cast<unsigned long long>(absorbed),
-                   static_cast<unsigned long long>(chunks));
-        }
-    }
-    campaign.durablePrefix = absorbed;
-    // Checkpoint the folded prefix every checkpointIntervalChunks; the
-    // journal may then drop every record below it.
-    campaign.durableFloor = [&]() -> uint64_t {
-        if (!ckpt_path.empty() &&
-            since_ckpt >= config_.checkpointIntervalChunks) {
-            if (writeFileAtomic(ckpt_path,
-                                checkpointBytes(campaign.hash, chunks,
-                                                config_.chunkDevices,
-                                                absorbed, folded)))
-                durable = absorbed;
-            else
-                warn("fleet: checkpoint write to %s failed; the "
-                     "journal keeps the full history",
-                     ckpt_path.c_str());
-            since_ckpt = 0;
-        }
-        return durable;
-    };
-
     executor_.forEachUnit<FleetShardAggregate>(
-        chunks, [this](size_t c) { return runChunk(c); },
-        [&](size_t, FleetShardAggregate &&chunk) {
+        chunkCount(), [this](size_t c) { return runChunk(c); },
+        [&folded](size_t, FleetShardAggregate &&chunk) {
             folded.merge(chunk);
-            ++absorbed;
-            ++since_ckpt;
         },
         {[](const FleetShardAggregate &chunk) { return chunk.serialize(); },
          [](std::string_view bytes, FleetShardAggregate *chunk) {

@@ -24,15 +24,15 @@
  * (fleet/aggregate.hh), and chunk aggregates fold left-to-right in
  * chunk-index order as the executor hands them over — so memory holds
  * only chunks that finished out of order, on every tier. The process
- * tier ships one aggregate per chunk instead of per-device
- * measurements, and the completion hook writes a versioned aggregate
- * checkpoint of the folded prefix every checkpointIntervalChunks,
- * letting the supervisor truncate the journal below it — so resume
- * after SIGKILL costs O(checkpoint interval), not O(journal replay).
+ * tier ships and journals one aggregate per chunk instead of
+ * per-device measurements (about 3 KB for 32 devices under two
+ * governors), and a campaign resumed after SIGKILL replays every
+ * journaled chunk through the same in-order fold: the journal is its
+ * only resume artifact.
  *
  * The campaign hash covers the spec text, the base ExperimentConfig
  * protocol hash, the governor list, and the chunk width, so a stale
- * journal/checkpoint from any other campaign is refused. The tier
+ * journal from any other campaign is refused. The tier
  * widths are deliberately NOT in the hash: every cell's measurement is
  * the same at any (jobs, workers), so a journal written at one worker
  * count resumes correctly at any other.
@@ -91,23 +91,15 @@ struct FleetCampaignConfig
 
     /**
      * Devices per aggregation chunk — the unit of the thread and
-     * process tiers and of checkpoint granularity. Part of the
-     * campaign hash (it defines the journal's unit space).
+     * process tiers and of the resume journal. Part of the campaign
+     * hash (it defines the journal's unit space).
      */
     unsigned chunkDevices = 32;
 
     /**
-     * Chunks absorbed into the campaign prefix between aggregate
-     * checkpoints (process tier with a journalStem only).
-     */
-    unsigned checkpointIntervalChunks = 1;
-
-    /**
      * Resume stem; completed chunks are journaled to
-     * `<stem>.<campaign-hash>.jrn`, the campaign prefix aggregate is
-     * checkpointed to `<stem>.<campaign-hash>.ckpt`, and a rerun
-     * resumes instead of recomputing. Empty disables both. Process
-     * tier only.
+     * `<stem>.<campaign-hash>.jrn`, and a rerun replays them instead
+     * of recomputing. Empty disables journaling. Process tier only.
      */
     std::string journalStem;
 };
@@ -186,6 +178,10 @@ std::string fleetReportText(const FleetReport &report);
 class FleetEngine
 {
   public:
+    /**
+     * fatal() on an invalid spec or an empty, repeated or unknown
+     * governor, before any cell runs.
+     */
     explicit FleetEngine(FleetCampaignConfig config);
 
     /** Run the whole campaign and aggregate. */
@@ -198,13 +194,6 @@ class FleetEngine
      */
     RunMeasurement replayDevice(size_t device_index,
                                 const std::string &governor) const;
-
-    /**
-     * Every cell's raw measurement in grid order — what run()
-     * reduces, materialized. For the determinism suite and debugging
-     * tools (O(devices) memory!); campaigns want the FleetReport.
-     */
-    std::vector<RunMeasurement> runAllCells() const;
 
     const FleetCampaignConfig &config() const { return config_; }
 

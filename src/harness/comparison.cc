@@ -140,6 +140,26 @@ makeNamedGovernor(const std::string &governor,
     fatal("makeNamedGovernor: unknown governor '%s'", governor.c_str());
 }
 
+bool
+needsModels(const std::string &name)
+{
+    return name == "DL" || name == "EE" || name == "DORA" ||
+        name == "DORA_no_lkg";
+}
+
+void
+checkGovernorList(const char *caller, const std::vector<std::string> &names,
+                  const std::shared_ptr<const ModelBundle> &models)
+{
+    for (size_t g = 0; g < names.size(); ++g) {
+        if (std::find(names.begin(), names.begin() + g, names[g]) !=
+            names.begin() + g)
+            fatal("%s: governor '%s' is listed twice", caller,
+                  names[g].c_str());
+        makeNamedGovernor(names[g], models);
+    }
+}
+
 RunMeasurement
 ComparisonHarness::runOne(const WorkloadSpec &workload,
                           const std::string &governor)
@@ -197,17 +217,8 @@ ComparisonHarness::runAll(const std::vector<WorkloadSpec> &workloads,
                           const std::vector<std::string> &governors)
 {
     const auto &names = governors.empty() ? paperGovernors() : governors;
-    // Checked here, before any cell runs: a repeated name would
-    // overwrite its twin's slot in the record (and ride its twin), and
-    // an unknown one would otherwise die on a pool thread or in a
-    // worker.
-    for (size_t g = 0; g < names.size(); ++g) {
-        if (std::find(names.begin(), names.begin() + g, names[g]) !=
-            names.begin() + g)
-            fatal("runAll: governor '%s' is listed twice",
-                  names[g].c_str());
-        makeNamedGovernor(names[g], models_);
-    }
+    // A repeated name would also overwrite its twin's record slot.
+    checkGovernorList("runAll", names, models_);
     std::ostringstream grid;
     grid << "runAll";
     for (const auto &w : workloads)

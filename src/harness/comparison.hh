@@ -37,6 +37,20 @@ std::unique_ptr<Governor>
 makeNamedGovernor(const std::string &name,
                   const std::shared_ptr<const ModelBundle> &models);
 
+/** True for the predictive governors, which run on a trained bundle. */
+bool needsModels(const std::string &name);
+
+/**
+ * fatal() unless every name in @p names is one makeNamedGovernor()
+ * knows and none is listed twice; @p caller prefixes the repeated-name
+ * diagnostic. Campaigns check their list before any cell runs: a
+ * repeated name would ride its twin and duplicate its results, and an
+ * unknown one would otherwise die on a pool thread or in a worker.
+ */
+void checkGovernorList(const char *caller,
+                       const std::vector<std::string> &names,
+                       const std::shared_ptr<const ModelBundle> &models);
+
 /**
  * Results of one workload under every compared governor, keyed by
  * governor name. A name outside the harness's governor registry
@@ -91,7 +105,7 @@ class ComparisonHarness
     void setWorkers(unsigned workers) { tiers_.workers = workers; }
 
     /**
-     * Enable checkpoint/resume for process-tier campaigns: completed
+     * Enable journal resume for process-tier campaigns: completed
      * cells are journaled to `<stem>.<campaign-hash>.jrn` and a rerun
      * resumes from the journal instead of recomputing them. The hash
      * covers the experiment config, fault schedule, and campaign

@@ -4,9 +4,12 @@
 #include <csignal>
 #include <optional>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "exec/proc/supervisor.hh"
+#include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "runner/measurement_io.hh"
 
 namespace dora
 {
@@ -141,13 +144,61 @@ CellExecutor::runCells(size_t first, size_t count, const CellFn &make_cell,
 
 std::vector<RunMeasurement>
 CellExecutor::measure(size_t n, const CellFn &make_cell,
-                      const CellCampaign &campaign) const
+                      CellCampaign campaign) const
 {
-    return mapCells<RunMeasurement>(
-        n, make_cell,
-        [](size_t, RunMeasurement &&m) { return std::move(m); },
-        {serializeRunMeasurement, tryDeserializeRunMeasurement},
-        campaign);
+    const std::vector<Gang> gangs = planGangs(0, n, make_cell);
+    campaign.hash = planCampaignHash(campaign.hash, n, gangs);
+    MetricCounter *done = nullptr;
+    if (campaign.queuedMetric)
+        MetricsRegistry::global().counter(campaign.queuedMetric).add(n);
+    if (campaign.doneMetric)
+        done = &MetricsRegistry::global().counter(campaign.doneMetric);
+
+    // A unit is its gang's measurements in ascending cell order.
+    using Batch = std::vector<RunMeasurement>;
+    const WireCodec<Batch> batch_codec{
+        [](const Batch &batch) {
+            std::vector<std::string> payloads;
+            payloads.reserve(batch.size());
+            for (const RunMeasurement &m : batch)
+                payloads.push_back(serializeRunMeasurement(m));
+            return packPayloads(payloads);
+        },
+        [](std::string_view bytes, Batch *out) {
+            std::vector<std::string> payloads;
+            if (!tryUnpackPayloads(bytes, &payloads))
+                return false;
+            Batch batch(payloads.size());
+            for (size_t i = 0; i < payloads.size(); ++i)
+                if (!tryDeserializeRunMeasurement(payloads[i], &batch[i]))
+                    return false;
+            *out = std::move(batch);
+            return true;
+        }};
+
+    std::vector<RunMeasurement> out(n);
+    forEachUnit<Batch>(
+        gangs.size(),
+        [&](size_t u) {
+            Batch batch;
+            runGang(gangs[u], make_cell, [&](size_t, RunMeasurement &&m) {
+                batch.push_back(std::move(m));
+            });
+            return batch;
+        },
+        [&](size_t u, Batch &&batch) {
+            const Gang &gang = gangs[u];
+            if (batch.size() != gang.size())
+                fatal("%s: unit %zu holds %zu cells, not %zu",
+                      campaign.name.c_str(), u, batch.size(),
+                      gang.size());
+            for (size_t k = 0; k < gang.size(); ++k)
+                out[gang[k]] = std::move(batch[k]);
+            if (done)
+                done->add(batch.size());
+        },
+        batch_codec, campaign);
+    return out;
 }
 
 uint64_t
@@ -181,18 +232,15 @@ CellExecutor::runInWorkers(
     if (!tiers_.journalStem.empty())
         proc.journalPath = tiers_.journalStem + "." +
             hexU64(campaign.hash) + ".jrn";
-    proc.precompletedPrefix = campaign.durablePrefix;
     // The completion hook is the only consumer of payloads, so the
     // supervisor's memory is O(workers + reorder window).
-    proc.onUnitComplete = [&](uint64_t unit,
-                              const std::string &payload) -> uint64_t {
+    proc.onUnitComplete = [&](uint64_t unit, const std::string &payload) {
         if (!accept(unit, payload))
             fatal("%s: unit %llu payload from the process tier does "
                   "not decode (journal from an older build?); delete "
                   "%s and re-run",
                   name, static_cast<unsigned long long>(unit),
                   proc.journalPath.c_str());
-        return campaign.durableFloor ? campaign.durableFloor() : 0;
     };
 
     const ProcSweepReport report = runProcSweep(proc, n, encode_unit);
@@ -204,8 +252,7 @@ CellExecutor::runInWorkers(
              "durable; re-run to resume",
              name, report.drainSignal,
              static_cast<unsigned long long>(report.unitsRun +
-                                             report.unitsResumed +
-                                             report.unitsPrecompleted));
+                                             report.unitsResumed));
         ::raise(report.drainSignal);
         fatal("%s: campaign interrupted", name);  // signal was ignored
     }

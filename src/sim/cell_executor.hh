@@ -41,11 +41,8 @@
 #include <string_view>
 #include <vector>
 
-#include "common/logging.hh"
 #include "common/mutex.hh"
 #include "exec/thread_pool.hh"
-#include "obs/metrics.hh"
-#include "runner/measurement_io.hh"
 #include "runner/run_context.hh"
 
 namespace dora
@@ -63,23 +60,13 @@ struct CellTiers
     std::string journalStem;
 };
 
-/** Identity and hooks of one campaign. */
+/** Identity and counters of one campaign. */
 struct CellCampaign
 {
     std::string name;  //!< log prefix: "harness", "trainer", "fleet"
     uint64_t hash = 0; //!< journal identity (process tier only)
 
-    /** Leading units already durable outside the journal. */
-    uint64_t durablePrefix = 0;
-
-    /**
-     * Process tier: called after each completed unit is consumed.
-     * Returns how many leading units are durable outside the journal,
-     * so the supervisor may drop their records. Null keeps them all.
-     */
-    std::function<uint64_t()> durableFloor;
-
-    /** Per-cell counters of mapCells(); null = not counted. */
+    /** Per-cell counters of measure(); null = not counted. */
     const char *queuedMetric = nullptr;
     const char *doneMetric = nullptr;
 };
@@ -125,20 +112,12 @@ class CellExecutor
                      const CellCampaign &campaign) const;
 
     /**
-     * The grid [0, n) as per-cell results in grid order. Each unit is
-     * one planned gang. @p finish turns a measurement into the result
-     * where its cell ran, so only results are kept and shipped. The
-     * journal identity is @p campaign's hash plus n and the unit plan.
+     * The grid [0, n) as per-cell measurements in grid order. Each
+     * unit is one planned gang. The journal identity is @p campaign's
+     * hash plus n and the unit plan.
      */
-    template <typename R>
-    std::vector<R> mapCells(
-        size_t n, const CellFn &make_cell,
-        const std::function<R(size_t, RunMeasurement &&)> &finish,
-        const WireCodec<R> &codec, CellCampaign campaign) const;
-
-    /** mapCells() keeping the raw measurements. */
     std::vector<RunMeasurement> measure(size_t n, const CellFn &make_cell,
-                                        const CellCampaign &campaign) const;
+                                        CellCampaign campaign) const;
 
   private:
     template <typename U>
@@ -229,14 +208,13 @@ CellExecutor::forEachUnit(size_t n,
 {
     if (n == 0)
         return;
+    OrderedSink<U> sink(consume, 0);
     if (tiers_.workers == 0) {
-        OrderedSink<U> sink(consume, 0);
         parallelFor(
             n, [&](size_t u) { sink.deliver(u, run_unit(u)); },
             tiers_.jobs);
         return;
     }
-    OrderedSink<U> sink(consume, campaign.durablePrefix);
     runInWorkers(
         n, campaign,
         [&](uint64_t u) { return codec.encode(run_unit(u)); },
@@ -248,68 +226,6 @@ CellExecutor::forEachUnit(size_t n,
             return true;
         },
         [&](uint64_t u) { sink.deliver(u, run_unit(u)); });
-}
-
-template <typename R>
-std::vector<R>
-CellExecutor::mapCells(
-    size_t n, const CellFn &make_cell,
-    const std::function<R(size_t, RunMeasurement &&)> &finish,
-    const WireCodec<R> &codec, CellCampaign campaign) const
-{
-    const std::vector<Gang> gangs = planGangs(0, n, make_cell);
-    campaign.hash = planCampaignHash(campaign.hash, n, gangs);
-    MetricCounter *done = nullptr;
-    if (campaign.queuedMetric)
-        MetricsRegistry::global().counter(campaign.queuedMetric).add(n);
-    if (campaign.doneMetric)
-        done = &MetricsRegistry::global().counter(campaign.doneMetric);
-
-    using Batch = std::vector<R>;
-    const WireCodec<Batch> batch_codec{
-        [&codec](const Batch &batch) {
-            std::vector<std::string> payloads;
-            payloads.reserve(batch.size());
-            for (const R &r : batch)
-                payloads.push_back(codec.encode(r));
-            return packPayloads(payloads);
-        },
-        [&codec](std::string_view bytes, Batch *out) {
-            std::vector<std::string> payloads;
-            if (!tryUnpackPayloads(bytes, &payloads))
-                return false;
-            Batch batch(payloads.size());
-            for (size_t i = 0; i < payloads.size(); ++i)
-                if (!codec.decode(payloads[i], &batch[i]))
-                    return false;
-            *out = std::move(batch);
-            return true;
-        }};
-
-    std::vector<R> out(n);
-    forEachUnit<Batch>(
-        gangs.size(),
-        [&](size_t u) {
-            Batch batch;
-            runGang(gangs[u], make_cell,
-                    [&](size_t i, RunMeasurement &&m) {
-                        batch.push_back(finish(i, std::move(m)));
-                    });
-            return batch;
-        },
-        [&](size_t u, Batch &&batch) {
-            const Gang &gang = gangs[u];
-            if (batch.size() != gang.size())
-                fatal("%s: unit %zu holds %zu cells, not %zu",
-                      campaign.name.c_str(), u, batch.size(),
-                      gang.size());
-            for (size_t k = 0; k < gang.size(); ++k)
-                out[gang[k]] = std::move(batch[k]);
-            if (done)
-                done->add(batch.size());
-        },
-        batch_codec, campaign);
-    return out;
 }
 
 } // namespace dora

@@ -32,8 +32,9 @@
  * re-compacts — still deterministic for a fixed fold shape, which is
  * why every aggregation path in the fleet engine folds shard
  * aggregates left-to-right in chunk-index order (the canonical
- * fold). Compacted·compacted merges only ever occur when restoring a
- * checkpointed campaign prefix, which preserves that fold shape.
+ * fold). A compacted·compacted merge occurs only when a shard itself
+ * outgrows kExactCap; the canonical fold keeps that deterministic
+ * too.
  */
 
 #ifndef DORA_STATS_QUANTILE_SKETCH_HH
@@ -95,8 +96,9 @@ class QuantileSketch
 
     /**
      * Serialize/restore the full sketch state ("qskt" section).
-     * A restored sketch continues bit-for-bit — the campaign
-     * checkpoint primitive.
+     * A restored sketch continues bit-for-bit, so a shard read back
+     * from the wire or the journal folds like the one that was
+     * written.
      */
     void snapshot(SnapshotWriter &w) const;
     [[nodiscard]] bool tryRestore(SnapshotReader &r);

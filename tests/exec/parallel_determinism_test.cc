@@ -7,8 +7,8 @@
  * runOne() path, which the cell executor does not run) — in adaptive
  * and exact-ticks mode, each with and without a non-zero
  * fault-injection schedule on the signal path. The trainer's
- * measurement campaign must likewise match runAtFrequency() on every
- * tier.
+ * measurement campaign must likewise match runAtFrequency() at jobs 1
+ * and 4.
  *
  * Identity is checked through runMeasurementText(), which renders
  * every double as a hex float, so any single-ULP divergence fails.
@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <utility>
@@ -33,7 +34,6 @@
 #include "browser/page_corpus.hh"
 #include "common/exact_ticks.hh"
 #include "dora/features.hh"
-#include "dora/sample_io.hh"
 #include "dora/trainer.hh"
 #include "fault/fault_injector.hh"
 #include "fault/fault_schedule.hh"
@@ -404,6 +404,24 @@ TEST(ParallelDeterminism, OfflineOptCutEdges)
     EXPECT_EQ(check(cutConfig().maxLoadSec, "deadline = wall"), 0u);
 }
 
+/** Every field of @p s as hex floats: any one-ULP change shows. */
+std::string
+sampleText(const TrainingSample &s)
+{
+    std::string text;
+    const auto put = [&text](double v) {
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), "%a ", v);
+        text += buf;
+    };
+    for (double x : s.x)
+        put(x);
+    for (double v : {s.busMhz, s.voltage, s.loadTimeSec, s.meanPowerW,
+                     s.meanTempC})
+        put(v);
+    return text;
+}
+
 TEST(ParallelDeterminism, TrainerSamplesBitIdentical)
 {
     // Two paged workloads x two OPPs; a short load wall keeps the
@@ -432,19 +450,18 @@ TEST(ParallelDeterminism, TrainerSamplesBitIdentical)
             s.loadTimeSec = m.loadTimeSec;
             s.meanPowerW = m.meanPowerW;
             s.meanTempC = m.meanTempC;
-            reference.push_back(serializeTrainingSample(s));
+            reference.push_back(sampleText(s));
         }
 
-    for (const unsigned workers : {0u, 2u}) {
+    for (const unsigned jobs : {1u, 4u}) {
         TrainerConfig tc;
         tc.experiment = config;
-        tc.jobs = 1;
-        tc.workers = workers;
+        tc.jobs = jobs;
         Trainer trainer(tc);
         std::vector<std::string> got;
         for (const auto &s : trainer.collectSamples(workloads, freqs))
-            got.push_back(serializeTrainingSample(s));
-        const std::string what = "workers=" + std::to_string(workers);
+            got.push_back(sampleText(s));
+        const std::string what = "jobs=" + std::to_string(jobs);
         expectSameTexts(reference, got, what.c_str());
     }
 }

@@ -6,9 +6,11 @@
  *    and stable against faultIncidence flips;
  *  - the same FleetSpec produces a byte-identical population and
  *    aggregate report at every (jobs, workers) combination;
- *  - replayDevice() reproduces an in-campaign cell bit-exactly;
+ *  - replayDevice() reproduces every in-campaign cell bit-exactly;
  *  - a supervisor SIGKILLed mid-campaign resumes from the journal to
- *    a byte-identical report;
+ *    a byte-identical report, and a finished journal replays every
+ *    chunk;
+ *  - a repeated or unknown governor is fatal at construction;
  *  - cohort device counts conserve the population.
  *
  * Identity is checked through fleetReportText() and the population
@@ -20,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -33,6 +36,7 @@
 #include <unistd.h>
 
 #include "dora/trainer.hh"
+#include "exec/proc/journal.hh"
 #include "fleet/campaign.hh"
 #include "fleet/fleet_spec.hh"
 #include "harness/comparison.hh"
@@ -79,9 +83,9 @@ clearJournals(const std::string &stem)
             fs::remove(entry.path());
 }
 
-/** The @p stem file with @p ext ("jrn"/"ckpt"), or "" if absent. */
+/** The journal of @p stem, or "" if absent. */
 std::string
-findResumeFile(const std::string &stem, const std::string &ext)
+findJournal(const std::string &stem)
 {
     const fs::path dir = fs::path(stem).parent_path();
     const std::string prefix = fs::path(stem).filename().string();
@@ -89,10 +93,41 @@ findResumeFile(const std::string &stem, const std::string &ext)
         for (const auto &entry : fs::directory_iterator(dir)) {
             const std::string name = entry.path().filename().string();
             if (name.rfind(prefix, 0) == 0 &&
-                entry.path().extension() == "." + ext)
+                entry.path().extension() == ".jrn")
                 return entry.path().string();
         }
     return "";
+}
+
+/**
+ * The population digest of @p engine's campaign rebuilt from a lone
+ * replayDevice() of every cell, reduced and folded chunk by chunk the
+ * way run() does. It chains every cell's measurement digest, so it
+ * matches run()'s only if every replay is bit-identical to its
+ * in-campaign cell.
+ */
+uint64_t
+replayedDigest(const FleetEngine &engine)
+{
+    const FleetCampaignConfig &config = engine.config();
+    const size_t gcount = config.governors.size();
+    FleetShardAggregate campaign = FleetShardAggregate::forCampaign(gcount);
+    for (size_t c = 0; c < engine.chunkCount(); ++c) {
+        const size_t first = c * config.chunkDevices;
+        const size_t end =
+            std::min<size_t>(first + config.chunkDevices,
+                             config.spec.devices);
+        FleetShardAggregate chunk =
+            FleetShardAggregate::forChunk(gcount, first * gcount);
+        for (size_t d = first; d < end; ++d) {
+            const std::string cohort = sampleDevice(config.spec, d).cohort();
+            for (size_t g = 0; g < gcount; ++g)
+                chunk.pushCell(g, cohort, g == 0,
+                               engine.replayDevice(d, config.governors[g]));
+        }
+        campaign.merge(chunk);
+    }
+    return campaign.digest();
 }
 
 bool
@@ -213,27 +248,12 @@ TEST(FleetDeterminism, TierCombinationsAreByteIdentical)
 
 TEST(FleetDeterminism, ReplayMatchesInCampaignCell)
 {
-    FleetEngine engine(smallCampaign(1, 0));
-    const auto cells = engine.runAllCells();
-    const auto &governors = engine.config().governors;
-    ASSERT_EQ(cells.size(),
-              engine.config().spec.devices * governors.size());
-
-    // Replay a few devices under each governor; each must be
-    // bit-identical to its in-campaign cell even though the campaign
-    // ran them chunk by chunk, where a cell may ride another, and the
-    // replay runs them alone.
-    for (const size_t device : {size_t{0}, size_t{3}}) {
-        for (size_t g = 0; g < governors.size(); ++g) {
-            const RunMeasurement replayed =
-                engine.replayDevice(device, governors[g]);
-            const RunMeasurement &in_campaign =
-                cells[device * governors.size() + g];
-            EXPECT_EQ(runMeasurementText(replayed),
-                      runMeasurementText(in_campaign))
-                << "device " << device << " governor " << governors[g];
-        }
-    }
+    // run() reduces three chunks, one short, where a cell may ride
+    // another; the replay runs every cell alone.
+    FleetCampaignConfig config = smallCampaign(1, 0);
+    config.chunkDevices = 2;
+    FleetEngine engine(config);
+    EXPECT_EQ(replayedDigest(engine), engine.run().populationDigest);
 }
 
 TEST(FleetDeterminism, DegradedPredictiveGovernorsRideOneRun)
@@ -261,20 +281,14 @@ TEST(FleetDeterminism, DegradedPredictiveGovernorsRideOneRun)
         MetricsRegistry::global().counter("runner.rider_drops");
     const uint64_t riders0 = riders.value();
     const uint64_t drops0 = drops.value();
-    const FleetEngine engine(serial);
-    const auto cells = engine.runAllCells();
+    FleetEngine engine(serial);
+    const FleetReport report = engine.run();
     EXPECT_EQ(riders.value() - riders0, 2 * fault_free);
     EXPECT_EQ(drops.value() - drops0, 0u);
 
-    const auto &governors = engine.config().governors;
-    for (size_t d = 0; d < engine.config().spec.devices; ++d)
-        for (size_t g = 0; g < governors.size(); ++g)
-            EXPECT_EQ(
-                runMeasurementText(engine.replayDevice(d, governors[g])),
-                runMeasurementText(cells[d * governors.size() + g]))
-                << "device " << d << " governor " << governors[g];
+    EXPECT_EQ(replayedDigest(engine), report.populationDigest);
 
-    const std::string ref = fleetReportText(FleetEngine(serial).run());
+    const std::string ref = fleetReportText(report);
     const struct
     {
         unsigned jobs, workers;
@@ -393,11 +407,18 @@ TEST(FleetAggregate, SerializeRoundTripIsBitExact)
 
 TEST(FleetDeath, UnknownGovernorIsFatal)
 {
-    FleetCampaignConfig config = smallCampaign(1, 0);
-    config.governors = {"warp-drive"};
-    FleetEngine engine(config);
-    EXPECT_EXIT(engine.replayDevice(0, "warp-drive"),
-                ::testing::ExitedWithCode(1), "unknown governor");
+    FleetCampaignConfig config = smallCampaign(1, 2);
+    config.governors = {"ondemand", "warp-drive"};
+    EXPECT_EXIT(FleetEngine{config}, ::testing::ExitedWithCode(1),
+                "unknown governor 'warp-drive'");
+}
+
+TEST(FleetDeath, RepeatedGovernorIsFatal)
+{
+    FleetCampaignConfig config = smallCampaign(1, 2);
+    config.governors = {"ondemand", "ondemand"};
+    EXPECT_EXIT(FleetEngine{config}, ::testing::ExitedWithCode(1),
+                "FleetEngine: governor 'ondemand' is listed twice");
 }
 
 TEST(LaneStubDeath, EachStubRejectsAWidthOtherThanOne)
@@ -428,13 +449,10 @@ TEST(FleetKillResume, SupervisorSigkillThenResumeByteIdentical)
         ::testing::TempDir() + "fleet_resume_test";
     clearJournals(stem);
 
-    // One device per chunk (5 journal units) and an interval too
-    // large to ever checkpoint: this leg isolates the journal-replay
-    // resume path; the checkpoint path has its own test below.
+    // One device per chunk: 5 journal units.
     const auto cfg = [&](unsigned workers, const std::string &s) {
         FleetCampaignConfig config = smallCampaign(1, workers, s);
         config.chunkDevices = 1;
-        config.checkpointIntervalChunks = 1000;
         return config;
     };
 
@@ -457,7 +475,7 @@ TEST(FleetKillResume, SupervisorSigkillThenResumeByteIdentical)
         std::chrono::steady_clock::now() + std::chrono::seconds(120);
     std::string journal;
     while (std::chrono::steady_clock::now() < deadline) {
-        journal = findResumeFile(stem, "jrn");
+        journal = findJournal(stem);
         std::error_code ec;
         if (!journal.empty() && fs::file_size(journal, ec) > 36 && !ec)
             break;
@@ -468,12 +486,13 @@ TEST(FleetKillResume, SupervisorSigkillThenResumeByteIdentical)
     int status = 0;
     ASSERT_EQ(::waitpid(child, &status, 0), child);
 
-    // Resume in-process: the journal must contribute completed
-    // chunks and the resumed report must match the uninterrupted
-    // baseline byte-for-byte.
+    // Resume in-process at a DIFFERENT worker count — the tier widths
+    // are not part of the campaign identity, so the journal written on
+    // 1 worker must contribute completed chunks on 2, and the resumed
+    // report must match the uninterrupted baseline byte-for-byte.
     const uint64_t resumed_before =
         MetricsRegistry::global().counter("proc.units_resumed").value();
-    FleetEngine resumed(cfg(1, stem));
+    FleetEngine resumed(cfg(2, stem));
     const std::string resumed_text = fleetReportText(resumed.run());
     const uint64_t resumed_after =
         MetricsRegistry::global().counter("proc.units_resumed").value();
@@ -484,64 +503,39 @@ TEST(FleetKillResume, SupervisorSigkillThenResumeByteIdentical)
     clearJournals(stem);
 }
 
-TEST(FleetKillResume, CheckpointSigkillThenResumeByteIdentical)
+TEST(FleetKillResume, FinishedJournalReplaysEveryChunk)
 {
+    // The journal is the campaign's only resume artifact: a finished
+    // campaign leaves one record per chunk, and a rerun with the same
+    // stem replays every one of them through the fold and runs none.
     const std::string stem =
-        ::testing::TempDir() + "fleet_ckpt_test";
+        ::testing::TempDir() + "fleet_replay_test";
     clearJournals(stem);
+    FleetCampaignConfig config = smallCampaign(1, 2, stem);
+    config.chunkDevices = 2;  // 3 chunks, one short
+    FleetEngine engine(config);
+    const std::string first = fleetReportText(engine.run());
 
-    // One device per chunk, checkpoint after every chunk: the
-    // aggregate checkpoint (not journal replay) carries the resumed
-    // prefix, and the journal is truncated beneath it.
-    const auto cfg = [&](unsigned workers, const std::string &s) {
-        FleetCampaignConfig config = smallCampaign(1, workers, s);
-        config.chunkDevices = 1;
-        config.checkpointIntervalChunks = 1;
-        return config;
-    };
-
-    FleetEngine baseline(cfg(0, ""));
-    const std::string ref_text = fleetReportText(baseline.run());
-
-    const pid_t child = ::fork();
-    ASSERT_GE(child, 0);
-    if (child == 0) {
-        FleetEngine engine(cfg(1, stem));
-        engine.run();
-        ::_exit(0);
+    const std::string journal = findJournal(stem);
+    ASSERT_FALSE(journal.empty()) << "campaign never journaled";
+    {
+        ResultsJournal records;
+        ASSERT_TRUE(records.open(journal, fleetCampaignHash(config),
+                                 engine.chunkCount()))
+            << records.error();
+        EXPECT_EQ(records.loaded().size(), engine.chunkCount());
+        EXPECT_FALSE(records.truncatedTail());
     }
 
-    // Kill as soon as an aggregate checkpoint exists.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(120);
-    std::string ckpt;
-    while (std::chrono::steady_clock::now() < deadline) {
-        ckpt = findResumeFile(stem, "ckpt");
-        if (!ckpt.empty())
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    ASSERT_FALSE(ckpt.empty()) << "campaign never checkpointed";
-    ::kill(child, SIGKILL);
-    int status = 0;
-    ASSERT_EQ(::waitpid(child, &status, 0), child);
-
-    // Resume at a DIFFERENT worker count — the tier widths are not
-    // part of the campaign identity, so the checkpoint + journal
-    // written on 1 worker must resume on 2 to the identical report.
-    const uint64_t pre_before = MetricsRegistry::global()
-                                    .counter("proc.units_precompleted")
-                                    .value();
-    FleetEngine resumed(cfg(2, stem));
-    const std::string resumed_text = fleetReportText(resumed.run());
-    const uint64_t pre_after = MetricsRegistry::global()
-                                   .counter("proc.units_precompleted")
-                                   .value();
-
-    EXPECT_GE(pre_after, pre_before + 1)
-        << "rerun replayed the journal instead of loading the "
-           "checkpoint";
-    EXPECT_EQ(resumed_text, ref_text);
+    MetricCounter &resumed =
+        MetricsRegistry::global().counter("proc.units_resumed");
+    MetricCounter &run = MetricsRegistry::global().counter("proc.units_run");
+    const uint64_t resumed0 = resumed.value();
+    const uint64_t run0 = run.value();
+    const std::string rerun = fleetReportText(FleetEngine(config).run());
+    EXPECT_EQ(resumed.value() - resumed0, engine.chunkCount());
+    EXPECT_EQ(run.value() - run0, 0u);
+    EXPECT_EQ(rerun, first);
     clearJournals(stem);
 }
 

@@ -4,8 +4,7 @@
  * bytes from outside the process: snapshot restore paths
  * (QuantileSketch, RunningStat), FleetShardAggregate blobs, the
  * supervisor/worker wire-frame parser, the results journal, run-
- * measurement payloads, ModelBundle text blobs, and training-sample
- * payloads.
+ * measurement payloads, and ModelBundle text blobs.
  *
  * The contract under test is uniform: feed a corrupted input and the
  * decoder must return failure (or truncate, for the journal) without
@@ -32,9 +31,7 @@
 
 #include "common/rng.hh"
 #include "common/snapshot.hh"
-#include "dora/features.hh"
 #include "dora/model_bundle.hh"
-#include "dora/sample_io.hh"
 #include "exec/proc/journal.hh"
 #include "exec/proc/wire.hh"
 #include "fleet/aggregate.hh"
@@ -394,38 +391,6 @@ TEST(FuzzSmoke, ModelBundleDeserializeSurvivesCorruption)
             randomBytes(rng, rng.below(2048)), &diagnostic);
         EXPECT_FALSE(out.ready());
     }
-}
-
-TEST(FuzzSmoke, TrainingSamplePayloadSurvivesCorruption)
-{
-    Rng rng("fuzz:training-sample");
-    TrainingSample sample;
-    for (size_t i = 0; i < kNumFeatures; ++i)
-        sample.x.push_back(rng.uniform(-1e3, 1e3));
-    sample.busMhz = rng.uniform(100.0, 1000.0);
-    sample.voltage = rng.uniform(0.7, 1.1);
-    sample.loadTimeSec = rng.uniform(0.5, 8.0);
-    sample.meanPowerW = rng.uniform(0.5, 4.0);
-    sample.meanTempC = rng.uniform(30.0, 70.0);
-    const std::string blob = serializeTrainingSample(sample);
-    TrainingSample round_trip;
-    ASSERT_TRUE(tryDeserializeTrainingSample(blob, &round_trip));
-    ASSERT_EQ(serializeTrainingSample(round_trip), blob);
-
-    // A decoded payload is the one that was encoded (the checksum
-    // covers every byte); a rejected one leaves the output untouched.
-    const auto check = [&blob](const std::string &bytes) {
-        TrainingSample out;
-        out.busMhz = -1.0;
-        if (tryDeserializeTrainingSample(bytes, &out))
-            EXPECT_EQ(serializeTrainingSample(out), blob);
-        else
-            EXPECT_EQ(out.busMhz, -1.0);
-    };
-    for (const std::string &mutant : mutantCorpus(blob, rng))
-        check(mutant);
-    for (int i = 0; i < 256; ++i)
-        check(randomBytes(rng, rng.below(512)));
 }
 
 } // namespace dora

@@ -84,7 +84,6 @@ class ProcSupervisorTest : public ::testing::Test
                                        const std::string &payload) {
             EXPECT_TRUE(payloads_.emplace(unit, payload).second)
                 << "unit " << unit << " delivered twice";
-            return uint64_t{0};
         };
         return runProcSweep(config, n, unit_fn);
     }

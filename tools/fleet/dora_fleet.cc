@@ -5,17 +5,14 @@
  *   dora-fleet [--fleet-devices N] [--fleet-seed N]
  *              [--fleet-governors a,b,c] [--fleet-fault-incidence X]
  *              [--fleet-max-load S] [--fleet-journal STEM]
- *              [--fleet-checkpoint-interval N]
  *              [--fleet-report-quantiles q1,q2,...]
  *              [--fleet-replay DEV [--fleet-replay-governor NAME]]
  *              [--jobs N] [--workers N] [--trace DIR] [--exact-ticks]
  *
  * Prints the canonical fleetReportText() (hex-float, byte-comparable
  * across tier settings and resumes) followed by a human-readable
- * summary. --fleet-checkpoint-interval sets how many completed chunks
- * the supervisor absorbs between aggregate checkpoints (journaled
- * campaigns only); --fleet-report-quantiles appends one QUANTILES
- * line per governor with the requested PPW and load-time quantiles
+ * summary. --fleet-report-quantiles appends one QUANTILES line per
+ * governor with the requested PPW and load-time quantiles
  * straight from the campaign sketches. With --fleet-replay it instead
  * re-runs one device of the campaign alone and prints the cell's
  * measurement — bit-identical to what the full campaign produced for
@@ -33,39 +30,9 @@
 
 #include "bench_util.hh"
 #include "fleet/campaign.hh"
+#include "harness/comparison.hh"
 
 using namespace dora;
-
-namespace
-{
-
-bool
-needsModels(const std::string &name)
-{
-    return name == "DORA" || name == "DORA_no_lkg" || name == "EE" ||
-        name == "DL";
-}
-
-std::vector<std::string>
-splitGovernors(const std::string &text)
-{
-    std::vector<std::string> names;
-    std::string current;
-    for (char c : text) {
-        if (c == ',') {
-            if (!current.empty())
-                names.push_back(current);
-            current.clear();
-        } else {
-            current += c;
-        }
-    }
-    if (!current.empty())
-        names.push_back(current);
-    return names;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -74,9 +41,8 @@ main(int argc, char **argv)
         argc, argv, "dora-fleet",
         {"--fleet-devices", "--fleet-seed", "--fleet-governors",
          "--fleet-fault-incidence", "--fleet-max-load", "--fleet-journal",
-         "--fleet-checkpoint-interval", "--fleet-report-quantiles",
-         "--fleet-replay", "--fleet-replay-governor", "--jobs",
-         "--workers", "--trace"},
+         "--fleet-report-quantiles", "--fleet-replay",
+         "--fleet-replay-governor", "--jobs", "--workers", "--trace"},
         {"--exact-ticks"});
     ObsGuard obs(argc, argv);
 
@@ -106,10 +72,6 @@ main(int argc, char **argv)
             cliParseDouble(*v, "--fleet-max-load", 0.1, 60.0);
     if (const auto v = cliFlagValue(argc, argv, "--fleet-journal"))
         config.journalStem = *v;
-    if (const auto v =
-            cliFlagValue(argc, argv, "--fleet-checkpoint-interval"))
-        config.checkpointIntervalChunks = static_cast<unsigned>(
-            cliParseInt(*v, "--fleet-checkpoint-interval", 1, 1000000));
     std::vector<double> report_quantiles;
     if (const auto v =
             cliFlagValue(argc, argv, "--fleet-report-quantiles")) {
