@@ -13,6 +13,35 @@ namespace dora
 
 const std::string PageLoad::kDoneName = "done";
 
+namespace
+{
+
+/** Instructions of @p phase that the main and the helper thread run. */
+struct ThreadWork
+{
+    double main = 0.0;
+    double helper = 0.0;
+};
+
+ThreadWork
+threadWork(const RenderPhase &phase)
+{
+    // The serial share runs on the main thread; the parallel share is
+    // split evenly between the two.
+    const double parallel = phase.instructions * phase.parallelFraction;
+    return {(phase.instructions - parallel) + parallel / 2.0,
+            parallel / 2.0};
+}
+
+/** Core cycles the slower thread needs for @p work of @p phase. */
+double
+floorCycles(const RenderPhase &phase, const ThreadWork &work)
+{
+    return std::max(work.main, work.helper) * phase.baseCpi;
+}
+
+} // namespace
+
 RenderThreadTask::RenderThreadTask(PageLoad &owner, Role role)
     : owner_(owner), role_(role),
       name_(owner.page().name +
@@ -84,10 +113,9 @@ PageLoad::reset()
     remainMain_.resize(phases_.size());
     remainHelper_.resize(phases_.size());
     for (size_t p = 0; p < phases_.size(); ++p) {
-        const double work = phases_[p].instructions;
-        const double parallel = work * phases_[p].parallelFraction;
-        remainMain_[p] = (work - parallel) + parallel / 2.0;
-        remainHelper_[p] = parallel / 2.0;
+        const ThreadWork work = threadWork(phases_[p]);
+        remainMain_[p] = work.main;
+        remainHelper_[p] = work.helper;
     }
     rebuildStreams();
 }
@@ -105,6 +133,26 @@ PageLoad::loadTimeSec() const
         panic("PageLoad::loadTimeSec: page '%s' still loading",
               page_.name.c_str());
     return elapsedSec_;
+}
+
+double
+PageLoad::floorRemainingSec(double core_mhz) const
+{
+    double cycles = 0.0;
+    for (size_t p = phase_; p < phases_.size(); ++p)
+        cycles += floorCycles(phases_[p],
+                              {remainMain_[p], remainHelper_[p]});
+    return cycles / (core_mhz * 1e6);
+}
+
+double
+PageLoad::loadFloorSec(const WebPage &page, const RenderCostModel &cost,
+                       double core_mhz)
+{
+    double cycles = 0.0;
+    for (const RenderPhase &phase : cost.phases(page))
+        cycles += floorCycles(phase, threadWork(phase));
+    return cycles / (core_mhz * 1e6);
 }
 
 const std::string &

@@ -86,6 +86,25 @@ class PageLoad
     /** Elapsed load time so far (seconds). */
     double elapsedSec() const { return elapsedSec_; }
 
+    /**
+     * Load-time floor of the work left, at a pinned @p core_mhz: the
+     * sum over the current and later phases of the slower thread's
+     * remaining instructions times the phase's base CPI, over the core
+     * clock. A thread retires at most core_mhz * 1e6 * dt / baseCpi
+     * instructions a tick (stalls only add CPI) and phases run one
+     * after the other, so the load cannot finish sooner (DESIGN.md
+     * §5l). 0 once finished.
+     */
+    double floorRemainingSec(double core_mhz) const;
+
+    /**
+     * floorRemainingSec() of a load of @p page under @p cost that has
+     * not started, without building one.
+     */
+    static double loadFloorSec(const WebPage &page,
+                               const RenderCostModel &cost,
+                               double core_mhz);
+
     /** Name of the phase currently executing ("done" when finished). */
     const std::string &currentPhaseName() const;
 

@@ -8,17 +8,11 @@
 namespace dora
 {
 
-namespace
-{
-
-/** One chain step of the order-sensitive digest. */
 uint64_t
 chainDigest(uint64_t chain, uint64_t link)
 {
     return hashLabel(hexU64(chain) + ":" + hexU64(link));
 }
-
-} // namespace
 
 FleetShardAggregate
 FleetShardAggregate::forChunk(size_t governor_count, uint64_t first_cell)

@@ -134,6 +134,13 @@ class FleetShardAggregate
     std::map<std::string, CohortAcc> cohorts_;
 };
 
+/**
+ * One step of an order-sensitive FNV digest chain: the digest of
+ * @p chain followed by @p link, as FleetShardAggregate chains cell and
+ * chunk digests.
+ */
+uint64_t chainDigest(uint64_t chain, uint64_t link);
+
 } // namespace dora
 
 #endif // DORA_FLEET_AGGREGATE_HH

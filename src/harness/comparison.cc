@@ -9,6 +9,7 @@
 #include "common/rng.hh"
 #include "fault/fault_injector.hh"
 #include "obs/metrics.hh"
+#include "runner/run_context.hh"
 
 namespace dora
 {
@@ -291,36 +292,74 @@ ComparisonHarness::offlineOptMany(
     // the OPP, which is also the initial frequency. Page cells below
     // the max OPP run on a load wall cut just past the deadline
     // (offlineCutWallSec); the max-OPP fallback keeps the full wall.
-    const size_t freqs = runner_.freqTable().size();
+    const FreqTable &table = runner_.freqTable();
+    const size_t freqs = table.size();
     const std::optional<double> cut_wall =
         offlineCutWallSec(runner_.config());
     const auto cut = [&](size_t i) {
         return cut_wall && workloads[i / freqs].page != nullptr &&
-            i % freqs != runner_.freqTable().maxIndex();
+            i % freqs != table.maxIndex();
     };
-    // The rule is part of the grid identity: a journal of uncut
-    // losers is refused, never mixed in.
+    // A cut cell's OPP is pinned: its FixedGovernor asks for the
+    // initial OPP at every decision, a request for the current OPP is
+    // never rejected, and fault injection moves only sensor readings
+    // and the ambient temperature. So its page cannot load faster than
+    // its load-time floor at that OPP (DESIGN.md §5l). A cell whose
+    // floor already passes the cut wall is never simulated; the others
+    // close their window as soon as it does.
+    ExperimentConfig cut_config = runner_.config();
+    if (cut_wall)
+        cut_config.maxLoadSec = *cut_wall;
+    const auto provably_late = [&](size_t i) {
+        return RunContext::provablyLate(
+            cut_config, 0.0,
+            RunContext::loadFloorSec(*workloads[i / freqs].page,
+                                     table.opp(i % freqs).coreMhz));
+    };
+    std::vector<RunMeasurement> flat(workloads.size() * freqs);
+    std::vector<size_t> simulated;
+    uint64_t cells_skipped = 0;
+    for (size_t i = 0; i < flat.size(); ++i) {
+        if (!(cut(i) && provably_late(i))) {
+            simulated.push_back(i);
+            continue;
+        }
+        // Unfinished and censored, as its run would end: a loser that
+        // pickOfflineOpt() discards.
+        RunMeasurement &m = flat[i];
+        m.workload = workloads[i / freqs].label();
+        m.censored = true;
+        ++cells_skipped;
+    }
+
+    // The rules are part of the grid identity: a journal of uncut or
+    // unskipped losers is refused, never mixed in.
     std::ostringstream grid;
-    grid << "offlineOptMany cut=deadline+2dt";
+    grid << "offlineOptMany cut=deadline+2dt skip=floor";
     for (const auto &w : workloads)
         grid << " " << w.label();
-    std::vector<RunMeasurement> flat =
-        runGrid(workloads.size() * freqs, grid.str(), [&](size_t i) {
+    std::vector<RunMeasurement> measured =
+        runGrid(simulated.size(), grid.str(), [&](size_t k) {
+            const size_t i = simulated[k];
             const size_t f = i % freqs;
             RunCell cell = makeCell(workloads[i / freqs],
                                     std::make_unique<FixedGovernor>(f), f);
-            if (cut(i))
-                cell.config.maxLoadSec = *cut_wall;
+            if (cut(i)) {
+                cell.config = cut_config;
+                cell.params.discardUnlessFinished = true;
+            }
             return cell;
         });
+    for (size_t k = 0; k < simulated.size(); ++k)
+        flat[simulated[k]] = std::move(measured[k]);
 
     uint64_t cells_cut = 0;
     for (size_t i = 0; i < flat.size(); ++i)
         if (cut(i) && !flat[i].pageFinished)
             ++cells_cut;
-    MetricsRegistry::global()
-        .counter("harness.offline_cells_cut")
-        .add(cells_cut);
+    MetricsRegistry &reg = MetricsRegistry::global();
+    reg.counter("harness.offline_cells_cut").add(cells_cut);
+    reg.counter("harness.offline_cells_skipped").add(cells_skipped);
 
     std::vector<RunMeasurement> results;
     results.reserve(workloads.size());

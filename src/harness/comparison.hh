@@ -160,6 +160,18 @@ class ComparisonHarness
      * result equals the pickOfflineOpt() of a full runAtFrequency()
      * sweep; only discarded runs end early. Cells left unfinished at
      * the cut are counted in `harness.offline_cells_cut`.
+     *
+     * A cut cell's OPP is pinned, with or without fault injection, so
+     * its page cannot load faster than RunContext::loadFloorSec() at
+     * that OPP. A cell whose floor passes the cut wall by more than
+     * 2 dtSec (RunContext::provablyLate()) is never simulated: its
+     * slot holds a censored, unfinished placeholder, it leaves no run
+     * trace, and it is counted in `harness.offline_cells_skipped` as
+     * well. The other cut cells run with
+     * RunContext::Params::discardUnlessFinished and end at the first
+     * quantum where elapsed time plus the remaining floor passes that
+     * line. Both touch only runs pickOfflineOpt() discards (DESIGN.md
+     * §5l).
      */
     std::vector<RunMeasurement>
     offlineOptMany(const std::vector<WorkloadSpec> &workloads);

@@ -168,16 +168,4 @@ MetricsRegistry::snapshotText() const
     return out.str();
 }
 
-void
-MetricsRegistry::resetForTest()
-{
-    MutexLock lock(mutex_);
-    for (auto &[name, c] : counters_)
-        c->reset();
-    for (auto &[name, g] : gauges_)
-        g->reset();
-    for (auto &[name, h] : histograms_)
-        h->reset();
-}
-
 } // namespace dora

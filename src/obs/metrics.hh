@@ -64,8 +64,6 @@ class MetricGauge
         return value_.load(std::memory_order_relaxed);
     }
 
-    void reset() { value_.store(0.0, std::memory_order_relaxed); }
-
   private:
     std::atomic<double> value_{0.0};
 };
@@ -135,9 +133,6 @@ class MetricsRegistry
      * (common/logging.hh) so suppressed spam stays visible.
      */
     std::string snapshotText() const;
-
-    /** Zero every instrument (tests). Registration is kept. */
-    void resetForTest();
 
   private:
     mutable Mutex mutex_;

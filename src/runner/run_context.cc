@@ -290,6 +290,33 @@ GovernorDriver::tryRestore(SnapshotReader &r)
     return true;
 }
 
+namespace
+{
+
+/** The render cost model every run builds its page load from. */
+const RenderCostModel &
+renderCost()
+{
+    static const RenderCostModel model;
+    return model;
+}
+
+} // namespace
+
+double
+RunContext::loadFloorSec(const WebPage &page, double core_mhz)
+{
+    return PageLoad::loadFloorSec(page, renderCost(), core_mhz);
+}
+
+bool
+RunContext::provablyLate(const ExperimentConfig &config,
+                         double elapsed_sec, double floor_sec)
+{
+    return elapsed_sec + floor_sec >
+        config.maxLoadSec + 2.0 * config.dtSec;
+}
+
 RunContext::RunContext(const ExperimentConfig &config,
                        const Params &params)
     : config_(config), params_(params)
@@ -384,8 +411,12 @@ RunContext::applyTransitions()
             continue;
         }
         if (phase_ == Phase::Window) {
-            if (!(sim_->nowSec() - t0_ < windowWall_) ||
-                (page_ && page_->finished())) {
+            const double elapsed = sim_->nowSec() - t0_;
+            if (!(elapsed < windowWall_) || (page_ && page_->finished()) ||
+                (params_.discardUnlessFinished && page_ &&
+                 provablyLate(config_, elapsed,
+                              page_->floorRemainingSec(
+                                  soc_->operatingPoint().coreMhz)))) {
                 phase_ = Phase::Done;
                 continue;
             }
@@ -402,7 +433,8 @@ RunContext::enterWindow()
 
     // Measurement window begins: bind the page load (if any).
     if (params_.page) {
-        page_ = std::make_unique<PageLoad>(*params_.page, cost_, salt_);
+        page_ = std::make_unique<PageLoad>(*params_.page, renderCost(),
+                                           salt_);
         sim_->bindTask(kMainCore, &page_->mainTask());
         sim_->bindTask(kHelperCore, &page_->helperTask());
         driver_->setPage(&params_.page->features, sim_->nowSec());

@@ -174,6 +174,16 @@ class RunContext
          * fault-injected run.
          */
         std::vector<Governor *> riders;
+        /**
+         * The caller keeps this run's measurement only if the page
+         * finishes inside the load wall, and the run's OPP is pinned
+         * (a FixedGovernor from the same initial OPP). The window then
+         * also closes at the first quantum where provablyLate() holds
+         * for the elapsed load time and PageLoad::floorRemainingSec()
+         * at the current OPP: the page can no longer finish in time
+         * (DESIGN.md §5l). Such a run never rides or leads a gang.
+         */
+        bool discardUnlessFinished = false;
     };
 
     /** What the next exact-ticks step needs from the caller. */
@@ -187,6 +197,22 @@ class RunContext
 
     RunContext(const ExperimentConfig &config, const Params &params);
     ~RunContext();
+
+    /**
+     * PageLoad::loadFloorSec() of @p page at a pinned @p core_mhz,
+     * under the render cost model every run builds its page load from.
+     */
+    static double loadFloorSec(const WebPage &page, double core_mhz);
+
+    /**
+     * True when a page load @p elapsed_sec into its window, which needs
+     * at least @p floor_sec more, can no longer finish inside
+     * @p config's load wall: elapsed time plus floor passes maxLoadSec
+     * by more than 2 dtSec, the margin for the closing tick and the
+     * clock's drift (DESIGN.md §5l).
+     */
+    static bool provablyLate(const ExperimentConfig &config,
+                             double elapsed_sec, double floor_sec);
 
     RunContext(const RunContext &) = delete;
     RunContext &operator=(const RunContext &) = delete;
@@ -263,7 +289,6 @@ class RunContext
 
     Phase phase_ = Phase::Warmup;
     std::unique_ptr<PageLoad> page_;
-    RenderCostModel cost_;  // dora:snapshot-exclude(construction config)
 
     // Window accumulators (legacy loop locals).
     double t0_ = 0.0;

@@ -36,15 +36,17 @@ struct GangKey
 
 /**
  * @p cell's gang key, or nothing when it must run alone: a trace or a
- * fault injector belongs to one run, and a co-runner that
- * makeRunCell() did not build has no kernel to compare.
+ * fault injector belongs to one run, a run that may end at its load
+ * floor (Params::discardUnlessFinished) ends where a rider need not,
+ * and a co-runner that makeRunCell() did not build has no kernel to
+ * compare.
  */
 std::optional<GangKey>
 gangKey(const RunCell &cell)
 {
     const RunContext::Params &p = cell.params;
-    if (p.fault || !p.governor || TraceSession::active() ||
-        (p.corun && !cell.kernel))
+    if (p.fault || !p.governor || p.discardUnlessFinished ||
+        TraceSession::active() || (p.corun && !cell.kernel))
         return std::nullopt;
     return GangKey{p.label, p.page, cell.kernel, p.initialFreq,
                    p.governor->decisionIntervalSec(), cell.config};

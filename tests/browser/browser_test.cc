@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "browser/page_corpus.hh"
 #include "browser/page_load.hh"
 #include "browser/render_cost.hh"
@@ -186,6 +188,34 @@ TEST_F(PageLoadTest, SlowerClockMeansSlowerLoad)
     soc_.setFrequencyIndex(0);
     sim_.runUntil([&] { return load_.finished(); });
     EXPECT_GT(load_.loadTimeSec(), 1.5 * fast);
+}
+
+TEST_F(PageLoadTest, FloorNeverOvershootsTheLoad)
+{
+    // At every tick, elapsed time plus the floor of the work left must
+    // not pass the load time the page then reaches; the floor only
+    // shrinks and is 0 once the page is done. OPP 0 stalls least per
+    // cycle, which makes the floor tightest there.
+    for (const size_t opp : {size_t{0}, soc_.freqTable().maxIndex()}) {
+        sim_.reset();
+        soc_.setFrequencyIndex(opp);
+        const double mhz = soc_.operatingPoint().coreMhz;
+        EXPECT_EQ(load_.floorRemainingSec(mhz),
+                  PageLoad::loadFloorSec(PageCorpus::byName("alipay"),
+                                         RenderCostModel{}, mhz));
+        std::vector<double> bounds;
+        double floor = load_.floorRemainingSec(mhz);
+        while (!load_.finished()) {
+            bounds.push_back(load_.elapsedSec() + floor);
+            sim_.step();
+            const double next = load_.floorRemainingSec(mhz);
+            EXPECT_LE(next, floor) << "OPP " << opp;
+            floor = next;
+        }
+        EXPECT_EQ(floor, 0.0);
+        for (const double bound : bounds)
+            EXPECT_LE(bound, load_.loadTimeSec() + 1e-12) << "OPP " << opp;
+    }
 }
 
 TEST(PageLoadStandalone, HeavierPageLoadsSlower)

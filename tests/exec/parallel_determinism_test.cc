@@ -15,7 +15,10 @@
  *
  * The offline-opt suites also sweep paged workloads on a cheap config
  * where offlineOptMany() cuts losing cells at the deadline, and check
- * its winners against full runAtFrequency() sweeps.
+ * its winners against full runAtFrequency() sweeps, with and without
+ * faults, and the cells it skips on their load-time floor against a
+ * count of their own. The OfflineOptFloor suite checks that floor
+ * against finished loads, and the early end against full runs.
  *
  * The LaneBatch suite runs the same grids on harnesses whose lane stub
  * is set to 1, the one width left (ComparisonHarness::setLanes, which
@@ -27,6 +30,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,10 +39,12 @@
 #include "common/exact_ticks.hh"
 #include "dora/features.hh"
 #include "dora/trainer.hh"
+#include "exec/thread_pool.hh"
 #include "fault/fault_injector.hh"
 #include "fault/fault_schedule.hh"
 #include "harness/comparison.hh"
 #include "obs/metrics.hh"
+#include "runner/run_context.hh"
 #include "workloads/kernel.hh"
 
 namespace dora
@@ -146,13 +152,15 @@ pagedWorkloads()
 
 /**
  * Offline-opt reference: full runAtFrequency() sweeps on one runner,
- * so nothing is cut.
+ * so nothing is cut, under @p injector's faults when it is not null.
  */
 std::vector<std::vector<RunMeasurement>>
 fullSweeps(const ExperimentConfig &config,
-           const std::vector<WorkloadSpec> &workloads)
+           const std::vector<WorkloadSpec> &workloads,
+           FaultInjector *injector = nullptr)
 {
     ExperimentRunner runner(config);
+    runner.setFaultInjector(injector);
     std::vector<std::vector<RunMeasurement>> sweeps;
     for (const auto &w : workloads) {
         sweeps.emplace_back();
@@ -175,60 +183,113 @@ fullSweepWinners(const ExperimentConfig &config,
 }
 
 /**
+ * The load wall of page cells below the max OPP in a cut sweep:
+ * deadline + 2 dt, or nothing when that is not finite or not below
+ * maxLoadSec.
+ */
+std::optional<double>
+cutWall(const ExperimentConfig &config)
+{
+    const double wall = config.deadlineSec + 2.0 * config.dtSec;
+    if (!std::isfinite(wall) || !(wall < config.maxLoadSec))
+        return std::nullopt;
+    return wall;
+}
+
+/**
  * Cells the cut sweep must leave unfinished: page cells below the max
- * OPP whose full run did not finish within deadline + 2 dt (none when
- * that wall is not finite or not below maxLoadSec).
+ * OPP whose full run did not finish within the cut wall.
  */
 uint64_t
 expectedCut(const ExperimentConfig &config,
             const std::vector<WorkloadSpec> &workloads,
             const std::vector<std::vector<RunMeasurement>> &sweeps)
 {
-    const double wall = config.deadlineSec + 2.0 * config.dtSec;
-    if (!std::isfinite(wall) || !(wall < config.maxLoadSec))
+    const std::optional<double> wall = cutWall(config);
+    if (!wall)
         return 0;
     uint64_t cut = 0;
     for (size_t w = 0; w < workloads.size(); ++w)
         for (size_t f = 0; f + 1 < sweeps[w].size(); ++f)
             if (workloads[w].page != nullptr &&
                 (!sweeps[w][f].pageFinished ||
-                 sweeps[w][f].loadTimeSec > wall))
+                 sweeps[w][f].loadTimeSec > *wall))
                 ++cut;
     return cut;
 }
 
-uint64_t
-cellsCut()
+/** Whole-load floor of @p page at OPP @p f of @p config's device. */
+double
+loadFloor(const ExperimentConfig &config, const WebPage &page, size_t f)
 {
-    return MetricsRegistry::global()
-        .counter("harness.offline_cells_cut")
-        .value();
+    return RunContext::loadFloorSec(page,
+                                    deviceFreqTable(config).opp(f).coreMhz);
+}
+
+/**
+ * Cut cells the sweep must never simulate: those whose load-time floor
+ * passes the cut wall by more than 2 dt, i.e. deadline + 4 dt.
+ */
+uint64_t
+expectedSkipped(const ExperimentConfig &config,
+                const std::vector<WorkloadSpec> &workloads)
+{
+    const std::optional<double> wall = cutWall(config);
+    if (!wall)
+        return 0;
+    const size_t freqs = deviceFreqTable(config).size();
+    uint64_t skipped = 0;
+    for (const WorkloadSpec &w : workloads)
+        for (size_t f = 0; w.page != nullptr && f + 1 < freqs; ++f)
+            if (loadFloor(config, *w.page, f) >
+                *wall + 2.0 * config.dtSec)
+                ++skipped;
+    return skipped;
+}
+
+uint64_t
+counterValue(const char *name)
+{
+    return MetricsRegistry::global().counter(name).value();
 }
 
 /**
  * offlineOptMany() at jobs 1 and 4 and on 2 workers must pick the
- * winners of the full @p sweeps and count exactly the cells the cut
- * left unfinished. Returns that count. @p lane_stub sets each
- * harness's inert lane stub to 1 first.
+ * winners of the full @p sweeps, count exactly the cells the cut left
+ * unfinished, and skip exactly the cut cells past the floor line.
+ * Returns the cut count. @p lane_stub sets each harness's inert lane
+ * stub to 1 first; @p injector, when not null, is the fault schedule
+ * the sweeps ran under.
  */
 uint64_t
 expectCutMatchesFullSweep(
     const ExperimentConfig &config,
     const std::vector<WorkloadSpec> &workloads,
     const std::vector<std::vector<RunMeasurement>> &sweeps,
-    const char *what, bool lane_stub = false)
+    const char *what, bool lane_stub = false,
+    FaultInjector *injector = nullptr)
 {
     const auto want = fullSweepWinners(config, sweeps);
     const uint64_t want_cut = expectedCut(config, workloads, sweeps);
+    const uint64_t want_skipped = expectedSkipped(config, workloads);
+    // Every cell the floor skips is one the full sweep left unfinished.
+    EXPECT_LE(want_skipped, want_cut) << what;
     for (const auto &[jobs, workers] :
          {std::pair{1u, 0u}, std::pair{4u, 0u}, std::pair{1u, 2u}}) {
         ComparisonHarness harness(config, nullptr, jobs);
         harness.setWorkers(workers);
         if (lane_stub)
             harness.setLanes(1);
-        const uint64_t before = cellsCut();
+        harness.runner().setFaultInjector(injector);
+        const uint64_t cut0 = counterValue("harness.offline_cells_cut");
+        const uint64_t skipped0 =
+            counterValue("harness.offline_cells_skipped");
         const auto winners = harness.offlineOptMany(workloads);
-        EXPECT_EQ(cellsCut() - before, want_cut)
+        EXPECT_EQ(counterValue("harness.offline_cells_cut") - cut0,
+                  want_cut)
+            << what << " jobs=" << jobs << " workers=" << workers;
+        EXPECT_EQ(counterValue("harness.offline_cells_skipped") - skipped0,
+                  want_skipped)
             << what << " jobs=" << jobs << " workers=" << workers;
         EXPECT_EQ(winners.size(), want.size()) << what;
         for (size_t w = 0; w < want.size() && w < winners.size(); ++w)
@@ -373,6 +434,8 @@ TEST(ParallelDeterminism, OfflineOptCutEdges)
                                          fullSweeps(config, alipay), mode);
     };
     const auto sweep = fullSweeps(cutConfig(), alipay).front();
+    const double floor0 = loadFloor(cutConfig(), *alipay[0].page, 0);
+    ASSERT_LT(floor0, cutConfig().maxLoadSec);
 
     // A deadline equal to a non-max OPP's measured load time: that OPP
     // meets it exactly and must still finish inside the cut window, in
@@ -388,6 +451,14 @@ TEST(ParallelDeterminism, OfflineOptCutEdges)
         const char *mode = exact ? "exact" : "adaptive";
         EXPECT_EQ(check(sweep[f].loadTimeSec, mode), f)
             << mode << ": deadline = load time at OPP " << f;
+
+        // A deadline that puts alipay's floor at OPP 0 one tick past
+        // the cut wall and one tick inside the skip line: that cell is
+        // cut, but it must still run.
+        const std::string inside = std::string(mode) + " floor inside line";
+        EXPECT_GE(check(floor0 - 3.0 * cutConfig().dtSec, inside.c_str()),
+                  1u)
+            << inside;
 
         // Nothing meets a deadline <= 0: every non-max cell is cut (at
         // -1 s its window is empty) and the uncut max-OPP run is the
@@ -420,6 +491,154 @@ sampleText(const TrainingSample &s)
                      s.meanTempC})
         put(v);
     return text;
+}
+
+TEST(ParallelDeterminism, FaultedOfflineOptCutPicksFullSweepWinners)
+{
+    // Fault injection never moves a cut cell's pinned OPP: its
+    // FixedGovernor only asks for the OPP it already runs at, which no
+    // actuator fault rejects, and thermal faults move only the
+    // ambient. So the floor skip and the early end stay exact under the
+    // combined schedule: the cut sweep must pick the winners of full
+    // faulted sweeps.
+    FaultInjector injector(FaultSchedule::combined(7));
+    const ExperimentConfig config = cutConfig();
+    const auto workloads = pagedWorkloads();
+    ASSERT_GT(expectedSkipped(config, workloads), 0u);
+    const auto faulted = fullSweeps(config, workloads, &injector);
+    // Not vacuous: the schedule moves a winner.
+    EXPECT_NE(fullSweepWinners(config, faulted),
+              fullSweepWinners(config, fullSweeps(config, workloads)));
+    EXPECT_GE(expectCutMatchesFullSweep(config, workloads, faulted,
+                                        "faulted", /*lane_stub=*/false,
+                                        &injector),
+              4u);
+}
+
+TEST(OfflineOptFloor, BoundsEveryFinishedLoad)
+{
+    // Every page alone at every OPP: alone stalls least, so the floor
+    // is tightest. The floor must never pass a finished load, and
+    // every cell past the skip line must be unfinished at the cut
+    // wall, or the skip would drop a run that could win.
+    ModeGuard guard;
+    ExperimentConfig config;
+    config.warmupSec = 0.1;
+    const double wall = *cutWall(config);
+    const size_t freqs = deviceFreqTable(config).size();
+    std::vector<const WebPage *> corpus;
+    for (const WebPage &page : PageCorpus::all())
+        corpus.push_back(&page);
+    const std::vector<const WebPage *> exact_pages = {
+        &PageCorpus::byName("hao123"), &PageCorpus::byName("reddit"),
+        &PageCorpus::byName("alipay")};
+    for (const bool exact : {false, true}) {
+        setExactTicksMode(exact);
+        const std::vector<const WebPage *> &pages =
+            exact ? exact_pages : corpus;
+        const std::vector<RunMeasurement> runs =
+            parallelMap<RunMeasurement>(
+                pages.size() * freqs,
+                [&](size_t i) {
+                    return ExperimentRunner(config).runAtFrequency(
+                        WorkloadSets::alone(*pages[i / freqs]),
+                        i % freqs);
+                },
+                4);
+        size_t past_line = 0;
+        for (size_t i = 0; i < runs.size(); ++i) {
+            const WebPage &page = *pages[i / freqs];
+            const size_t f = i % freqs;
+            const double floor = loadFloor(config, page, f);
+            const RunMeasurement &m = runs[i];
+            const std::string where = std::string(exact ? "exact " : "") +
+                page.name + " OPP " + std::to_string(f);
+            if (m.pageFinished) {
+                EXPECT_LE(floor, m.loadTimeSec) << where;
+            }
+            if (f + 1 == freqs || !(floor > wall + 2.0 * config.dtSec))
+                continue;
+            ++past_line;
+            EXPECT_TRUE(!m.pageFinished || m.loadTimeSec > wall)
+                << where << ": floor " << floor << " s, load "
+                << m.loadTimeSec << " s";
+        }
+        // Not vacuous: 37 of the corpus' 234 cells below the max OPP
+        // are past the line, heavy pages at low OPPs.
+        if (!exact) {
+            EXPECT_EQ(past_line, 37u);
+        }
+    }
+}
+
+/** @p cell run to its end, with or without the early end. */
+RunMeasurement
+runCell(RunCell cell, bool early_end)
+{
+    cell.params.discardUnlessFinished = early_end;
+    RunContext run(cell.config, cell.params);
+    while (!run.done())
+        run.advance();
+    return run.finish();
+}
+
+TEST(OfflineOptFloor, EarlyEndChangesOnlyUnfinishedRuns)
+{
+    // The cut cells of two short sweeps, each run with and without the
+    // early end: a run must be byte-identical, or unfinished both
+    // ways. Deadlines: 0.5 s, and one tick short of a measured load
+    // time, so that OPP's run finishes between the deadline and the
+    // cut wall, where a too-eager early end would stop it.
+    ModeGuard guard;
+    const std::vector<WorkloadSpec> workloads = {pagedWorkloads()[0],
+                                                 pagedWorkloads()[1]};
+    const size_t freqs = deviceFreqTable(cutConfig()).size();
+    for (const bool exact : {false, true}) {
+        setExactTicksMode(exact);
+        size_t ended_early = 0;
+        for (const WorkloadSpec &w : workloads) {
+            // The slowest OPP that finishes inside the wall.
+            ExperimentRunner runner(cutConfig());
+            size_t f_first = 0;
+            RunMeasurement first = runner.runAtFrequency(w, 0);
+            while (!first.pageFinished && f_first + 2 < freqs)
+                first = runner.runAtFrequency(w, ++f_first);
+            ASSERT_TRUE(first.pageFinished) << w.label();
+            for (const double deadline :
+                 {0.5, first.loadTimeSec - cutConfig().dtSec}) {
+                ExperimentConfig config = cutConfig(deadline);
+                config.maxLoadSec = deadline + 2.0 * config.dtSec;
+                const auto pair = [&](size_t i) {
+                    const size_t f = i / 2;
+                    return runCell(
+                        makeRunCell(config, w.page, w.kernel, w.label(),
+                                    std::make_unique<FixedGovernor>(f),
+                                    f),
+                        i % 2 == 1);
+                };
+                const std::vector<RunMeasurement> runs =
+                    parallelMap<RunMeasurement>(2 * (freqs - 1), pair,
+                                                4);
+                for (size_t f = 0; f + 1 < freqs; ++f) {
+                    const RunMeasurement &full = runs[2 * f];
+                    const RunMeasurement &early = runs[2 * f + 1];
+                    const std::string where = std::string(exact
+                        ? "exact " : "adaptive ") + w.label() +
+                        " deadline " + std::to_string(deadline) +
+                        " OPP " + std::to_string(f);
+                    if (full.pageFinished || early.pageFinished) {
+                        EXPECT_EQ(runMeasurementText(full),
+                                  runMeasurementText(early))
+                            << where;
+                    }
+                    if (!early.pageFinished &&
+                        early.loadTimeSec < full.loadTimeSec)
+                        ++ended_early;
+                }
+            }
+        }
+        EXPECT_GT(ended_early, 0u) << (exact ? "exact" : "adaptive");
+    }
 }
 
 TEST(ParallelDeterminism, TrainerSamplesBitIdentical)

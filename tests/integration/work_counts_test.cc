@@ -8,13 +8,17 @@
  * shipped entry point at workers 0, once at jobs 1 and once at jobs 4,
  * and the metrics-registry counters it adds must equal the constants
  * below. They move when estimator reuse, governor riders, the
- * offline-opt deadline cut, macro-tick batching or the per-tick sample
- * size change what a run simulates.
+ * offline-opt deadline cut and load-floor skip, macro-tick batching or
+ * the per-tick sample size change what a run simulates.
  *
- * On a mismatch the test prints the measured counts ready to paste. A
- * deliberate change re-blesses by editing the constants and stating
- * the reason in CHANGES.md, the way benchmark/golden.json is
- * re-blessed.
+ * Each slice also pins one digest of what it returns, so the suite
+ * catches a build whose results drift (say, floating-point contraction
+ * under -march=native) as well as one whose work does.
+ *
+ * On a mismatch the test prints the measured counts and digest ready
+ * to paste. A deliberate change re-blesses by editing the constants
+ * and stating the reason in CHANGES.md, the way benchmark/golden.json
+ * is re-blessed.
  */
 
 #include <gtest/gtest.h>
@@ -29,10 +33,13 @@
 
 #include "browser/page_corpus.hh"
 #include "common/exact_ticks.hh"
+#include "common/rng.hh"
 #include "dora/trainer.hh"
+#include "fleet/aggregate.hh"
 #include "fleet/campaign.hh"
 #include "harness/comparison.hh"
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "runner/workload.hh"
 
 namespace dora
@@ -82,15 +89,15 @@ pasteable(const WorkCounts &counts)
 
 /**
  * Run @p slice at jobs 1 and 4; the counters each run adds must equal
- * @p expected.
+ * @p expected, and the digest it returns must equal @p digest.
  */
 void
-expectCounts(const WorkCounts &expected,
-             const std::function<void(unsigned jobs)> &slice)
+expectWork(const WorkCounts &expected, uint64_t digest,
+           const std::function<uint64_t(unsigned jobs)> &slice)
 {
     for (const unsigned jobs : {1u, 4u}) {
         const WorkCounts before = readCounters();
-        slice(jobs);
+        const uint64_t got_digest = slice(jobs);
         WorkCounts got = readCounters();
         for (size_t i = 0; i < got.size(); ++i)
             got[i] -= before[i];
@@ -103,6 +110,9 @@ expectCounts(const WorkCounts &expected,
             << "at jobs " << jobs << ":\n"
             << diff.str() << "measured counts, ready to paste:\n    "
             << pasteable(got);
+        EXPECT_EQ(hexU64(got_digest), hexU64(digest))
+            << "result digest at jobs " << jobs << ", ready to paste:\n"
+            << "    " << hexU64(got_digest);
     }
 }
 
@@ -139,25 +149,33 @@ TEST(WorkCounts, Training)
     constexpr WorkCounts kExpected = {
         24, 63867, 650, 63216, 48047, 15820, 40716433, 2922081, 650, 0, 0,
         0, 0};
-    expectCounts(kExpected, [](unsigned jobs) {
-        (void)Trainer(tinyTraining(jobs)).train();
+    expectWork(kExpected, 0x672fe05e15933aeaull, [](unsigned jobs) {
+        return hashLabel(Trainer(tinyTraining(jobs)).train().serialize());
     });
 }
 
 TEST(WorkCounts, PaperGrid)
 {
+    // bbc x Medium's floor at OPP 0 is 3.22 s, past the 3.004 s line,
+    // so its offline sweep simulates 13 of its 14 cells.
     constexpr WorkCounts kExpected = {
-        26, 88280, 1275, 87004, 67750, 20530, 91270316, 8992778, 1275, 3,
+        25, 83277, 1224, 82053, 62747, 20530, 88634570, 8704521, 1224, 3,
         13, 1, 0};
     const std::shared_ptr<const ModelBundle> models = tinyBundle();
-    expectCounts(kExpected, [&models](unsigned jobs) {
+    expectWork(kExpected, 0x8ff2336009f9074full, [&models](unsigned jobs) {
         ComparisonHarness harness(ExperimentConfig{}, models, jobs);
-        (void)harness.runAll({combo("alipay", MemIntensity::Low),
-                              combo("bbc", MemIntensity::Medium),
-                              combo("imgur", MemIntensity::High)},
-                             ComparisonHarness::paperGovernors());
-        (void)harness.offlineOptMany(
-            {combo("bbc", MemIntensity::Medium)});
+        uint64_t chain = hashLabel("work-counts:paper-grid");
+        for (const ComparisonRecord &record :
+             harness.runAll({combo("alipay", MemIntensity::Low),
+                             combo("bbc", MemIntensity::Medium),
+                             combo("imgur", MemIntensity::High)},
+                            ComparisonHarness::paperGovernors()))
+            for (const std::string &g : ComparisonHarness::paperGovernors())
+                chain = chainDigest(
+                    chain, runMeasurementDigest(record.measurement(g)));
+        return chainDigest(
+            chain, runMeasurementDigest(harness.offlineOpt(
+                       combo("bbc", MemIntensity::Medium))));
     });
 }
 
@@ -167,7 +185,7 @@ TEST(WorkCounts, FleetDora)
         24, 83955, 2250, 81703, 51527, 32428, 95939730, 11244596, 2249, 0,
         0, 0, 275};
     const std::shared_ptr<const ModelBundle> models = tinyBundle();
-    expectCounts(kExpected, [&models](unsigned jobs) {
+    expectWork(kExpected, 0x8ebd69f6aee0d219ull, [&models](unsigned jobs) {
         FleetCampaignConfig config;
         config.spec.seed = 7;
         config.spec.devices = 8;
@@ -177,21 +195,24 @@ TEST(WorkCounts, FleetDora)
         config.jobs = jobs;
         config.workers = 0;
         config.chunkDevices = 4;
-        (void)FleetEngine(config).run();
+        return FleetEngine(config).run().populationDigest;
     });
 }
 
 TEST(WorkCounts, ExactSweep)
 {
-    // The deadline cut stops 6 of reddit x High's 14 cells, so the cut
-    // shows in exact mode too.
+    // The deadline cut leaves 6 of reddit x High's 14 cells
+    // unfinished. Two of them never run: their load-time floors at
+    // OPPs 0 and 1 (6.08 s and 4.32 s) are past the 3.004 s line.
+    // OPPs 2-5 end once their elapsed time plus floor passes it, so
+    // the cut shows in exact mode too.
     constexpr WorkCounts kExpected = {
-        14, 64387, 0, 0, 0, 0, 65411652, 9717080, 654, 0, 0, 6, 0};
+        12, 50210, 0, 0, 0, 0, 55590781, 8131673, 508, 0, 0, 6, 0};
     setExactTicksMode(true);
-    expectCounts(kExpected, [](unsigned jobs) {
+    expectWork(kExpected, 0xdbc6cc4166d3c30cull, [](unsigned jobs) {
         ComparisonHarness harness(ExperimentConfig{}, nullptr, jobs);
-        (void)harness.offlineOptMany(
-            {combo("reddit", MemIntensity::High)});
+        return runMeasurementDigest(
+            harness.offlineOpt(combo("reddit", MemIntensity::High)));
     });
     setExactTicksMode(false);
 }
