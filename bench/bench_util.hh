@@ -42,9 +42,9 @@ benchJobs(int argc, char **argv)
 }
 
 /**
- * Resolve the process-tier worker count of a bench binary:
- * `--workers N` / `--workers=N` on the command line, else
- * $DORA_WORKERS, else 0 (in-process execution). Results are
+ * Resolve the process-tier worker count of a fleet campaign
+ * (dora-fleet): `--workers N` / `--workers=N` on the command line,
+ * else $DORA_WORKERS, else 0 (in-process execution). Results are
  * bit-identical at any worker count; workers > 0 additionally buys
  * crash isolation and journal resume (see exec/proc).
  */

@@ -16,6 +16,15 @@ dora_add_bench(fig03_fopt_tradeoff)
 dora_add_bench(fig05_model_accuracy)
 dora_add_bench(fig06_fopt_sensitivity)
 dora_add_bench(fig07_governor_summary)
+# Smoke run: an argument fig07 does not take (such as the retired
+# --workers) must be a fatal diagnostic that names it, before the
+# bundle loads or any cell runs.
+add_test(NAME fig07_rejects_unknown_argument
+         COMMAND fig07_governor_summary --workers 2)
+set_tests_properties(fig07_rejects_unknown_argument PROPERTIES
+    PASS_REGULAR_EXPRESSION "unknown argument '--workers'"
+    FAIL_REGULAR_EXPRESSION "\\[bench\\]"
+    TIMEOUT 60)
 dora_add_bench(fig08_per_workload)
 dora_add_bench(fig09_complexity_interaction)
 dora_add_bench(fig10_leakage_impact)
@@ -27,7 +36,6 @@ dora_add_bench(ext_dynamic_interference)
 dora_add_bench(abl_sampling_ratio)
 dora_add_bench(abl_l2_replacement)
 dora_add_bench(ext_fault_resilience)
-dora_add_bench(ext_parallel_scaling)
 
 dora_add_bench(fleet_rollout)
 target_link_libraries(fleet_rollout PRIVATE dora_fleet)

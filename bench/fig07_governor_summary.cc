@@ -26,18 +26,12 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliRejectUnknownArgs(argc, argv, "fig07_governor_summary",
+                         {"--jobs", "--trace"}, {"--exact-ticks"});
     ObsGuard obs(argc, argv);
     const unsigned jobs = benchJobs(argc, argv);
-    const unsigned workers = benchWorkers(argc, argv);
     auto bundle = benchBundle();
     ComparisonHarness harness(ExperimentConfig{}, bundle, jobs);
-    if (workers > 0) {
-        // Process tier: campaigns shard across worker subprocesses and
-        // journal completed cells, so an interrupted/crashed bench run
-        // resumes instead of restarting (results stay bit-identical).
-        harness.setWorkers(workers);
-        harness.setProcJournalStem("fig07.journal");
-    }
 
     const auto workloads = WorkloadSets::paperCombinations();
     std::cerr << "[bench] running " << workloads.size()

@@ -19,15 +19,12 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliRejectUnknownArgs(argc, argv, "fig08_per_workload",
+                         {"--jobs", "--trace"}, {"--exact-ticks"});
     ObsGuard obs(argc, argv);
     const unsigned jobs = benchJobs(argc, argv);
-    const unsigned workers = benchWorkers(argc, argv);
     auto bundle = benchBundle();
     ComparisonHarness harness(ExperimentConfig{}, bundle, jobs);
-    if (workers > 0) {
-        harness.setWorkers(workers);
-        harness.setProcJournalStem("fig08.journal");
-    }
 
     const auto workloads = WorkloadSets::paperCombinations();
     std::cerr << "[bench] running " << workloads.size()

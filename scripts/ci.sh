@@ -85,15 +85,18 @@ echo "== tests (unit, identity, analyzer, example smoke runs) =="
 (cd "${build_dir}" && ctest --output-on-failure)
 
 echo "== crash: process-tier resilience =="
-# Named gate over the crash-resilience ladder (DESIGN.md §5f): wire
-# protocol corruption handling, journal torn-tail truncation,
-# worker/supervisor SIGKILL + retry + journal resume (byte-identical
-# to --workers=0), stale bundle-cache lock recovery, and the
-# truncated-trace flush of a signalled bench. The same suites also
-# run under ASan/UBSan (full sweep below) and the supervisor suites
-# under TSan (default TSan scope in run_sanitized_tests.sh).
+# Named gate over the crash-resilience ladder of the fleet's process
+# tier (DESIGN.md §5f): wire protocol corruption handling, journal
+# torn-tail truncation, fleet worker/supervisor SIGKILL + retry +
+# journal resume (byte-identical to workers=0), the typed process arm
+# on harness cells (worker counts, supervisor SIGKILL + resume), the
+# in-process recompute of a quarantined unit, stale bundle-cache lock
+# recovery, and the truncated-trace flush of a signalled bench. The
+# same suites also run under ASan/UBSan (full sweep below) and the
+# supervisor and kill suites under TSan (default TSan scope in
+# run_sanitized_tests.sh).
 (cd "${build_dir}" && ctest --output-on-failure \
-    -R 'ProcWire|ProcJournalTest|ProcSupervisorTest|KillResume|BundleCacheLockTest|ObsGuardSignal')
+    -R 'ProcWire|ProcJournalTest|ProcSupervisorTest|KillResume|CellExecutor\.QuarantinedUnitIsRecomputedBitIdentical|BundleCacheLockTest|ObsGuardSignal')
 
 echo "== fleet: campaign determinism + journal resume =="
 # Rollout under model-free governors (no trained bundle needed):
@@ -114,7 +117,7 @@ else
     # tree proves the host-tuned build compiles clean under -Werror
     # and still honors the bit-identity contracts inside the same
     # binary: BatchedWalk compares the walk kernel with the reference
-    # walk, ParallelDeterminism every tier with the plain
+    # walk, ParallelDeterminism jobs 1 and 4 with the plain
     # ExperimentRunner loop, and CellExecutor ridden cells with lone
     # runs. WorkCounts checks the host-tuned build against the same
     # fixed work counts as the scalar one.

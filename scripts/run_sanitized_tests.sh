@@ -70,12 +70,16 @@ if [[ "${sanitize}" == "thread" && ${#ctest_args[@]} -eq 0 ]]; then
     # ParallelDeterminism, FleetDeterminism and CellExecutor drive the
     # cell executor's one threaded dispatch (sim/cell_executor.hh),
     # which the harness, trainer and fleet share; ParallelDeterminism
-    # also holds the exact-mode, faulted, trainer and worker identity
-    # checks, and RunContextSnapshot the mid-run snapshot rewind.
+    # also holds the exact-mode, faulted and trainer identity checks,
+    # and RunContextSnapshot the mid-run snapshot rewind.
     # CellExecutorRiders and
     # EndToEnd.RidersReproduceTheRunOneLoop run governor riders
     # (DESIGN.md §5m) on parallelFor threads, the latter sharing one
-    # trained const ModelBundle. Pass explicit ctest args to widen it.
+    # trained const ModelBundle. ProcSupervisorTest and KillResume
+    # (which also matches FleetKillResume) drive the process tier
+    # (DESIGN.md §5f); one fleet case kills a worker from a watcher
+    # thread beside the supervisor. Pass explicit ctest args to widen
+    # it.
     ctest_args=(-R 'JobCount|ParallelFor|ParallelMap|ParallelDeterminism|RunContextSnapshot|FleetDeterminism|CellExecutor|CellExecutorRiders|EndToEnd\.RidersReproduceTheRunOneLoop|ProcSupervisorTest|KillResume')
 fi
 ctest --output-on-failure "${ctest_args[@]}"

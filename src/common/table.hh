@@ -42,9 +42,6 @@ class TextTable
     /** Append an integer cell. */
     void add(int64_t value);
 
-    /** Number of completed rows. */
-    size_t rowCount() const { return rows_.size(); }
-
     /** Render the table, column-aligned, to @p os. */
     void print(std::ostream &os) const;
 

@@ -87,13 +87,11 @@ Trainer::collectSamples(const std::vector<WorkloadSpec> &workloads,
                            workload.kernel, workload.label(),
                            std::make_unique<FixedGovernor>(f), f);
     };
-    CellTiers tiers;
-    tiers.jobs = config_.jobs;
     CellCampaign campaign;
-    campaign.name = "trainer";
     campaign.doneMetric = "trainer.samples_collected";
-    const std::vector<RunMeasurement> measured = CellExecutor(tiers).measure(
-        workloads.size() * freqs, make_cell, campaign);
+    const std::vector<RunMeasurement> measured =
+        CellExecutor(config_.jobs).measure(workloads.size() * freqs,
+                                           make_cell, campaign);
 
     std::vector<TrainingSample> samples(measured.size());
     for (size_t cell = 0; cell < measured.size(); ++cell) {

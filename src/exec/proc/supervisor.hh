@@ -27,6 +27,12 @@
  * a unit's payload is byte-identical whether computed in-process, by
  * any worker, on any attempt, or replayed from the journal.
  *
+ * forEachUnitInWorkers() is the typed campaign arm on top: it names
+ * the journal after the campaign hash, decodes every payload into the
+ * unit type, hands results over in unit order, re-raises a drain
+ * signal and recomputes quarantined units in-process. The fleet
+ * engine (fleet/campaign.hh) is its one production caller.
+ *
  * Precondition: the caller forks from a quiescent process — no
  * parallelFor() threads in flight (forked children inherit only the
  * calling thread; a lock held by another thread would deadlock the
@@ -36,10 +42,17 @@
 #ifndef DORA_EXEC_PROC_SUPERVISOR_HH
 #define DORA_EXEC_PROC_SUPERVISOR_HH
 
+#include <csignal>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "common/logging.hh"
+#include "exec/ordered_sink.hh"
+#include "obs/trace.hh"
 
 namespace dora
 {
@@ -133,6 +146,76 @@ using ProcUnitFn = std::function<std::string(uint64_t unit)>;
 ProcSweepReport runProcSweep(const ProcSweepConfig &config,
                              uint64_t unit_count,
                              const ProcUnitFn &run_unit);
+
+/**
+ * Run units [0, @p n) on @p workers subprocesses through runProcSweep()
+ * and hand each result to @p consume in unit order, in this process
+ * (exec/ordered_sink.hh). A unit crosses the pipe and the journal as
+ * its own U::serialize() bytes and is rebuilt with
+ * U::tryDeserialize(); a payload that does not decode is fatal.
+ *
+ * With @p journal_stem set, completed units are journaled to
+ * `<stem>.<campaign_hash>.jrn` and a rerun replays them through the
+ * same in-order delivery instead of recomputing them. On SIGINT or
+ * SIGTERM the sweep drains and the signal is re-raised, so a script
+ * sees the conventional status and a rerun resumes. A unit the
+ * supervisor quarantined (its worker kept dying on it) is recomputed
+ * here, so the campaign still comes back whole and a deterministic
+ * crash surfaces in a debuggable process. @p what prefixes the
+ * diagnostics.
+ */
+template <typename U>
+void
+forEachUnitInWorkers(size_t n, unsigned workers,
+                     const std::string &journal_stem,
+                     uint64_t campaign_hash, const char *what,
+                     const std::function<U(size_t)> &run_unit,
+                     const std::function<void(size_t, U &&)> &consume)
+{
+    if (n == 0)
+        return;
+    OrderedSink<U> sink(consume, 0);
+    ProcSweepConfig proc;
+    proc.workers = workers;
+    proc.campaignHash = campaign_hash;
+    if (!journal_stem.empty())
+        proc.journalPath =
+            journal_stem + "." + hexU64(campaign_hash) + ".jrn";
+    // The completion hook is the only consumer of payloads, so the
+    // supervisor's memory is O(workers + reorder window).
+    proc.onUnitComplete = [&](uint64_t unit, const std::string &payload) {
+        U value;
+        if (!value.tryDeserialize(payload))
+            fatal("%s: unit %llu payload from the process tier does "
+                  "not decode (journal from an older build?); delete "
+                  "%s and re-run",
+                  what, static_cast<unsigned long long>(unit),
+                  proc.journalPath.c_str());
+        sink.deliver(unit, std::move(value));
+    };
+
+    const ProcSweepReport report = runProcSweep(
+        proc, n, [&](uint64_t unit) { return run_unit(unit).serialize(); });
+    if (report.drained) {
+        // Progress (if journaled) is durable; die by the original
+        // signal so scripts see the conventional status and the
+        // truncated-trace flush still runs. A rerun resumes.
+        warn("%s: campaign interrupted by signal %d with %llu units "
+             "durable; re-run to resume",
+             what, report.drainSignal,
+             static_cast<unsigned long long>(report.unitsRun +
+                                             report.unitsResumed));
+        ::raise(report.drainSignal);
+        fatal("%s: campaign interrupted", what);  // signal was ignored
+    }
+    for (uint64_t u = 0; u < n; ++u)
+        if (!report.completed[u]) {
+            warn("%s: unit %llu was quarantined by the process tier; "
+                 "recomputing in-process",
+                 what, static_cast<unsigned long long>(u));
+            sink.deliver(u, run_unit(u));
+        }
+}
 
 } // namespace dora
 

@@ -25,7 +25,7 @@
  * What little the codebase has (log sinks, the bundle-cache file) is
  * made thread-safe separately; simulations themselves are self-
  * contained, which is what makes jobs=N bit-identical to jobs=1 (see
- * DESIGN.md §5a and bench/ext_parallel_scaling, which enforces it).
+ * DESIGN.md §5a; the ParallelDeterminism suite enforces it).
  */
 
 #ifndef DORA_EXEC_THREAD_POOL_HH

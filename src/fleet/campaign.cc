@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 
 #include "browser/page_corpus.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "exec/proc/supervisor.hh"
 #include "harness/comparison.hh"
 #include "obs/trace.hh"
 
@@ -45,7 +47,7 @@ fleetCampaignHash(const FleetCampaignConfig &config)
 
 FleetEngine::FleetEngine(FleetCampaignConfig config)
     : config_(std::move(config)),
-      executor_({config_.jobs, config_.workers, config_.journalStem})
+      executor_(config_.jobs)
 {
     if (config_.lanes != 1)
         fatal("FleetEngine: lanes must be 1, not %u", config_.lanes);
@@ -194,26 +196,24 @@ FleetEngine::buildReport(const FleetShardAggregate &campaign) const
 FleetReport
 FleetEngine::run()
 {
-    const size_t gcount = config_.governors.size();
-    CellCampaign campaign;
-    campaign.name = "fleet";
-    campaign.hash = fleetCampaignHash(config_);
-
     // Chunk aggregates fold left-to-right in chunk order (the canonical
-    // fold) as the executor hands them over, so at most the chunks
-    // that finished out of order are held, on every tier. A resumed
-    // campaign replays its journaled chunks through the same fold.
-    FleetShardAggregate folded = FleetShardAggregate::forCampaign(gcount);
-    executor_.forEachUnit<FleetShardAggregate>(
-        chunkCount(), [this](size_t c) { return runChunk(c); },
+    // fold) as either arm hands them over, so at most the chunks that
+    // finished out of order are held. A resumed campaign replays its
+    // journaled chunks through the same fold.
+    FleetShardAggregate folded =
+        FleetShardAggregate::forCampaign(config_.governors.size());
+    const std::function<FleetShardAggregate(size_t)> run_chunk =
+        [this](size_t c) { return runChunk(c); };
+    const std::function<void(size_t, FleetShardAggregate &&)> fold =
         [&folded](size_t, FleetShardAggregate &&chunk) {
             folded.merge(chunk);
-        },
-        {[](const FleetShardAggregate &chunk) { return chunk.serialize(); },
-         [](std::string_view bytes, FleetShardAggregate *chunk) {
-             return chunk->tryDeserialize(bytes);
-         }},
-        campaign);
+        };
+    if (config_.workers == 0)
+        executor_.forEachUnit(chunkCount(), run_chunk, fold);
+    else
+        forEachUnitInWorkers(chunkCount(), config_.workers,
+                             config_.journalStem, fleetCampaignHash(config_),
+                             "fleet", run_chunk, fold);
     return buildReport(folded);
 }
 

@@ -7,16 +7,18 @@
  * Cell grid: cell = device * |governors| + g, where g is the
  * governor's position in the list (device-major). Every cell is an
  * independent simulation of one sampled device under one governor,
- * keyed by its grid index. The engine runs its cells through the cell
- * executor (sim/cell_executor.hh), so results are byte-identical at
- * any combination of
+ * keyed by its grid index. Every chunk runs its cells through the cell
+ * executor (sim/cell_executor.hh), and run() picks the arm that fans
+ * the chunks out, so results are byte-identical at any combination of
  *
- *   --jobs    thread tier (chunks on the pool)
- *   --workers process tier (exec/proc supervisor; crash recovery and
- *             a checksummed resume journal bound to the campaign
- *             hash)
+ *   --jobs    thread arm (chunks on parallelFor threads, workers = 0)
+ *   --workers process arm (exec/proc forEachUnitInWorkers; crash
+ *             recovery and a checksummed resume journal bound to the
+ *             campaign hash)
  *
- * and identical again after a mid-campaign kill + resume.
+ * and identical again after a mid-campaign kill + resume. The fleet
+ * is the one campaign long enough to need kill -9 resume, and the one
+ * caller of the process arm.
  *
  * Aggregation is streaming: the campaign's cells are cut into
  * fixed-size chunks (whole devices, chunkDevices per chunk), each

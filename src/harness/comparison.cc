@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <sstream>
 
 #include "common/logging.hh"
-#include "common/rng.hh"
 #include "fault/fault_injector.hh"
 #include "obs/metrics.hh"
 #include "runner/run_context.hh"
@@ -95,9 +93,8 @@ ComparisonRecord::normalizedPpw(const std::string &governor) const
 ComparisonHarness::ComparisonHarness(
     const ExperimentConfig &config,
     std::shared_ptr<const ModelBundle> models, unsigned jobs)
-    : runner_(config), models_(std::move(models))
+    : runner_(config), models_(std::move(models)), jobs_(jobs)
 {
-    tiers_.jobs = jobs;
 }
 
 void
@@ -185,32 +182,13 @@ ComparisonHarness::makeCell(const WorkloadSpec &workload,
 }
 
 std::vector<RunMeasurement>
-ComparisonHarness::runGrid(size_t n, const std::string &grid,
+ComparisonHarness::runGrid(size_t n,
                            const CellExecutor::CellFn &make_cell) const
 {
-    // Journal identity: the measurement protocol, the fault schedule
-    // and the grid (the executor adds the cell count and gang plan).
-    std::ostringstream identity;
-    identity.precision(17);
-    identity << "harness " << experimentConfigHash(runner_.config())
-             << " " << grid;
-    if (const FaultInjector *injector = runner_.faultInjector()) {
-        const FaultSchedule &s = injector->schedule();
-        identity << " fault " << s.seed << " " << s.sensorDropProb << " "
-                 << s.sensorStuckProb << " " << s.sensorNoiseSd << " "
-                 << s.sensorStuckDurationSec << " "
-                 << s.sensorStalenessSec << " " << s.actuatorRejectProb
-                 << " " << s.actuatorLatchProb << " "
-                 << s.actuatorLatchDurationSec << " "
-                 << s.thermalSpikeProb << " " << s.thermalSpikeDeltaC
-                 << " " << s.thermalSpikeDurationSec;
-    }
     CellCampaign campaign;
-    campaign.name = "harness";
-    campaign.hash = hashLabel(identity.str());
     campaign.queuedMetric = "harness.cells_queued";
     campaign.doneMetric = "harness.cells_done";
-    return CellExecutor(tiers_).measure(n, make_cell, campaign);
+    return CellExecutor(jobs_).measure(n, make_cell, campaign);
 }
 
 std::vector<ComparisonRecord>
@@ -220,21 +198,13 @@ ComparisonHarness::runAll(const std::vector<WorkloadSpec> &workloads,
     const auto &names = governors.empty() ? paperGovernors() : governors;
     // A repeated name would also overwrite its twin's record slot.
     checkGovernorList("runAll", names, models_);
-    std::ostringstream grid;
-    grid << "runAll";
-    for (const auto &w : workloads)
-        grid << " " << w.label();
-    for (const auto &g : names)
-        grid << " " << g;
     std::vector<RunMeasurement> flat =
-        runGrid(workloads.size() * names.size(), grid.str(),
-                [&](size_t i) {
-                    return makeCell(
-                        workloads[i / names.size()],
-                        makeNamedGovernor(names[i % names.size()],
-                                          models_),
-                        std::nullopt);
-                });
+        runGrid(workloads.size() * names.size(), [&](size_t i) {
+            return makeCell(workloads[i / names.size()],
+                            makeNamedGovernor(names[i % names.size()],
+                                              models_),
+                            std::nullopt);
+        });
 
     std::vector<ComparisonRecord> records;
     records.reserve(workloads.size());
@@ -332,14 +302,8 @@ ComparisonHarness::offlineOptMany(
         ++cells_skipped;
     }
 
-    // The rules are part of the grid identity: a journal of uncut or
-    // unskipped losers is refused, never mixed in.
-    std::ostringstream grid;
-    grid << "offlineOptMany cut=deadline+2dt skip=floor";
-    for (const auto &w : workloads)
-        grid << " " << w.label();
     std::vector<RunMeasurement> measured =
-        runGrid(simulated.size(), grid.str(), [&](size_t k) {
+        runGrid(simulated.size(), [&](size_t k) {
             const size_t i = simulated[k];
             const size_t f = i % freqs;
             RunCell cell = makeCell(workloads[i / freqs],

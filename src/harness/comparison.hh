@@ -7,9 +7,8 @@
  *
  * Every cell of a comparison (workload x governor) is an independent
  * simulation on a freshly constructed device; the harness hands the
- * grid to the cell executor (sim/cell_executor.hh), whose thread and
- * process tiers are both bit-identical to a plain loop of runOne()
- * calls.
+ * grid to the cell executor (sim/cell_executor.hh), whose threads are
+ * bit-identical to a plain loop of runOne() calls at any job count.
  */
 
 #ifndef DORA_HARNESS_COMPARISON_HH
@@ -96,28 +95,6 @@ class ComparisonHarness
                       unsigned jobs = 0);
 
     /**
-     * Route fan-outs through the crash-resilient process tier
-     * (exec/proc): @p workers worker subprocesses per campaign.
-     * 0 (the default) keeps everything in-process. Results under any
-     * worker count are bit-identical to workers=0: cells are keyed by
-     * grid index and every cell constructs its own device.
-     */
-    void setWorkers(unsigned workers) { tiers_.workers = workers; }
-
-    /**
-     * Enable journal resume for process-tier campaigns: completed
-     * cells are journaled to `<stem>.<campaign-hash>.jrn` and a rerun
-     * resumes from the journal instead of recomputing them. The hash
-     * covers the experiment config, fault schedule, and campaign
-     * shape, so a stale journal from a different sweep is refused.
-     * Empty (the default) disables journaling. No effect at workers=0.
-     */
-    void setProcJournalStem(std::string stem)
-    {
-        tiers_.journalStem = std::move(stem);
-    }
-
-    /**
      * Inert: the only accepted value is 1; any other is fatal(). Its
      * only caller is benchmark/rounds.cc, and it goes with that line.
      */
@@ -201,16 +178,14 @@ class ComparisonHarness
 
     /**
      * Run the grid [0, n) of cells built by @p make_cell through the
-     * cell executor. @p grid names the grid (workload labels, governor
-     * names) for the process-tier journal identity.
+     * cell executor.
      */
     std::vector<RunMeasurement>
-    runGrid(size_t n, const std::string &grid,
-            const CellExecutor::CellFn &make_cell) const;
+    runGrid(size_t n, const CellExecutor::CellFn &make_cell) const;
 
     ExperimentRunner runner_;
     std::shared_ptr<const ModelBundle> models_;
-    CellTiers tiers_;
+    unsigned jobs_;
 };
 
 /**

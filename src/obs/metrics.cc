@@ -85,19 +85,6 @@ MetricHistogram::bucketCount(int bucket) const
     return buckets_[bucket].load(std::memory_order_relaxed);
 }
 
-void
-MetricHistogram::reset()
-{
-    for (auto &b : buckets_)
-        b.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0.0, std::memory_order_relaxed);
-    min_.store(std::numeric_limits<double>::infinity(),
-               std::memory_order_relaxed);
-    max_.store(-std::numeric_limits<double>::infinity(),
-               std::memory_order_relaxed);
-}
-
 MetricsRegistry &
 MetricsRegistry::global()
 {

@@ -47,8 +47,6 @@ class MetricCounter
         return value_.load(std::memory_order_relaxed);
     }
 
-    void reset() { value_.store(0, std::memory_order_relaxed); }
-
   private:
     std::atomic<uint64_t> value_{0};
 };
@@ -97,8 +95,6 @@ class MetricHistogram
     double max() const { return max_.load(std::memory_order_relaxed); }
 
     uint64_t bucketCount(int bucket) const;
-
-    void reset();
 
   private:
     std::atomic<uint64_t> buckets_[kBuckets] = {};

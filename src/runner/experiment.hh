@@ -142,9 +142,8 @@ struct IdleSample
 /**
  * Canonical bit-exact text rendering of a measurement: every double is
  * printed as a hex float (%a), so two measurements render identically
- * iff they are bit-identical. Used by the determinism tests and
- * bench/ext_parallel_scaling to prove that parallel sweeps reproduce
- * the serial results exactly.
+ * iff they are bit-identical. Used by the determinism tests to prove
+ * that parallel sweeps reproduce the serial results exactly.
  */
 std::string runMeasurementText(const RunMeasurement &m);
 

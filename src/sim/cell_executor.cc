@@ -1,15 +1,12 @@
 #include "sim/cell_executor.hh"
 
 #include <algorithm>
-#include <csignal>
+#include <map>
 #include <optional>
+#include <string>
 
-#include "common/logging.hh"
-#include "common/rng.hh"
-#include "exec/proc/supervisor.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "runner/measurement_io.hh"
 
 namespace dora
 {
@@ -54,10 +51,9 @@ gangKey(const RunCell &cell)
 
 } // namespace
 
-CellExecutor::CellExecutor(CellTiers tiers) : tiers_(std::move(tiers))
+CellExecutor::CellExecutor(unsigned jobs)
+    : jobs_(jobs == 0 ? defaultJobCount() : jobs)
 {
-    if (tiers_.jobs == 0)
-        tiers_.jobs = defaultJobCount();
 }
 
 std::vector<CellExecutor::Gang>
@@ -146,128 +142,28 @@ CellExecutor::runCells(size_t first, size_t count, const CellFn &make_cell,
 
 std::vector<RunMeasurement>
 CellExecutor::measure(size_t n, const CellFn &make_cell,
-                      CellCampaign campaign) const
+                      const CellCampaign &campaign) const
 {
     const std::vector<Gang> gangs = planGangs(0, n, make_cell);
-    campaign.hash = planCampaignHash(campaign.hash, n, gangs);
     MetricCounter *done = nullptr;
     if (campaign.queuedMetric)
         MetricsRegistry::global().counter(campaign.queuedMetric).add(n);
     if (campaign.doneMetric)
         done = &MetricsRegistry::global().counter(campaign.doneMetric);
 
-    // A unit is its gang's measurements in ascending cell order.
-    using Batch = std::vector<RunMeasurement>;
-    const WireCodec<Batch> batch_codec{
-        [](const Batch &batch) {
-            std::vector<std::string> payloads;
-            payloads.reserve(batch.size());
-            for (const RunMeasurement &m : batch)
-                payloads.push_back(serializeRunMeasurement(m));
-            return packPayloads(payloads);
-        },
-        [](std::string_view bytes, Batch *out) {
-            std::vector<std::string> payloads;
-            if (!tryUnpackPayloads(bytes, &payloads))
-                return false;
-            Batch batch(payloads.size());
-            for (size_t i = 0; i < payloads.size(); ++i)
-                if (!tryDeserializeRunMeasurement(payloads[i], &batch[i]))
-                    return false;
-            *out = std::move(batch);
-            return true;
-        }};
-
+    // Gangs partition the cells, so each writes only its own slots.
     std::vector<RunMeasurement> out(n);
-    forEachUnit<Batch>(
+    parallelFor(
         gangs.size(),
         [&](size_t u) {
-            Batch batch;
-            runGang(gangs[u], make_cell, [&](size_t, RunMeasurement &&m) {
-                batch.push_back(std::move(m));
+            runGang(gangs[u], make_cell, [&](size_t i, RunMeasurement &&m) {
+                out[i] = std::move(m);
             });
-            return batch;
-        },
-        [&](size_t u, Batch &&batch) {
-            const Gang &gang = gangs[u];
-            if (batch.size() != gang.size())
-                fatal("%s: unit %zu holds %zu cells, not %zu",
-                      campaign.name.c_str(), u, batch.size(),
-                      gang.size());
-            for (size_t k = 0; k < gang.size(); ++k)
-                out[gang[k]] = std::move(batch[k]);
             if (done)
-                done->add(batch.size());
+                done->add(gangs[u].size());
         },
-        batch_codec, campaign);
+        jobs_);
     return out;
-}
-
-uint64_t
-CellExecutor::planCampaignHash(uint64_t hash, size_t n,
-                               const std::vector<Gang> &gangs)
-{
-    // A unit ships its gang's results packed in ascending cell order,
-    // so the plan (which cells each unit holds) shapes the journal's
-    // unit space.
-    std::string plan = "gang-units " + hexU64(hash) + " cells " +
-        std::to_string(n);
-    for (const Gang &gang : gangs) {
-        plan += " | ";
-        for (size_t i : gang)
-            plan += std::to_string(i) + ",";
-    }
-    return hashLabel(plan);
-}
-
-void
-CellExecutor::runInWorkers(
-    size_t n, const CellCampaign &campaign,
-    const std::function<std::string(uint64_t)> &encode_unit,
-    const std::function<bool(uint64_t, const std::string &)> &accept,
-    const std::function<void(uint64_t)> &recompute) const
-{
-    const char *name = campaign.name.c_str();
-    ProcSweepConfig proc;
-    proc.workers = tiers_.workers;
-    proc.campaignHash = campaign.hash;
-    if (!tiers_.journalStem.empty())
-        proc.journalPath = tiers_.journalStem + "." +
-            hexU64(campaign.hash) + ".jrn";
-    // The completion hook is the only consumer of payloads, so the
-    // supervisor's memory is O(workers + reorder window).
-    proc.onUnitComplete = [&](uint64_t unit, const std::string &payload) {
-        if (!accept(unit, payload))
-            fatal("%s: unit %llu payload from the process tier does "
-                  "not decode (journal from an older build?); delete "
-                  "%s and re-run",
-                  name, static_cast<unsigned long long>(unit),
-                  proc.journalPath.c_str());
-    };
-
-    const ProcSweepReport report = runProcSweep(proc, n, encode_unit);
-    if (report.drained) {
-        // Progress (if journaled) is durable; die by the original
-        // signal so scripts see the conventional status and the
-        // truncated-trace flush still runs. A rerun resumes.
-        warn("%s: campaign interrupted by signal %d with %llu units "
-             "durable; re-run to resume",
-             name, report.drainSignal,
-             static_cast<unsigned long long>(report.unitsRun +
-                                             report.unitsResumed));
-        ::raise(report.drainSignal);
-        fatal("%s: campaign interrupted", name);  // signal was ignored
-    }
-    // A quarantined unit (its worker kept dying on it) is recomputed
-    // here, so the grid still comes back whole and a deterministic
-    // crash surfaces in a debuggable process.
-    for (uint64_t u = 0; u < n; ++u)
-        if (!report.completed[u]) {
-            warn("%s: unit %llu was quarantined by the process tier; "
-                 "recomputing in-process",
-                 name, static_cast<unsigned long long>(u));
-            recompute(u);
-        }
 }
 
 } // namespace dora

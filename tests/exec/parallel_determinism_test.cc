@@ -1,9 +1,9 @@
 /**
  * @file
  * End-to-end determinism of the parallel experiment engine: the same
- * comparison run through the harness at jobs=1, at jobs=4 and on 2
- * worker processes must produce RunMeasurement vectors bit-identical
- * to a plain loop of ExperimentRunner::run() on one runner (the
+ * comparison run through the harness at jobs=1 and at jobs=4 must
+ * produce RunMeasurement vectors bit-identical to a plain loop of
+ * ExperimentRunner::run() on one runner (the
  * runOne() path, which the cell executor does not run) — in adaptive
  * and exact-ticks mode, each with and without a non-zero
  * fault-injection schedule on the signal path. The trainer's
@@ -32,7 +32,6 @@
 #include <limits>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "browser/page_corpus.hh"
@@ -66,30 +65,16 @@ cheapWorkloads()
 /** Model-free governors so no training campaign is needed. */
 const std::vector<std::string> kGovernors = {"interactive", "ondemand"};
 
-/** One execution tier of the cell executor. */
-struct Tier
-{
-    unsigned jobs = 1;
-    unsigned workers = 0;
-
-    std::string name() const
-    {
-        return "jobs=" + std::to_string(jobs) +
-            " workers=" + std::to_string(workers);
-    }
-};
-
-/** The tiers every identity check runs: serial, threads, processes. */
-const Tier kTiers[] = {{1, 0}, {4, 0}, {1, 2}};
+/** The job counts every identity check runs: serial and threads. */
+const unsigned kJobs[] = {1, 4};
 
 /** @p lane_stub sets the harness's inert lane stub to 1 first. */
 std::vector<std::string>
-comparisonTexts(const Tier &tier, FaultInjector *injector,
+comparisonTexts(unsigned jobs, FaultInjector *injector,
                 const std::vector<std::string> &governors = kGovernors,
                 bool lane_stub = false)
 {
-    ComparisonHarness harness(ExperimentConfig{}, nullptr, tier.jobs);
-    harness.setWorkers(tier.workers);
+    ComparisonHarness harness(ExperimentConfig{}, nullptr, jobs);
     if (lane_stub)
         harness.setLanes(1);
     if (injector)
@@ -254,7 +239,7 @@ counterValue(const char *name)
 }
 
 /**
- * offlineOptMany() at jobs 1 and 4 and on 2 workers must pick the
+ * offlineOptMany() at jobs 1 and 4 must pick the
  * winners of the full @p sweeps, count exactly the cells the cut left
  * unfinished, and skip exactly the cut cells past the floor line.
  * Returns the cut count. @p lane_stub sets each harness's inert lane
@@ -274,10 +259,8 @@ expectCutMatchesFullSweep(
     const uint64_t want_skipped = expectedSkipped(config, workloads);
     // Every cell the floor skips is one the full sweep left unfinished.
     EXPECT_LE(want_skipped, want_cut) << what;
-    for (const auto &[jobs, workers] :
-         {std::pair{1u, 0u}, std::pair{4u, 0u}, std::pair{1u, 2u}}) {
+    for (const unsigned jobs : kJobs) {
         ComparisonHarness harness(config, nullptr, jobs);
-        harness.setWorkers(workers);
         if (lane_stub)
             harness.setLanes(1);
         harness.runner().setFaultInjector(injector);
@@ -287,15 +270,14 @@ expectCutMatchesFullSweep(
         const auto winners = harness.offlineOptMany(workloads);
         EXPECT_EQ(counterValue("harness.offline_cells_cut") - cut0,
                   want_cut)
-            << what << " jobs=" << jobs << " workers=" << workers;
+            << what << " jobs=" << jobs;
         EXPECT_EQ(counterValue("harness.offline_cells_skipped") - skipped0,
                   want_skipped)
-            << what << " jobs=" << jobs << " workers=" << workers;
+            << what << " jobs=" << jobs;
         EXPECT_EQ(winners.size(), want.size()) << what;
         for (size_t w = 0; w < want.size() && w < winners.size(); ++w)
             EXPECT_EQ(want[w], runMeasurementText(winners[w]))
-                << what << " jobs=" << jobs << " workers=" << workers
-                << " workload " << w;
+                << what << " jobs=" << jobs << " workload " << w;
     }
     return want_cut;
 }
@@ -315,10 +297,10 @@ TEST(ParallelDeterminism, FaultFreeComparisonBitIdentical)
     for (bool exact : {false, true}) {
         setExactTicksMode(exact);
         const auto reference = loopTexts(nullptr);
-        for (const Tier &tier : kTiers) {
-            const std::string what =
-                (exact ? "exact " : "adaptive ") + tier.name();
-            expectSameTexts(reference, comparisonTexts(tier, nullptr),
+        for (const unsigned jobs : kJobs) {
+            std::string what = exact ? "exact" : "adaptive";
+            what += " jobs=" + std::to_string(jobs);
+            expectSameTexts(reference, comparisonTexts(jobs, nullptr),
                             what.c_str());
         }
     }
@@ -340,7 +322,7 @@ TEST(ParallelDeterminism, DegradedPredictiveGovernorsRideOneRun)
         const uint64_t drops0 = drops.value();
         const std::string what = "jobs=" + std::to_string(jobs);
         expectSameTexts(reference,
-                        comparisonTexts({jobs, 0}, nullptr, governors),
+                        comparisonTexts(jobs, nullptr, governors),
                         what.c_str());
         EXPECT_EQ(riders.value() - riders0, 2 * cheapWorkloads().size())
             << what;
@@ -363,10 +345,11 @@ TEST(ParallelDeterminism, FaultedComparisonBitIdentical)
         setExactTicksMode(exact);
         const char *mode = exact ? "exact " : "adaptive ";
         const auto serial = loopTexts(&serial_injector);
-        for (const Tier &tier : kTiers) {
-            const std::string what = mode + tier.name();
+        for (const unsigned jobs : kJobs) {
+            std::string what = mode;
+            what += "jobs=" + std::to_string(jobs);
             expectSameTexts(serial,
-                            comparisonTexts(tier, &parallel_injector),
+                            comparisonTexts(jobs, &parallel_injector),
                             what.c_str());
         }
 
@@ -687,7 +670,7 @@ TEST(ParallelDeterminism, TrainerSamplesBitIdentical)
 
 /**
  * A comparison grid under the combined fault schedule, on harnesses
- * whose lane stub is set, must match the plain loop on every tier.
+ * whose lane stub is set, must match the plain loop at jobs 1 and 4.
  */
 void
 expectLaneStubFaultedIdentical(bool exact)
@@ -698,10 +681,10 @@ expectLaneStubFaultedIdentical(bool exact)
     FaultInjector serial_injector(schedule);
     FaultInjector lane_injector(schedule);
     const auto serial = loopTexts(&serial_injector);
-    for (const Tier &tier : kTiers) {
-        const std::string what = "lanes=1 " + tier.name();
+    for (const unsigned jobs : kJobs) {
+        const std::string what = "lanes=1 jobs=" + std::to_string(jobs);
         expectSameTexts(serial,
-                        comparisonTexts(tier, &lane_injector, kGovernors,
+                        comparisonTexts(jobs, &lane_injector, kGovernors,
                                         /*lane_stub=*/true),
                         what.c_str());
     }
@@ -719,14 +702,12 @@ TEST(LaneBatch, ExactTicksFaultedBitIdenticalAcrossLaneCounts)
 
 TEST(LaneBatch, ComposesWithThreadAndProcessTiers)
 {
-    const auto serial = loopTexts(nullptr);
-    for (const Tier &tier : {Tier{2, 0}, Tier{1, 2}}) {
-        const std::string what = "lanes=1 " + tier.name();
-        expectSameTexts(serial,
-                        comparisonTexts(tier, nullptr, kGovernors,
-                                        /*lane_stub=*/true),
-                        what.c_str());
-    }
+    // The harness has no process tier: threads are the one tier the
+    // lane stub composes with.
+    expectSameTexts(loopTexts(nullptr),
+                    comparisonTexts(2, nullptr, kGovernors,
+                                    /*lane_stub=*/true),
+                    "lanes=1 jobs=2");
 }
 
 TEST(LaneBatch, OfflineOptManyBitIdentical)

@@ -7,6 +7,8 @@
  *  - the same FleetSpec produces a byte-identical population and
  *    aggregate report at every (jobs, workers) combination;
  *  - replayDevice() reproduces every in-campaign cell bit-exactly;
+ *  - a worker SIGKILLed mid-chunk is retried to a byte-identical
+ *    report;
  *  - a supervisor SIGKILLed mid-campaign resumes from the journal to
  *    a byte-identical report, and a finished journal replays every
  *    chunk;
@@ -23,15 +25,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <csignal>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <dirent.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -70,6 +76,15 @@ smallCampaign(unsigned jobs, unsigned workers, const std::string &stem = "")
     return config;
 }
 
+/** smallCampaign() with one device per chunk: 5 journal units. */
+FleetCampaignConfig
+oneDevicePerChunk(unsigned workers, const std::string &stem)
+{
+    FleetCampaignConfig config = smallCampaign(1, workers, stem);
+    config.chunkDevices = 1;
+    return config;
+}
+
 /** Remove journal files left by a previous run of @p stem. */
 void
 clearJournals(const std::string &stem)
@@ -97,6 +112,31 @@ findJournal(const std::string &stem)
                 return entry.path().string();
         }
     return "";
+}
+
+/** Direct children of this process, via /proc (Linux). */
+std::vector<pid_t>
+childPids()
+{
+    std::vector<pid_t> pids;
+    DIR *proc = ::opendir("/proc");
+    if (!proc)
+        return pids;
+    const pid_t self = ::getpid();
+    while (const dirent *entry = ::readdir(proc)) {
+        if (!std::isdigit(
+                static_cast<unsigned char>(entry->d_name[0])))
+            continue;
+        std::ifstream stat("/proc/" + std::string(entry->d_name) +
+                           "/stat");
+        std::string pid_str, comm, state;
+        pid_t ppid = -1;
+        if (stat >> pid_str >> comm >> state >> ppid && ppid == self)
+            pids.push_back(
+                static_cast<pid_t>(std::atol(pid_str.c_str())));
+    }
+    ::closedir(proc);
+    return pids;
 }
 
 /**
@@ -449,14 +489,7 @@ TEST(FleetKillResume, SupervisorSigkillThenResumeByteIdentical)
         ::testing::TempDir() + "fleet_resume_test";
     clearJournals(stem);
 
-    // One device per chunk: 5 journal units.
-    const auto cfg = [&](unsigned workers, const std::string &s) {
-        FleetCampaignConfig config = smallCampaign(1, workers, s);
-        config.chunkDevices = 1;
-        return config;
-    };
-
-    FleetEngine baseline(cfg(0, ""));
+    FleetEngine baseline(oneDevicePerChunk(0, ""));
     const std::string ref_text = fleetReportText(baseline.run());
 
     // First attempt runs in a forked child so SIGKILL models a hard
@@ -464,7 +497,7 @@ TEST(FleetKillResume, SupervisorSigkillThenResumeByteIdentical)
     const pid_t child = ::fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
-        FleetEngine engine(cfg(1, stem));
+        FleetEngine engine(oneDevicePerChunk(1, stem));
         engine.run();
         ::_exit(0);
     }
@@ -492,7 +525,7 @@ TEST(FleetKillResume, SupervisorSigkillThenResumeByteIdentical)
     // report must match the uninterrupted baseline byte-for-byte.
     const uint64_t resumed_before =
         MetricsRegistry::global().counter("proc.units_resumed").value();
-    FleetEngine resumed(cfg(2, stem));
+    FleetEngine resumed(oneDevicePerChunk(2, stem));
     const std::string resumed_text = fleetReportText(resumed.run());
     const uint64_t resumed_after =
         MetricsRegistry::global().counter("proc.units_resumed").value();
@@ -500,6 +533,42 @@ TEST(FleetKillResume, SupervisorSigkillThenResumeByteIdentical)
     EXPECT_GE(resumed_after, resumed_before + 1)
         << "rerun recomputed everything instead of resuming";
     EXPECT_EQ(resumed_text, ref_text);
+    clearJournals(stem);
+}
+
+TEST(FleetKillResume, WorkerSigkillMidChunkStillByteIdentical)
+{
+    const std::string stem =
+        ::testing::TempDir() + "fleet_worker_kill_test";
+    clearJournals(stem);
+    const std::string ref_text =
+        fleetReportText(FleetEngine(oneDevicePerChunk(0, "")).run());
+    MetricCounter &crashes =
+        MetricsRegistry::global().counter("proc.worker_crashes");
+    const uint64_t crashes_before = crashes.value();
+
+    // The campaign runs in this process (it is the supervisor); a
+    // watcher thread SIGKILLs the first worker subprocess it sees,
+    // about 30 ms in, while that worker runs its first chunk.
+    std::thread killer([] {
+        for (int i = 0; i < 200; ++i) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            if (i < 2)
+                continue;  // let the first dispatches land
+            const auto pids = childPids();
+            if (!pids.empty()) {
+                ::kill(pids.front(), SIGKILL);
+                return;
+            }
+        }
+    });
+    const std::string survived =
+        fleetReportText(FleetEngine(oneDevicePerChunk(2, stem)).run());
+    killer.join();
+
+    EXPECT_GE(crashes.value(), crashes_before + 1)
+        << "the injected SIGKILL never hit a busy worker";
+    EXPECT_EQ(survived, ref_text);
     clearJournals(stem);
 }
 

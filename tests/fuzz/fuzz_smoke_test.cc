@@ -3,8 +3,8 @@
  * Deterministic fuzz smoke tests for every deserializer that accepts
  * bytes from outside the process: snapshot restore paths
  * (QuantileSketch, RunningStat), FleetShardAggregate blobs, the
- * supervisor/worker wire-frame parser, the results journal, run-
- * measurement payloads, and ModelBundle text blobs.
+ * supervisor/worker wire-frame parser, the results journal, and
+ * ModelBundle text blobs.
  *
  * The contract under test is uniform: feed a corrupted input and the
  * decoder must return failure (or truncate, for the journal) without
@@ -36,7 +36,6 @@
 #include "exec/proc/wire.hh"
 #include "fleet/aggregate.hh"
 #include "runner/experiment.hh"
-#include "runner/measurement_io.hh"
 #include "stats/quantile_sketch.hh"
 #include "stats/running_stat.hh"
 
@@ -347,27 +346,8 @@ TEST(FuzzSmoke, JournalOpenSurvivesCorruptedFiles)
 }
 
 // ------------------------------------------------------------------ //
-// Run-measurement payloads and model-bundle text                      //
+// Model-bundle text                                                   //
 // ------------------------------------------------------------------ //
-
-TEST(FuzzSmoke, RunMeasurementDecodeSurvivesCorruption)
-{
-    Rng rng("fuzz:measurement");
-    const std::string blob =
-        serializeRunMeasurement(sampleMeasurement(rng));
-    RunMeasurement round_trip;
-    ASSERT_TRUE(tryDeserializeRunMeasurement(blob, &round_trip));
-
-    for (const std::string &mutant : mutantCorpus(blob, rng)) {
-        RunMeasurement out;
-        (void)tryDeserializeRunMeasurement(mutant, &out);
-    }
-    for (int i = 0; i < 256; ++i) {
-        RunMeasurement out;
-        (void)tryDeserializeRunMeasurement(
-            randomBytes(rng, rng.below(256)), &out);
-    }
-}
 
 TEST(FuzzSmoke, ModelBundleDeserializeSurvivesCorruption)
 {

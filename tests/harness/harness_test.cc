@@ -201,19 +201,18 @@ TEST(OfflineOpt, PicksBestMeetingPpwOrFastestFallback)
 }
 
 /**
- * Exit-time report of cells simulated and process-tier worker crashes,
- * printed by a death-test child on its way out.
+ * Exit-time report of cells simulated, printed by a death-test child
+ * on its way out.
  */
 void
 reportRunsAtExit()
 {
     std::atexit([] {
-        MetricsRegistry &reg = MetricsRegistry::global();
-        std::fprintf(stderr, "runs=%llu crashes=%llu\n",
+        std::fprintf(stderr, "runs=%llu\n",
                      static_cast<unsigned long long>(
-                         reg.counter("runner.runs").value()),
-                     static_cast<unsigned long long>(
-                         reg.counter("proc.worker_crashes").value()));
+                         MetricsRegistry::global()
+                             .counter("runner.runs")
+                             .value()));
     });
 }
 
@@ -229,28 +228,23 @@ TEST(ComparisonHarnessDeath, RepeatedGovernorIsFatalBeforeAnyCellRuns)
                 .runAll(w, {"interactive", "ondemand", "interactive"});
         },
         ::testing::ExitedWithCode(1),
-        "runAll: governor 'interactive' is listed twice\nruns=0 "
-        "crashes=0");
+        "runAll: governor 'interactive' is listed twice\nruns=0");
 }
 
 TEST(ComparisonHarnessDeath, UnknownGovernorIsFatalBeforeAnyCellRuns)
 {
     // Serially the first cell used to run before the unknown name
-    // failed; with workers every worker died on it first.
+    // failed.
     const std::vector<WorkloadSpec> w = {
         WorkloadSets::kernelOnly(KernelCatalog::byName("kmeans"))};
-    for (const unsigned workers : {0u, 2u}) {
-        EXPECT_EXIT(
-            {
-                reportRunsAtExit();
-                ComparisonHarness harness(ExperimentConfig{}, nullptr, 1);
-                harness.setWorkers(workers);
-                harness.runAll(w, {"interactive", "warp-drive"});
-            },
-            ::testing::ExitedWithCode(1),
-            "unknown governor 'warp-drive'\nruns=0 crashes=0")
-            << "workers=" << workers;
-    }
+    EXPECT_EXIT(
+        {
+            reportRunsAtExit();
+            ComparisonHarness(ExperimentConfig{}, nullptr, 1)
+                .runAll(w, {"interactive", "warp-drive"});
+        },
+        ::testing::ExitedWithCode(1),
+        "unknown governor 'warp-drive'\nruns=0");
 }
 
 TEST(ComparisonHarness, PaperGovernorList)
@@ -359,7 +353,7 @@ TEST_F(EndToEnd, OfflineOptIsNoWorseThanInteractive)
  * (performance, DL, EE, DORA; interactive decides at its own interval)
  * DORA repeats EE's run on alipay+hotspot and bbc+kmeans, DL's on
  * reddit+heartwall, msn+nw and espn+srad2, and both on msn+heartwall,
- * where DL and EE coincide too. Every tier must reproduce the runOne()
+ * where DL and EE coincide too. Jobs 1 and 4 must reproduce the runOne()
  * loop byte for byte, and the rider counts are exact: a change to the
  * gang key that silently turns riders off fails here.
  */
@@ -386,15 +380,9 @@ TEST_F(EndToEnd, RidersReproduceTheRunOneLoop)
         MetricsRegistry::global().counter("runner.rider_cells");
     MetricCounter &drops =
         MetricsRegistry::global().counter("runner.rider_drops");
-    const struct
-    {
-        unsigned jobs, workers;
-    } tiers[] = {{1, 0}, {4, 0}, {1, 2}};
-    for (const auto &t : tiers) {
-        const std::string where = "jobs=" + std::to_string(t.jobs) +
-            " workers=" + std::to_string(t.workers);
-        ComparisonHarness harness(ExperimentConfig{}, bundle_, t.jobs);
-        harness.setWorkers(t.workers);
+    for (const unsigned jobs : {1u, 4u}) {
+        const std::string where = "jobs=" + std::to_string(jobs);
+        ComparisonHarness harness(ExperimentConfig{}, bundle_, jobs);
         const uint64_t riders0 = riders.value();
         const uint64_t drops0 = drops.value();
         const auto records = harness.runAll(workloads);
@@ -404,9 +392,6 @@ TEST_F(EndToEnd, RidersReproduceTheRunOneLoop)
                 EXPECT_EQ(runMeasurementText(r.measurement(g)),
                           expected[i++])
                     << where << " " << r.workload.label() << " " << g;
-        // Workers count in their own processes.
-        if (t.workers > 0)
-            continue;
         // Performance leads first and drops DL, EE and DORA (3 per
         // workload); DL then leads and keeps DORA on its three twins
         // (EE dropped: 1 each), keeps both on msn+heartwall, and drops

@@ -47,8 +47,6 @@ TEST(Metrics, CounterAddsAndResets)
     c.add();
     c.add(41);
     EXPECT_EQ(c.value(), 42u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
 }
 
 TEST(Metrics, GaugeHoldsLastValue)
@@ -77,8 +75,6 @@ TEST(Metrics, HistogramTracksMoments)
     EXPECT_EQ(h.bucketCount(32), 1u);
     EXPECT_EQ(h.bucketCount(34), 1u);
     EXPECT_EQ(h.bucketCount(36), 1u);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
 }
 
 TEST(Metrics, HistogramNonPositiveLandsInFirstBucket)
@@ -314,9 +310,8 @@ TEST(ObsGuardSignal, SigtermFlushesPartialTraceWithTruncatedMarker)
 }
 
 /**
- * The campaign counters count every cell once, in the calling
- * process, on every tier — including the harness's process tier,
- * whose cells run in forked workers. The trainer runs on threads only.
+ * The campaign counters of the harness and the trainer count every
+ * cell once, at every job count.
  */
 TEST(CellCounters, CountEveryCellOnEveryTier)
 {
@@ -337,25 +332,17 @@ TEST(CellCounters, CountEveryCellOnEveryTier)
     pages.resize(2);
     const std::vector<size_t> freqs = {0, 5};
 
-    struct Tier
-    {
-        unsigned jobs, workers;
-    };
-    for (const Tier tier : {Tier{1, 0}, Tier{2, 0}, Tier{1, 2}}) {
-        const std::string where = "jobs=" + std::to_string(tier.jobs) +
-            " workers=" + std::to_string(tier.workers);
+    for (const unsigned jobs : {1u, 2u}) {
+        const std::string where = "jobs=" + std::to_string(jobs);
 
-        ComparisonHarness harness(ExperimentConfig{}, nullptr, tier.jobs);
-        harness.setWorkers(tier.workers);
+        ComparisonHarness harness(ExperimentConfig{}, nullptr, jobs);
         const uint64_t queued0 = queued.value();
         const uint64_t done0 = done.value();
         harness.runAll(kernels, governors);
         EXPECT_EQ(queued.value() - queued0, 4u) << where;
         EXPECT_EQ(done.value() - done0, 4u) << where;
 
-        if (tier.workers > 0)
-            continue;
-        trainer_config.jobs = tier.jobs;
+        trainer_config.jobs = jobs;
         Trainer trainer(trainer_config);
         const uint64_t samples0 = samples.value();
         trainer.collectSamples(pages, freqs);

@@ -1,36 +1,39 @@
 /**
  * @file
- * Crash-resilience acceptance tests for the process-level execution
- * tier (DESIGN.md §5f), driven through the real comparison harness:
+ * Crash-resilience acceptance tests for the typed campaign arm of the
+ * process tier (exec/proc forEachUnitInWorkers, DESIGN.md §5f), with
+ * real comparison-harness cells as its units:
  *
- *  - `--workers=N` is byte-identical to the in-process `--workers=0`
- *    path for N in {1, 4};
- *  - a worker SIGKILLed mid-unit is retried and the final aggregate is
- *    still byte-identical;
+ *  - running the cells on N workers is byte-identical to the
+ *    in-process harness grid for N in {1, 4};
  *  - a supervisor SIGKILLed mid-campaign leaves a journal from which a
- *    rerun resumes, and the resumed aggregate is byte-identical.
+ *    rerun resumes, and the resumed results are byte-identical.
  *
- * Identity is checked through runMeasurementText() (hex-float
- * rendering), so any single-ULP divergence fails. scripts/ci.sh runs
- * this binary in its `crash` stage.
+ * The fleet suite drives the same arm through FleetEngine; these cases
+ * pin the arm itself for a unit type other than the fleet's: journal
+ * naming after the campaign hash, the payload round trip, and in-order
+ * delivery of replayed units. Identity is checked through
+ * runMeasurementText() (hex-float rendering), so any single-ULP
+ * divergence fails. scripts/ci.sh runs this binary in its `crash`
+ * stage.
  */
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
+#include <cstdint>
 #include <filesystem>
-#include <fstream>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
-#include <dirent.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "exec/proc/supervisor.hh"
 #include "harness/comparison.hh"
 #include "obs/metrics.hh"
 #include "workloads/kernel.hh"
@@ -57,24 +60,61 @@ cheapWorkloads()
 const std::vector<std::string> kGovernors = {"interactive",
                                              "performance", "ondemand"};
 
-/**
- * One string per cell, in grid order — the byte-identity aggregate.
- * @param workers    process-tier width (0 = in-process path)
- * @param stem       journal stem ("" disables journaling)
- */
+/** Names this campaign's journal file. */
+constexpr uint64_t kCampaignHash = 0x6b696c6c72657375ull;
+
+/** One cell's measurement as a process-arm unit: its text rendering. */
+struct CellText
+{
+    std::string text;
+
+    std::string serialize() const { return text; }
+    bool tryDeserialize(std::string_view bytes)
+    {
+        text = bytes;
+        return true;
+    }
+};
+
+/** One string per cell of the in-process harness grid, in grid order. */
 std::vector<std::string>
-campaignTexts(unsigned workers, const std::string &stem)
+harnessTexts()
 {
     ComparisonHarness harness(ExperimentConfig{}, nullptr, 2);
-    if (workers > 0) {
-        harness.setWorkers(workers);
-        harness.setProcJournalStem(stem);
-    }
     const auto records = harness.runAll(cheapWorkloads(), kGovernors);
     std::vector<std::string> texts;
     for (const auto &r : records)
         for (const auto &g : kGovernors)
             texts.push_back(runMeasurementText(r.measurement(g)));
+    return texts;
+}
+
+/**
+ * The same grid with one harness cell per unit, run on the process
+ * tier; one string per cell, in grid order.
+ * @param workers    worker subprocesses (>= 1)
+ * @param stem       journal stem ("" disables journaling)
+ */
+std::vector<std::string>
+processTexts(unsigned workers, const std::string &stem)
+{
+    const auto workloads = cheapWorkloads();
+    const std::function<CellText(size_t)> run_unit = [&](size_t u) {
+        const std::string &governor = kGovernors[u % kGovernors.size()];
+        ComparisonHarness harness(ExperimentConfig{}, nullptr, 1);
+        const auto records = harness.runAll(
+            {workloads[u / kGovernors.size()]}, {governor});
+        return CellText{runMeasurementText(
+            records.front().measurement(governor))};
+    };
+    std::vector<std::string> texts;
+    forEachUnitInWorkers<CellText>(
+        workloads.size() * kGovernors.size(), workers, stem,
+        kCampaignHash, "kill_resume", run_unit,
+        [&](size_t u, CellText &&unit) {
+            EXPECT_EQ(u, texts.size());
+            texts.push_back(std::move(unit.text));
+        });
     return texts;
 }
 
@@ -104,31 +144,6 @@ findJournal(const std::string &stem)
     return "";
 }
 
-/** Direct children of this process, via /proc (Linux). */
-std::vector<pid_t>
-childPids()
-{
-    std::vector<pid_t> pids;
-    DIR *proc = ::opendir("/proc");
-    if (!proc)
-        return pids;
-    const pid_t self = ::getpid();
-    while (const dirent *entry = ::readdir(proc)) {
-        if (!std::isdigit(
-                static_cast<unsigned char>(entry->d_name[0])))
-            continue;
-        std::ifstream stat("/proc/" + std::string(entry->d_name) +
-                           "/stat");
-        std::string pid_str, comm, state;
-        pid_t ppid = -1;
-        if (stat >> pid_str >> comm >> state >> ppid && ppid == self)
-            pids.push_back(
-                static_cast<pid_t>(std::atol(pid_str.c_str())));
-    }
-    ::closedir(proc);
-    return pids;
-}
-
 std::string
 uniqueStem(const char *name)
 {
@@ -137,7 +152,7 @@ uniqueStem(const char *name)
 
 TEST(KillResume, WorkerCountsAreByteIdentical)
 {
-    const auto baseline = campaignTexts(0, "");
+    const auto baseline = harnessTexts();
     for (const unsigned workers : {1u, 4u}) {
         // Append (not char* + string&& operator+) to dodge a GCC 12
         // -Werror=restrict false positive in the inlined temporary.
@@ -145,66 +160,29 @@ TEST(KillResume, WorkerCountsAreByteIdentical)
         name += std::to_string(workers);
         const std::string stem = uniqueStem(name.c_str());
         clearJournals(stem);
-        const auto proc = campaignTexts(workers, stem);
+        const auto proc = processTexts(workers, stem);
         ASSERT_EQ(proc.size(), baseline.size());
         for (size_t i = 0; i < baseline.size(); ++i)
             EXPECT_EQ(proc[i], baseline[i])
                 << "workers=" << workers << " cell " << i;
+        EXPECT_EQ(findJournal(stem),
+                  stem + "." + hexU64(kCampaignHash) + ".jrn");
         clearJournals(stem);
     }
-}
-
-TEST(KillResume, WorkerSigkillMidUnitStillByteIdentical)
-{
-    const std::string stem = uniqueStem("worker_kill");
-    clearJournals(stem);
-    const auto baseline = campaignTexts(0, "");
-    const uint64_t crashes_before =
-        MetricsRegistry::global().counter("proc.worker_crashes")
-            .value();
-
-    // The campaign runs in this process (it is the supervisor); a
-    // watcher thread SIGKILLs the first worker subprocess it sees,
-    // ~30 ms in — mid-first-unit at ~65 ms/cell.
-    std::thread killer([] {
-        for (int i = 0; i < 200; ++i) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(10));
-            if (i < 2)
-                continue;  // let the first dispatches land
-            const auto pids = childPids();
-            if (!pids.empty()) {
-                ::kill(pids.front(), SIGKILL);
-                return;
-            }
-        }
-    });
-    const auto survived = campaignTexts(2, stem);
-    killer.join();
-
-    const uint64_t crashes_after =
-        MetricsRegistry::global().counter("proc.worker_crashes")
-            .value();
-    EXPECT_GE(crashes_after, crashes_before + 1)
-        << "the injected SIGKILL never hit a busy worker";
-    ASSERT_EQ(survived.size(), baseline.size());
-    for (size_t i = 0; i < baseline.size(); ++i)
-        EXPECT_EQ(survived[i], baseline[i]) << "cell " << i;
-    clearJournals(stem);
 }
 
 TEST(KillResume, SupervisorSigkillThenJournalResumeByteIdentical)
 {
     const std::string stem = uniqueStem("supervisor_kill");
     clearJournals(stem);
-    const auto baseline = campaignTexts(0, "");
+    const auto baseline = harnessTexts();
 
     // First attempt runs in a forked child so SIGKILL models a hard
     // supervisor death (no destructors, no drain).
     const pid_t child = ::fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
-        campaignTexts(2, stem);
+        processTexts(2, stem);
         ::_exit(0);
     }
 
@@ -227,11 +205,11 @@ TEST(KillResume, SupervisorSigkillThenJournalResumeByteIdentical)
     ASSERT_EQ(::waitpid(child, &status, 0), child);
 
     // Resume in-process: the journal must contribute completed cells
-    // and the final aggregate must match the uninterrupted baseline.
+    // and the final results must match the uninterrupted baseline.
     const uint64_t resumed_before =
         MetricsRegistry::global().counter("proc.units_resumed")
             .value();
-    const auto resumed = campaignTexts(2, stem);
+    const auto resumed = processTexts(2, stem);
     const uint64_t resumed_after =
         MetricsRegistry::global().counter("proc.units_resumed")
             .value();

@@ -2,10 +2,11 @@
  * @file
  * Contracts of the cell executor (sim/cell_executor.hh) that the
  * harness, trainer and fleet suites cannot reach on their own: unit
- * results reach the consumer in unit order on every tier, 0 resolves
- * to the process defaults, and a unit whose worker dies on every
- * attempt is quarantined and recomputed in-process — with the grid
- * still bit-identical to the in-process tier.
+ * results reach the consumer in unit order, 0 resolves to the process
+ * default, and when executor cells run as units of the fleet's process
+ * arm (exec/proc forEachUnitInWorkers), a unit whose worker dies on
+ * every attempt is quarantined and recomputed in-process — with every
+ * cell still bit-identical to the in-process run.
  *
  * The CellExecutorRiders suite pins down gangs (DESIGN.md §5m): a
  * rider dropped at any decision re-runs to its own measurement, and
@@ -17,15 +18,18 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include <unistd.h>
 
 #include "browser/page_corpus.hh"
+#include "exec/proc/supervisor.hh"
 #include "exec/thread_pool.hh"
 #include "fault/fault_schedule.hh"
 #include "governor/governor.hh"
@@ -66,9 +70,8 @@ texts(const std::vector<RunMeasurement> &ms)
 
 TEST(CellExecutor, ZeroResolvesToProcessDefaults)
 {
-    const CellExecutor executor(CellTiers{});
-    EXPECT_EQ(executor.tiers().jobs, defaultJobCount());
-    EXPECT_EQ(executor.tiers().workers, 0u);
+    const CellExecutor executor(0);
+    EXPECT_EQ(executor.jobs(), defaultJobCount());
 }
 
 TEST(CellExecutor, UnitsReachTheConsumerInUnitOrder)
@@ -76,9 +79,7 @@ TEST(CellExecutor, UnitsReachTheConsumerInUnitOrder)
     // Early units sleep longest, so on four threads the late units
     // finish first and must wait in the sink.
     const size_t n = 24;
-    CellTiers tiers;
-    tiers.jobs = 4;
-    const CellExecutor executor(tiers);
+    const CellExecutor executor(4);
     std::vector<size_t> order;
     executor.forEachUnit<size_t>(
         n,
@@ -90,40 +91,60 @@ TEST(CellExecutor, UnitsReachTheConsumerInUnitOrder)
         [&](size_t u, size_t &&value) {
             EXPECT_EQ(value, u * u);
             order.push_back(u);
-        },
-        {}, CellCampaign{});
+        });
     ASSERT_EQ(order.size(), n);
     for (size_t u = 0; u < n; ++u)
         EXPECT_EQ(order[u], u);
 }
 
+/** One cell's measurement as a process-arm unit: its text rendering. */
+struct CellText
+{
+    std::string text;
+
+    std::string serialize() const { return text; }
+    bool tryDeserialize(std::string_view bytes)
+    {
+        text = bytes;
+        return true;
+    }
+};
+
 TEST(CellExecutor, QuarantinedUnitIsRecomputedBitIdentical)
 {
     const size_t n = 4;
-    CellTiers in_process;
-    in_process.jobs = 1;
-    const auto reference = texts(
-        CellExecutor(in_process).measure(n, cheapCell, CellCampaign{}));
+    const auto reference =
+        texts(CellExecutor(1).measure(n, cheapCell, CellCampaign{}));
 
-    // Cell 1 kills its worker on every attempt; only the parent can
-    // build it, so the one unit that holds it must be quarantined and
+    // Unit u runs cell u through the executor in a worker, as a fleet
+    // chunk does. Cell 1 kills its worker on every attempt; only the
+    // parent can build it, so its unit must be quarantined and
     // recomputed in-process.
     const pid_t parent = ::getpid();
-    CellTiers proc = in_process;
-    proc.workers = 2;
-    CellCampaign campaign;
-    campaign.name = "test";
+    const CellExecutor executor(1);
+    const std::function<CellText(size_t)> run_unit = [&](size_t u) {
+        CellText unit;
+        executor.runCells(
+            u, 1,
+            [parent](size_t i) {
+                if (i == 1 && ::getpid() != parent)
+                    ::raise(SIGKILL);
+                return cheapCell(i);
+            },
+            [&unit](size_t, RunMeasurement &&m) {
+                unit.text = runMeasurementText(m);
+            });
+        return unit;
+    };
     MetricCounter &quarantined =
         MetricsRegistry::global().counter("proc.quarantined_units");
     const uint64_t quarantined_before = quarantined.value();
-    const auto recovered = texts(CellExecutor(proc).measure(
-        n,
-        [parent](size_t i) {
-            if (i == 1 && ::getpid() != parent)
-                ::raise(SIGKILL);
-            return cheapCell(i);
-        },
-        campaign));
+    std::vector<std::string> recovered;
+    forEachUnitInWorkers<CellText>(
+        n, 2, "", 0, "test", run_unit, [&](size_t u, CellText &&unit) {
+            EXPECT_EQ(u, recovered.size());
+            recovered.push_back(std::move(unit.text));
+        });
     EXPECT_EQ(quarantined.value() - quarantined_before, 1u);
     ASSERT_EQ(reference.size(), recovered.size());
     for (size_t i = 0; i < n; ++i)
@@ -219,9 +240,7 @@ struct RiderCounts
 void
 expectCellsMatchAlone(size_t n, const CellExecutor::CellFn &make)
 {
-    CellTiers tiers;
-    tiers.jobs = 1;
-    const auto got = texts(CellExecutor(tiers).measure(n, make, {}));
+    const auto got = texts(CellExecutor(1).measure(n, make, {}));
     ASSERT_EQ(got.size(), n);
     for (size_t i = 0; i < n; ++i)
         EXPECT_EQ(got[i], aloneText(make(i))) << "cell " << i;

@@ -19,7 +19,6 @@
 #include "dora/predictive_governor.hh"
 #include "governor/governor.hh"
 #include "mem/address_stream.hh"
-#include "runner/measurement_io.hh"
 #include "runner/run_context.hh"
 #include "sim/simulator.hh"
 #include "workloads/kernel.hh"
