@@ -20,6 +20,8 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliRejectUnknownArgs(argc, argv, "abl_decision_interval",
+                         {"--jobs", "--trace"}, {"--exact-ticks"});
     ObsGuard obs(argc, argv);
     const unsigned jobs = benchJobs(argc, argv);
     auto bundle = benchBundle();

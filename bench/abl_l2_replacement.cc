@@ -21,6 +21,8 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliRejectUnknownArgs(argc, argv, "abl_l2_replacement", {"--trace"},
+                         {"--exact-ticks"});
     ObsGuard obs(argc, argv);
     TextTable t({"L2 policy", "reddit alone s", "reddit +high s",
                  "interference %", "espn+med s", "backprop MPKI"});

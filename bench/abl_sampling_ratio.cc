@@ -20,6 +20,8 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliRejectUnknownArgs(argc, argv, "abl_sampling_ratio", {"--trace"},
+                         {"--exact-ticks"});
     ObsGuard obs(argc, argv);
     TextTable t({"sampling ratio", "reddit alone s", "reddit +high s",
                  "interference %", "backprop MPKI", "run cost (samples"

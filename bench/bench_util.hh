@@ -98,8 +98,10 @@ splitGovernors(const std::string &text)
 inline std::shared_ptr<const ModelBundle>
 benchBundle()
 {
-    std::cerr << "[bench] loading DORA models (cache: "
-              << defaultBundleCachePath() << ")\n";
+    // Resolved before the line starts: an empty $DORA_MODEL_CACHE
+    // warns, and the warning must not split the line.
+    const std::string cache = defaultBundleCachePath();
+    std::cerr << "[bench] loading DORA models (cache: " << cache << ")\n";
     return loadOrTrainBundle();
 }
 

@@ -8,6 +8,15 @@ function(dora_add_bench name)
         ${CMAKE_SOURCE_DIR}/bench)
     set_target_properties(${name} PROPERTIES
         RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
+    # Smoke run: an argument the bench does not take must be a fatal
+    # diagnostic that names it, before any [bench] line (job count,
+    # bundle load) or cell.
+    add_test(NAME ${name}_rejects_no_such_flag
+             COMMAND ${name} --no-such-flag)
+    set_tests_properties(${name}_rejects_no_such_flag PROPERTIES
+        PASS_REGULAR_EXPRESSION "unknown argument '--no-such-flag'"
+        FAIL_REGULAR_EXPRESSION "\\[bench\\]"
+        TIMEOUT 60)
 endfunction()
 
 dora_add_bench(fig01_interference_loadtime)

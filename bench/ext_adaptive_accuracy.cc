@@ -78,6 +78,8 @@ relDelta(double exact, double adaptive)
 int
 main(int argc, char **argv)
 {
+    cliRejectUnknownArgs(argc, argv, "ext_adaptive_accuracy",
+                         {"--jobs", "--trace"}, {"--exact-ticks"});
     ObsGuard obs(argc, argv);
     const unsigned jobs = benchJobs(argc, argv);
 

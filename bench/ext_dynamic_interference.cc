@@ -24,6 +24,8 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliRejectUnknownArgs(argc, argv, "ext_dynamic_interference", {"--trace"},
+                         {"--exact-ticks"});
     ObsGuard obs(argc, argv);
     auto bundle = benchBundle();
     ExperimentRunner runner;

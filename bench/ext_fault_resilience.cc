@@ -119,6 +119,8 @@ rejectedSafely(const std::string &label, const std::string &contents)
 int
 main(int argc, char **argv)
 {
+    cliRejectUnknownArgs(argc, argv, "ext_fault_resilience", {"--trace"},
+                         {"--exact-ticks"});
     ObsGuard obs(argc, argv);
     auto bundle = benchBundle();
     ExperimentRunner runner;

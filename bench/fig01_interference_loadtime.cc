@@ -20,6 +20,8 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliRejectUnknownArgs(argc, argv, "fig01_interference_loadtime", {"--trace"},
+                         {"--exact-ticks"});
     ObsGuard obs(argc, argv);
     ExperimentRunner runner;
     const FreqTable &table = runner.freqTable();

@@ -30,6 +30,8 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliRejectUnknownArgs(argc, argv, "fig02_interference_cost", {"--trace"},
+                         {"--exact-ticks"});
     ObsGuard obs(argc, argv);
     ExperimentRunner runner;
     const size_t fmax = runner.freqTable().maxIndex();

@@ -93,6 +93,8 @@ sweepPage(ExperimentRunner &runner, const char *name, MemIntensity cls)
 int
 main(int argc, char **argv)
 {
+    cliRejectUnknownArgs(argc, argv, "fig03_fopt_tradeoff", {"--trace"},
+                         {"--exact-ticks"});
     ObsGuard obs(argc, argv);
     ExperimentRunner runner;
     sweepPage(runner, "espn", MemIntensity::Medium);

@@ -40,6 +40,8 @@ meanAbsPct(const std::vector<double> &errors)
 int
 main(int argc, char **argv)
 {
+    cliRejectUnknownArgs(argc, argv, "fig05_model_accuracy",
+                         {"--jobs", "--trace"}, {"--exact-ticks"});
     ObsGuard obs(argc, argv);
     TrainerConfig trainer_config;
     trainer_config.jobs = benchJobs(argc, argv);

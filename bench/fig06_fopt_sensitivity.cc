@@ -23,6 +23,8 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliRejectUnknownArgs(argc, argv, "fig06_fopt_sensitivity", {"--trace"},
+                         {"--exact-ticks"});
     ObsGuard obs(argc, argv);
     auto bundle = benchBundle();
     ExperimentRunner runner;

@@ -56,6 +56,8 @@ detail(ComparisonHarness &harness, const char *page_name)
 int
 main(int argc, char **argv)
 {
+    cliRejectUnknownArgs(argc, argv, "fig09_complexity_interaction",
+                         {"--trace"}, {"--exact-ticks"});
     ObsGuard obs(argc, argv);
     auto bundle = benchBundle();
     ComparisonHarness harness(ExperimentConfig{}, bundle);

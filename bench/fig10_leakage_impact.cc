@@ -24,6 +24,8 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliRejectUnknownArgs(argc, argv, "fig10_leakage_impact", {"--trace"},
+                         {"--exact-ticks"});
     ObsGuard obs(argc, argv);
     auto bundle = benchBundle();
     const WorkloadSpec w = WorkloadSets::combo(

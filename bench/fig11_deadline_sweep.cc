@@ -20,6 +20,8 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliRejectUnknownArgs(argc, argv, "fig11_deadline_sweep", {"--trace"},
+                         {"--exact-ticks"});
     ObsGuard obs(argc, argv);
     auto bundle = benchBundle();
     const WorkloadSpec w = WorkloadSets::combo(

@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "common/cli.hh"
 #include "mem/cache_model.hh"
 #include "obs/trace.hh"
 #include "power/device_power.hh"
@@ -132,6 +133,8 @@ main(int argc, char **argv)
     // seen pre-filtering (ObsGuard parses both).
     ObsGuard obs(argc, argv);
     benchmark::Initialize(&argc, argv);
+    cliRejectUnknownArgs(argc, argv, "ovh_hotpath", {"--trace"},
+                         {"--exact-ticks"});
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;

@@ -24,6 +24,7 @@
 
 #include "browser/page_corpus.hh"
 #include "browser/render_cost.hh"
+#include "common/cli.hh"
 #include "mem/address_stream.hh"
 #include "mem/mem_system.hh"
 #include "obs/trace.hh"
@@ -144,6 +145,8 @@ main(int argc, char **argv)
 {
     ObsGuard obs(argc, argv);
     benchmark::Initialize(&argc, argv);
+    cliRejectUnknownArgs(argc, argv, "ovh_memsample", {"--trace"},
+                         {"--exact-ticks"});
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;

@@ -151,8 +151,10 @@ int
 main(int argc, char **argv)
 {
     ObsGuard obs(argc, argv);
-    g_bundle = benchBundle();
     benchmark::Initialize(&argc, argv);
+    cliRejectUnknownArgs(argc, argv, "ovh_overhead", {"--trace"},
+                         {"--exact-ticks"});
+    g_bundle = benchBundle();
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     printOverheadTable();

@@ -14,6 +14,8 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliRejectUnknownArgs(argc, argv, "tab02_device_spec", {"--trace"},
+                         {"--exact-ticks"});
     ObsGuard obs(argc, argv);
     const Soc soc = Soc::nexus5();
     const SocConfig &config = soc.config();

@@ -20,6 +20,8 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliRejectUnknownArgs(argc, argv, "tab03_classification", {"--trace"},
+                         {"--exact-ticks"});
     ObsGuard obs(argc, argv);
     ExperimentRunner runner;
     const size_t fmax = runner.freqTable().maxIndex();

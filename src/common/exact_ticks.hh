@@ -39,7 +39,8 @@ void setExactTicksMode(bool exact);
 /**
  * Scan @p argv for a `--exact-ticks` flag (benches); when present,
  * calls setExactTicksMode(true). Returns true when the flag was seen.
- * Unknown arguments are left untouched for other parsers.
+ * Other arguments are the caller's to check: every bench rejects
+ * unknown ones with cliRejectUnknownArgs().
  */
 bool parseExactTicksFlag(int argc, char **argv);
 

@@ -64,6 +64,7 @@ std::vector<WarnSuppressionEntry> warnSuppressionEntries();
 uint64_t warnSuppressedTotal();
 
 /** Forget all suppression state (tests). Thread-safe. */
+// dora:test-only(test hook: each test case starts with a fresh rate limit)
 void resetWarnSuppression();
 
 /** Extra-chatty diagnostics, only shown at LogLevel::Verbose. */

@@ -8,21 +8,15 @@
  * wraps std::mutex in a CAPABILITY class and dora::MutexLock is the
  * SCOPED_CAPABILITY guard; fields declared GUARDED_BY(someMutex_) are
  * then provably accessed only under the lock — a violation is a
- * compile error under -DDORA_THREAD_SAFETY=ON (clang).
- *
- * Condition-variable waits use dora::CondVar
- * (std::condition_variable_any), which accepts MutexLock as its
- * BasicLockable. The analysis treats the wait call as opaque, so the
- * capability is considered held across it — which matches the caller's
- * view: wait() returns with the lock re-acquired. These primitives sit
- * on cold control paths only (batch hand-off, registry insertions,
- * log-sink serialization); hot paths stay on relaxed atomics.
+ * compile error under -DDORA_THREAD_SAFETY=ON (clang). These
+ * primitives sit on cold control paths only (first-error records,
+ * registry insertions, log-sink serialization); hot paths stay on
+ * relaxed atomics.
  */
 
 #ifndef DORA_COMMON_MUTEX_HH
 #define DORA_COMMON_MUTEX_HH
 
-#include <condition_variable>
 #include <mutex>
 
 #include "common/thread_annotations.hh"
@@ -50,52 +44,20 @@ class CAPABILITY("mutex") Mutex
                    // wrapper *is* the annotated capability.
 };
 
-/**
- * RAII lock on a dora::Mutex, annotated as a scoped capability.
- *
- * Also satisfies BasicLockable (lock()/unlock()) so it can be handed
- * to CondVar::wait, which releases and re-acquires it internally; the
- * held flag keeps a manual unlock() from double-releasing in the
- * destructor.
- */
+/** RAII lock on a dora::Mutex, annotated as a scoped capability. */
 class SCOPED_CAPABILITY MutexLock
 {
   public:
-    explicit MutexLock(Mutex &m) ACQUIRE(m) : m_(m), held_(true)
-    {
-        m_.lock();
-    }
+    explicit MutexLock(Mutex &m) ACQUIRE(m) : m_(m) { m_.lock(); }
 
     MutexLock(const MutexLock &) = delete;
     MutexLock &operator=(const MutexLock &) = delete;
 
-    ~MutexLock() RELEASE()
-    {
-        if (held_)
-            m_.unlock();
-    }
-
-    /** Re-acquire after a manual unlock() (CondVar interop). */
-    void lock() ACQUIRE()
-    {
-        m_.lock();
-        held_ = true;
-    }
-
-    /** Release before scope exit (CondVar interop). */
-    void unlock() RELEASE()
-    {
-        m_.unlock();
-        held_ = false;
-    }
+    ~MutexLock() RELEASE() { m_.unlock(); }
 
   private:
     Mutex &m_;
-    bool held_;
 };
-
-/** Condition variable compatible with MutexLock (BasicLockable). */
-using CondVar = std::condition_variable_any;
 
 } // namespace dora
 

@@ -3,8 +3,7 @@
  * Unit conventions and small helpers shared across the simulator.
  *
  * The simulator standardizes on:
- *   - time      : seconds (double) for durations, Tick (uint64_t) for the
- *                 discrete simulation step counter;
+ *   - time      : seconds (double) for durations;
  *   - frequency : MHz (double) — matches how the paper and cpufreq tables
  *                 express operating points;
  *   - voltage   : volts (double);
@@ -12,8 +11,7 @@
  *   - temperature: degrees Celsius (double).
  *
  * Using doubles with documented units (rather than wrapper types) follows
- * the surrounding-simulator idiom (gem5 does the same); the conversion
- * helpers below keep magic constants out of call sites.
+ * the surrounding-simulator idiom (gem5 does the same).
  */
 
 #ifndef DORA_COMMON_UNITS_HH
@@ -24,39 +22,14 @@
 namespace dora
 {
 
-/** Discrete simulation step counter; one tick = Simulator config dt. */
-using Tick = uint64_t;
-
 /** Cache-line size used across the memory hierarchy (bytes). */
 constexpr uint64_t kCacheLineBytes = 64;
-
-constexpr double kKilo = 1e3;
-constexpr double kMega = 1e6;
-constexpr double kGiga = 1e9;
-
-/** Convert MHz to Hz. */
-constexpr double mhzToHz(double mhz) { return mhz * kMega; }
-
-/** Convert MHz to GHz (used for axis labels that mirror the paper). */
-constexpr double mhzToGhz(double mhz) { return mhz / kKilo; }
-
-/** Convert seconds to milliseconds. */
-constexpr double secToMs(double s) { return s * kKilo; }
-
-/** Convert milliseconds to seconds. */
-constexpr double msToSec(double ms) { return ms / kKilo; }
 
 /** Clamp helper that avoids pulling <algorithm> into every header. */
 constexpr double
 clampTo(double v, double lo, double hi)
 {
     return v < lo ? lo : (v > hi ? hi : v);
-}
-
-/** Linear interpolation between a and b by t in [0,1]. */
-constexpr double lerp(double a, double b, double t)
-{
-    return a + (b - a) * t;
 }
 
 } // namespace dora

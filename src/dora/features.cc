@@ -3,23 +3,6 @@
 namespace dora
 {
 
-const std::vector<std::string> &
-featureNames()
-{
-    static const std::vector<std::string> names = {
-        "dom_nodes",     // X1
-        "class_attrs",   // X2
-        "href_attrs",    // X3
-        "a_tags",        // X4
-        "div_tags",      // X5
-        "l2_mpki",       // X6
-        "core_mhz",      // X7
-        "bus_mhz",       // X8
-        "corun_util",    // X9
-    };
-    return names;
-}
-
 std::vector<double>
 buildFeatureVector(const WebPageFeatures &page, double l2_mpki,
                    double core_mhz, double bus_mhz, double corun_util)

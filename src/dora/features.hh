@@ -17,7 +17,6 @@
 #define DORA_DORA_FEATURES_HH
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "browser/web_page.hh"
@@ -27,9 +26,6 @@ namespace dora
 
 /** Number of model inputs (Table I). */
 constexpr size_t kNumFeatures = 9;
-
-/** Human-readable names, index-aligned with buildFeatureVector(). */
-const std::vector<std::string> &featureNames();
 
 /**
  * Assemble the X1..X9 vector for one prediction or training sample.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <string>
 #include <system_error>
@@ -47,19 +46,6 @@ class FirstError
     std::exception_ptr error_ GUARDED_BY(mutex_);
 };
 
-/** Parse a strictly positive integer; 0 on failure. */
-unsigned
-parsePositive(const char *text)
-{
-    if (text == nullptr || *text == '\0')
-        return 0;
-    char *end = nullptr;
-    const unsigned long value = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || value == 0 || value > 1024)
-        return 0;
-    return static_cast<unsigned>(value);
-}
-
 } // namespace
 
 unsigned
@@ -72,13 +58,9 @@ hardwareJobs()
 unsigned
 defaultJobCount()
 {
-    if (const char *env = envNonEmpty("DORA_JOBS")) {
-        const unsigned jobs = parsePositive(env);
-        if (jobs > 0)
-            return jobs;
-        warn("DORA_JOBS='%s' is not a positive integer; using hardware "
-             "concurrency (%u)", env, hardwareJobs());
-    }
+    if (const char *env = envNonEmpty("DORA_JOBS"))
+        return static_cast<unsigned>(
+            cliParseInt(env, "$DORA_JOBS", 1, 1024));
     return hardwareJobs();
 }
 

@@ -42,16 +42,19 @@ namespace dora
 unsigned hardwareJobs();
 
 /**
- * The process-default job count: $DORA_JOBS when set to a positive
- * integer (with a warning on garbage), else hardwareJobs().
+ * The process-default job count: $DORA_JOBS when set, else
+ * hardwareJobs(). Like `--jobs`, $DORA_JOBS must be an integer in
+ * [1, 1024] or the process fatal()s; an empty value warns and counts
+ * as unset.
  */
 unsigned defaultJobCount();
 
 /**
  * Job count for a bench binary: honours `--jobs N` / `--jobs=N` on the
- * command line, falling back to defaultJobCount(). Unknown arguments
- * are ignored (benches have no other flags). fatal() on a malformed
- * or non-positive value.
+ * command line, falling back to defaultJobCount(). fatal() on a
+ * malformed or out-of-range value. Other arguments are the caller's
+ * to check: every bench rejects unknown ones with
+ * cliRejectUnknownArgs().
  */
 unsigned jobCountFromArgs(int argc, char **argv);
 

@@ -76,6 +76,7 @@ struct FleetSpec
 std::string fleetSpecText(const FleetSpec &spec);
 
 /** FNV-1a digest of fleetSpecText(). */
+// dora:test-only(FleetSpec hash contract; tests check spec identity)
 uint64_t fleetSpecHash(const FleetSpec &spec);
 
 /** fatal() unless @p spec is well-formed (ranges, weights, counts). */

@@ -10,6 +10,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "dora/trainer.hh"
 
@@ -154,7 +155,7 @@ BundleCacheLock::~BundleCacheLock()
 std::string
 defaultBundleCachePath()
 {
-    if (const char *env = std::getenv("DORA_MODEL_CACHE"))
+    if (const char *env = envNonEmpty("DORA_MODEL_CACHE"))
         return env;
     return "dora_models.cache";
 }

@@ -26,7 +26,10 @@
 namespace dora
 {
 
-/** Cache path: $DORA_MODEL_CACHE or "dora_models.cache" in the cwd. */
+/**
+ * Cache path: $DORA_MODEL_CACHE, or "dora_models.cache" in the cwd
+ * when it is unset or empty (an empty value warns).
+ */
 std::string defaultBundleCachePath();
 
 /**

@@ -33,8 +33,8 @@ rateWithinNoise(double a, double b, double n, double floor_tol)
 } // namespace
 
 MissRateEstimator::MissRateEstimator(const MissRateEstimatorConfig &config,
-                                     bool force_disabled)
-    : config_(config), enabled_(config.enabled && !force_disabled)
+                                     bool exact)
+    : config_(config), enabled_(!exact)
 {
     if (config.refreshTicks == 0)
         fatal("MissRateEstimator: refreshTicks must be >= 1");

@@ -89,13 +89,6 @@ class SnapshotWriter;
 struct MissRateEstimatorConfig
 {
     /**
-     * Master switch. Even when true, Soc forces the estimator off when
-     * the process runs in exact-ticks mode (DORA_EXACT_TICKS=1 or
-     * --exact-ticks).
-     */
-    bool enabled = true;
-
-    /**
      * Periodic confidence refresh: a converged phase is re-validated
      * with a fresh walk after this many consecutive reused ticks,
      * bounding the time a drifting phase can serve stale rates.
@@ -131,8 +124,11 @@ struct MissRateEstimatorConfig
 class MissRateEstimator
 {
   public:
-    MissRateEstimator(const MissRateEstimatorConfig &config,
-                      bool force_disabled);
+    /**
+     * @p exact turns the adaptive path off, so every tick walks: Soc
+     * passes exactTicksMode() (DORA_EXACT_TICKS=1 or --exact-ticks).
+     */
+    MissRateEstimator(const MissRateEstimatorConfig &config, bool exact);
 
     /** True when the adaptive path is active. */
     bool enabled() const { return enabled_; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
@@ -414,7 +413,7 @@ traceDirFromArgs(int argc, char **argv)
 {
     if (const auto dir = cliFlagValue(argc, argv, "--trace"))
         return *dir;
-    if (const char *env = std::getenv("DORA_TRACE"))
+    if (const char *env = envNonEmpty("DORA_TRACE"))
         return env;
     return "";
 }

@@ -83,21 +83,4 @@ DevicePower::tryRestore(SnapshotReader &r)
     return true;
 }
 
-void
-PowerTrace::push(double t_sec, double power_w, double temp_c)
-{
-    samples_.push_back(Sample{t_sec, power_w, temp_c});
-}
-
-double
-PowerTrace::meanPowerW() const
-{
-    if (samples_.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (const auto &s : samples_)
-        sum += s.powerW;
-    return sum / static_cast<double>(samples_.size());
-}
-
 } // namespace dora

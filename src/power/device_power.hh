@@ -19,8 +19,6 @@
 #ifndef DORA_POWER_DEVICE_POWER_HH
 #define DORA_POWER_DEVICE_POWER_HH
 
-#include <vector>
-
 #include "power/dynamic_power.hh"
 #include "power/leakage.hh"
 #include "power/thermal.hh"
@@ -121,32 +119,6 @@ class DevicePower
     double lastPower_ = 0.0;
     double totalEnergyJ_ = 0.0;
     double totalSeconds_ = 0.0;
-};
-
-/**
- * DAQ-style time-series recorder: fixed-interval samples of device power
- * and temperature, for traces and debugging.
- */
-class PowerTrace
-{
-  public:
-    /** Record one sample. */
-    void push(double t_sec, double power_w, double temp_c);
-
-    struct Sample
-    {
-        double tSec;
-        double powerW;
-        double tempC;
-    };
-
-    const std::vector<Sample> &samples() const { return samples_; }
-
-    /** Mean power over the recorded window (0 when empty). */
-    double meanPowerW() const;
-
-  private:
-    std::vector<Sample> samples_;
 };
 
 } // namespace dora

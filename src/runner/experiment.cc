@@ -211,7 +211,7 @@ experimentConfigHash(const ExperimentConfig &config)
     // "rev3": adaptive memory-sampling reuse. Bump the token whenever
     // the run recipe changes results. The sampling tunables shape
     // adaptive-mode results, so they are part of the protocol;
-    // exact-ticks mode (or sampling.enabled = false) keys separately.
+    // exact-ticks mode keys separately.
     std::string text = "measurement-rev3 ";
     appendHexDouble(text, config.deadlineSec);
     appendHexDouble(text, config.warmupSec);
@@ -220,8 +220,7 @@ experimentConfigHash(const ExperimentConfig &config)
     appendHexDouble(text, config.measureSec);
     appendHexDouble(text, config.ambientC);
     appendHexDouble(text, config.warmDieDeltaC);
-    const bool adaptive =
-        config.soc.sampling.enabled && !exactTicksMode();
+    const bool adaptive = !exactTicksMode();
     if (adaptive) {
         text += "adaptive r" +
             std::to_string(config.soc.sampling.refreshTicks) + " c" +

@@ -122,37 +122,4 @@ EmpiricalCdf::series(int points) const
     return out;
 }
 
-Histogram::Histogram(double lo, double hi, int bins)
-    : lo_(lo), width_((hi - lo) / bins), counts_(bins, 0)
-{
-    if (bins <= 0 || hi <= lo)
-        panic("Histogram: invalid range [%g, %g) with %d bins", lo, hi,
-              bins);
-}
-
-void
-Histogram::push(double x)
-{
-    int idx = static_cast<int>(std::floor((x - lo_) / width_));
-    idx = std::clamp(idx, 0, bins() - 1);
-    ++counts_[static_cast<size_t>(idx)];
-    ++total_;
-}
-
-uint64_t
-Histogram::binCount(int idx) const
-{
-    if (idx < 0 || idx >= bins())
-        panic("Histogram::binCount: bin %d out of range", idx);
-    return counts_[static_cast<size_t>(idx)];
-}
-
-double
-Histogram::binCenter(int idx) const
-{
-    if (idx < 0 || idx >= bins())
-        panic("Histogram::binCenter: bin %d out of range", idx);
-    return lo_ + (idx + 0.5) * width_;
-}
-
 } // namespace dora

@@ -1,6 +1,6 @@
 /**
  * @file
- * Empirical CDFs and fixed-bin histograms.
+ * Empirical CDFs.
  *
  * Figure 5 (model prediction-error CDFs) and Figure 7b (per-governor load
  * time CDFs) of the paper are regenerated through EmpiricalCdf.
@@ -10,7 +10,6 @@
 #define DORA_STATS_CDF_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -81,38 +80,6 @@ class EmpiricalCdf
 
     std::vector<double> samples_;
     bool sealed_ = true; // an empty CDF is trivially sorted
-};
-
-/**
- * Fixed-width-bin histogram over [lo, hi); out-of-range samples clamp to
- * the edge bins so no observation is silently dropped.
- */
-class Histogram
-{
-  public:
-    /** Create @p bins equal-width bins spanning [lo, hi). */
-    Histogram(double lo, double hi, int bins);
-
-    /** Add one sample. */
-    void push(double x);
-
-    /** Count in bin @p idx. */
-    uint64_t binCount(int idx) const;
-
-    /** Center value of bin @p idx. */
-    double binCenter(int idx) const;
-
-    /** Number of bins. */
-    int bins() const { return static_cast<int>(counts_.size()); }
-
-    /** Total samples pushed. */
-    uint64_t total() const { return total_; }
-
-  private:
-    double lo_;
-    double width_;
-    std::vector<uint64_t> counts_;
-    uint64_t total_ = 0;
 };
 
 } // namespace dora

@@ -8,8 +8,8 @@
  * under tests/analyze/fixtures/<rule>/ (a miniature repo tree with a
  * positive case, an allowlisted or out-of-scope case and a NOLINT or
  * annotation case), negative tests that delete a real field-fold /
- * snapshot line and expect a finding, and the zero-findings self-scan
- * scripts/ci.sh enforces.
+ * snapshot line or test-only annotation and expect a finding, and the
+ * zero-findings self-scan scripts/ci.sh enforces.
  */
 
 #include <unistd.h>
@@ -74,6 +74,16 @@ analyzeFiles(const std::vector<VFile> &files)
     const std::string manifest = dora::analyze::renderManifest(
         dora::analyze::computeLayouts(model, &problems));
     return dora::analyze::analyzeModel(model, &manifest);
+}
+
+/**
+ * A bench/ file naming each of @p names, so dora-hyg-unreferenced
+ * stays quiet about header declarations a test is not about.
+ */
+VFile
+callerOf(const std::string &names)
+{
+    return {"bench/caller.cc", "void use() { " + names + "; }\n"};
 }
 
 /** "path:line:rule" keys used to diff against expect.txt. */
@@ -393,6 +403,45 @@ TEST(AnalyzeParser, PreprocessorAndCommentsAreSkipped)
               (std::vector<std::string>{"gated_", "real_"}));
 }
 
+TEST(AnalyzeParser, NamespaceScopeDeclarationsAreCollected)
+{
+    const TreeModel m = modelOf(
+        {{"src/sim/a.hh",
+          "namespace dora\n"
+          "{\n"
+          "using Count = unsigned;\n"
+          "constexpr double kTable[2] = {1.0, 2.0};\n"
+          "enum class Mode : int\n"
+          "{\n"
+          "    Fast,\n"
+          "};\n"
+          "template <typename T>\n"
+          "struct Box\n"
+          "{\n"
+          "    T item;\n"
+          "    void put(T v);\n"
+          "};\n"
+          "double\n"
+          "scale(double x,\n"
+          "      double by = 2.0);\n"
+          "inline int twice(int x) { return 2 * x; }\n"
+          "bool operator==(const Box<int> &a, const Box<int> &b);\n"
+          "class Forward;\n"
+          "static_assert(sizeof(int) == 4);\n"
+          "} // namespace dora\n"}});
+    std::vector<std::string> got;
+    for (const auto &d : m.decls)
+        got.push_back(d.kind + " " + d.name + " " +
+                      std::to_string(d.line) + "-" +
+                      std::to_string(d.endLine));
+    // Members (item, put), the operator, the forward declaration and
+    // the static_assert are not namespace-scope declarations.
+    EXPECT_EQ(got, (std::vector<std::string>{
+                       "alias Count 3-3", "constant kTable 4-4",
+                       "enum Mode 5-8", "struct Box 9-14",
+                       "function scale 15-17", "function twice 18-18"}));
+}
+
 // ------------------------------------------------------------------ //
 // Rules (in-memory spot checks)                                       //
 // ------------------------------------------------------------------ //
@@ -403,7 +452,7 @@ TEST(LintRules, CatalogHasUniqueStableIds)
     for (const auto &rule : dora::analyze::ruleCatalog())
         EXPECT_TRUE(ids.insert(rule.id).second)
             << "duplicate rule id " << rule.id;
-    EXPECT_EQ(ids.size(), 16u);
+    EXPECT_EQ(ids.size(), 17u);
 }
 
 TEST(LintRules, WallclockScopesToSimulationCode)
@@ -428,7 +477,9 @@ TEST(LintRules, StaticFunctionDeclarationsAreNotGlobalState)
         "    split(const std::string &text);\n"
         "};\n"
         "static int helper(int x) { return x; }\n";
-    EXPECT_TRUE(analyzeFiles({{"src/sim/a.hh", decls}}).empty());
+    EXPECT_TRUE(
+        analyzeFiles({{"src/sim/a.hh", decls}, callerOf("T, helper")})
+            .empty());
 }
 
 TEST(LintRules, MutableStaticIsFlaggedEvenMidLine)
@@ -532,6 +583,7 @@ TEST(AnalyzeRules, HashCoverageSeesFoldsAcrossTus)
         "    unsigned long seed = 1;\n"
         "    double spread = 0.1;\n"
         "};\n"
+        "// dora:test-only(FleetSpec hash contract)\n"
         "unsigned long fleetSpecHash(const FleetSpec &spec);\n"};
     const VFile folded{
         "src/fleet/fleet_spec.cc",
@@ -567,7 +619,7 @@ TEST(AnalyzeRules, HashCoverageNeedsTheHashFunction)
                        "    unsigned long seed = 1;\n"
                        "    double spread = 0.1;\n"
                        "};\n"};
-    const auto findings = analyzeFiles({header});
+    const auto findings = analyzeFiles({header, callerOf("FleetSpec")});
     ASSERT_EQ(findings.size(), 1u);
     EXPECT_EQ(findings[0].rule, "dora-cov-hash");
     EXPECT_EQ(findings[0].line, 1);
@@ -600,7 +652,8 @@ TEST(AnalyzeRules, SnapshotCoverageChecksBothBodies)
         "{\n"
         "    return readDouble(r, &state_);\n"
         "}\n"};
-    const auto findings = analyzeFiles({header, bodies});
+    const auto findings =
+        analyzeFiles({header, bodies, callerOf("Gizmo")});
     ASSERT_EQ(findings.size(), 1u);
     EXPECT_EQ(findings[0].rule, "dora-cov-snapshot");
     EXPECT_EQ(findings[0].line, 9);
@@ -617,7 +670,7 @@ TEST(AnalyzeRules, SnapshotCoverageChecksBothBodies)
                           "    double kept_ = 0.0;\n"
                           "    double dropped_ = 0.0;\n"
                           "};\n"};
-    EXPECT_TRUE(analyzeFiles({one_sided}).empty());
+    EXPECT_TRUE(analyzeFiles({one_sided, callerOf("OneWay")}).empty());
 }
 
 TEST(AnalyzeRules, StreamTagRuleGroupsByLiteral)
@@ -988,6 +1041,31 @@ TEST(AnalyzeNegative, DeletedSnapshotMemberIsAFinding)
               std::string::npos);
 }
 
+TEST(AnalyzeNegative, UnannotatedTestHookIsAFinding)
+{
+    // The shipped tree with resetWarnSuppression's dora:test-only
+    // annotation dropped: only tests call the hook.
+    TreeModel tree = dora::analyze::loadTree(
+        repoRoot(), dora::analyze::defaultSubdirs());
+    std::vector<ScannedUnit> units = std::move(tree.units);
+    for (ScannedUnit &unit : tree.refUnits)
+        units.push_back(std::move(unit));
+    for (ScannedUnit &unit : units)
+        if (unit.path == "src/common/logging.hh")
+            unit = scanUnit(unit.path,
+                            dropLineWith(readRepoFile(unit.path),
+                                         "dora:test-only("));
+    const std::string manifest =
+        readRepoFile(dora::analyze::manifestRelPath());
+    const auto findings = dora::analyze::analyzeModel(
+        dora::analyze::buildModel(std::move(units)), &manifest);
+    ASSERT_EQ(findings.size(), 1u) << dora::analyze::renderText(findings);
+    EXPECT_EQ(findings[0].rule, "dora-hyg-unreferenced");
+    EXPECT_EQ(findings[0].path, "src/common/logging.hh");
+    EXPECT_NE(findings[0].message.find("resetWarnSuppression"),
+              std::string::npos);
+}
+
 // ------------------------------------------------------------------ //
 // Reports and the self-scan                                           //
 // ------------------------------------------------------------------ //
@@ -1048,6 +1126,35 @@ TEST(AnalyzeSelfScan, CheckedInManifestIsFresh)
     EXPECT_EQ(dora::analyze::renderManifest(computed), on_disk)
         << "tools/analyze/serialized_layouts.json is stale; run "
            "dora-analyze --regen-manifest";
+}
+
+TEST(AnalyzeSelfScan, ReferenceOnlyRootsAreReadButNotReported)
+{
+    // benchmark/ counts as a reference and is never reported on (the
+    // rand() would be a dora-det-rand finding anywhere else); its
+    // build/ and out/ trees are not read at all.
+    const fs::path root =
+        fs::path(::testing::TempDir()) /
+        ("dora-analyze-refroots-" + std::to_string(::getpid()));
+    fs::remove_all(root);
+    const auto write = [&root](const std::string &rel,
+                               const std::string &content) {
+        fs::create_directories((root / rel).parent_path());
+        std::ofstream(root / rel) << content;
+    };
+    write("src/lib/a.hh", "int builtOnly();\nint benchmarked();\n");
+    write("benchmark/build/gen.cc", "int g() { return builtOnly(); }\n");
+    write("benchmark/out/gen.cc", "int h() { return builtOnly(); }\n");
+    write("benchmark/main.cc",
+          "int m() { return benchmarked() + rand(); }\n");
+    std::vector<std::string> scanned;
+    const auto findings = dora::analyze::analyzeTree(
+        root.string(), dora::analyze::defaultSubdirs(), &scanned);
+    EXPECT_EQ(keysOf(findings),
+              (std::vector<std::string>{
+                  "src/lib/a.hh:1:dora-hyg-unreferenced"}));
+    EXPECT_EQ(scanned, (std::vector<std::string>{"src/lib/a.hh"}));
+    fs::remove_all(root);
 }
 
 TEST(AnalyzeSelfScan, FixtureFilesAreExcludedFromTreeWalks)

@@ -8,7 +8,8 @@
  *    fatally with a diagnostic naming the flag;
  *  - an empty-but-set environment variable (`export DORA_JOBS=`) used
  *    to behave exactly like an unset one; it must now warn (once,
- *    rate-limited) and then fall back;
+ *    rate-limited) and then fall back (an empty $DORA_MODEL_CACHE
+ *    used to name the file "" and retrain on every run);
  *  - a misspelt flag (`dora-fleet --fleet-devcies 5000`) used to be
  *    ignored; cliRejectUnknownArgs() makes it fatal.
  */
@@ -24,6 +25,7 @@
 #include "common/exact_ticks.hh"
 #include "common/logging.hh"
 #include "exec/thread_pool.hh"
+#include "harness/bundle_cache.hh"
 #include "obs/trace.hh"
 
 namespace dora
@@ -276,6 +278,32 @@ TEST(EnvNonEmpty, EmptyWarningIsRateLimited)
     // "suppressing further repeats" notice.
     EXPECT_LE(lines, warnEmitLimit() + 1);
     EXPECT_GE(warnSuppressedTotal(), 10u);
+    resetWarnSuppression();
+}
+
+TEST(EnvNonEmpty, EmptyModelCacheVarUsesTheDefaultPath)
+{
+    ScopedEnv env("DORA_MODEL_CACHE", "");
+    resetWarnSuppression();
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(defaultBundleCachePath(), "dora_models.cache");
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("DORA_MODEL_CACHE"), std::string::npos) << err;
+    resetWarnSuppression();
+}
+
+TEST(EnvNonEmpty, EmptyTraceVarWarnsAndLeavesTracingOff)
+{
+    ScopedEnv env("DORA_TRACE", "");
+    resetWarnSuppression();
+    Argv args({"bench"});
+    ::testing::internal::CaptureStderr();
+    {
+        ObsGuard guard(args.argc(), args.argv());
+        EXPECT_FALSE(guard.enabled());
+    }
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("DORA_TRACE"), std::string::npos) << err;
     resetWarnSuppression();
 }
 

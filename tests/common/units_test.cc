@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the unit-conversion helpers.
+ * Unit tests for the shared unit helpers.
  */
 
 #include <gtest/gtest.h>
@@ -12,34 +12,12 @@ namespace dora
 namespace
 {
 
-TEST(Units, FrequencyConversions)
-{
-    EXPECT_DOUBLE_EQ(mhzToHz(2265.6), 2.2656e9);
-    EXPECT_DOUBLE_EQ(mhzToGhz(2265.6), 2.2656);
-    EXPECT_DOUBLE_EQ(mhzToHz(0.0), 0.0);
-}
-
-TEST(Units, TimeConversions)
-{
-    EXPECT_DOUBLE_EQ(secToMs(1.5), 1500.0);
-    EXPECT_DOUBLE_EQ(msToSec(250.0), 0.25);
-    EXPECT_DOUBLE_EQ(msToSec(secToMs(0.123)), 0.123);
-}
-
 TEST(Units, ClampTo)
 {
     EXPECT_DOUBLE_EQ(clampTo(5.0, 0.0, 10.0), 5.0);
     EXPECT_DOUBLE_EQ(clampTo(-1.0, 0.0, 10.0), 0.0);
     EXPECT_DOUBLE_EQ(clampTo(11.0, 0.0, 10.0), 10.0);
     EXPECT_DOUBLE_EQ(clampTo(0.0, 0.0, 0.0), 0.0);
-}
-
-TEST(Units, Lerp)
-{
-    EXPECT_DOUBLE_EQ(lerp(0.0, 10.0, 0.0), 0.0);
-    EXPECT_DOUBLE_EQ(lerp(0.0, 10.0, 1.0), 10.0);
-    EXPECT_DOUBLE_EQ(lerp(0.0, 10.0, 0.25), 2.5);
-    EXPECT_DOUBLE_EQ(lerp(-4.0, 4.0, 0.5), 0.0);
 }
 
 TEST(Units, CacheLineConstant)

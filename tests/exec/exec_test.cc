@@ -38,12 +38,15 @@ TEST(JobCount, EnvOverridesDefault)
 
 TEST(JobCount, GarbageEnvFallsBack)
 {
-    ::setenv("DORA_JOBS", "banana", 1);
-    EXPECT_EQ(defaultJobCount(), hardwareJobs());
-    ::setenv("DORA_JOBS", "0", 1);
-    EXPECT_EQ(defaultJobCount(), hardwareJobs());
-    ::setenv("DORA_JOBS", "-4", 1);
-    EXPECT_EQ(defaultJobCount(), hardwareJobs());
+    // $DORA_JOBS is as strict as --jobs: garbage no longer falls back
+    // to the hardware thread count, it is fatal.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const char *value : {"banana", "0", "-4"}) {
+        ::setenv("DORA_JOBS", value, 1);
+        EXPECT_EXIT(defaultJobCount(), ::testing::ExitedWithCode(1),
+                    "\\$DORA_JOBS")
+            << value;
+    }
     ::unsetenv("DORA_JOBS");
 }
 

@@ -71,24 +71,14 @@ driveToConvergence(MissRateEstimator &est, AddressStream &stream,
     return -1;  // never converged
 }
 
-TEST(MissRateEstimator, DisabledAlwaysWalks)
-{
-    MissRateEstimatorConfig config = fastConfig();
-    config.enabled = false;
-    MissRateEstimator est(config, false);
-    AddressStream stream(tinySpec(), 0, Rng(1));
-    for (int i = 0; i < 10; ++i)
-        EXPECT_TRUE(est.beginTick(requestFor(stream), 0, 8));
-    EXPECT_EQ(est.reusedTicks(), 0u);
-}
-
 TEST(MissRateEstimator, ForceDisabledOverridesConfig)
 {
-    MissRateEstimator est(fastConfig(), /*force_disabled=*/true);
+    MissRateEstimator est(fastConfig(), /*exact=*/true);
     EXPECT_FALSE(est.enabled());
     AddressStream stream(tinySpec(), 0, Rng(2));
     for (int i = 0; i < 10; ++i)
         EXPECT_TRUE(est.beginTick(requestFor(stream), 0, 8));
+    EXPECT_EQ(est.reusedTicks(), 0u);
 }
 
 TEST(MissRateEstimator, ConvergesThenServesCachedRates)

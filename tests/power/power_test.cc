@@ -261,14 +261,5 @@ TEST(Battery, PpwFactor)
     EXPECT_DOUBLE_EQ(batteryLifeFactorFromPpw(0.29, 0.25), 1.16);
 }
 
-TEST(PowerTrace, RecordsAndAverages)
-{
-    PowerTrace trace;
-    trace.push(0.0, 2.0, 30.0);
-    trace.push(0.1, 4.0, 31.0);
-    EXPECT_EQ(trace.samples().size(), 2u);
-    EXPECT_DOUBLE_EQ(trace.meanPowerW(), 3.0);
-}
-
 } // namespace
 } // namespace dora

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for RunningStat, EmpiricalCdf, and Histogram.
+ * Unit tests for RunningStat and EmpiricalCdf.
  */
 
 #include <gtest/gtest.h>
@@ -172,30 +172,6 @@ TEST(ParallelMapCdf, SealedSharedQueriesAreRaceFree)
         4);
     for (double v : p95)
         EXPECT_DOUBLE_EQ(v, cdf.quantile(0.95));
-}
-
-TEST(Histogram, BinningAndClamping)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.push(0.5);    // bin 0
-    h.push(9.99);   // bin 9
-    h.push(-5.0);   // clamps to bin 0
-    h.push(50.0);   // clamps to bin 9
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(9), 2u);
-    EXPECT_EQ(h.total(), 4u);
-    EXPECT_DOUBLE_EQ(h.binCenter(0), 0.5);
-    EXPECT_DOUBLE_EQ(h.binCenter(9), 9.5);
-}
-
-TEST(Histogram, UniformFill)
-{
-    Histogram h(0.0, 1.0, 4);
-    Rng rng(21);
-    for (int i = 0; i < 40000; ++i)
-        h.push(rng.uniform());
-    for (int b = 0; b < 4; ++b)
-        EXPECT_NEAR(static_cast<double>(h.binCount(b)), 10000.0, 400.0);
 }
 
 } // namespace

@@ -640,6 +640,8 @@ struct ParseScope
     Kind kind;
     size_t index = 0;  //!< structs[] / functions[] slot
     int braces = 1;
+    /** decls[] slot whose endLine this scope's closing brace sets. */
+    size_t decl = std::string::npos;
 };
 
 /** Per-unit structural pass: fills model.structs / model.functions. */
@@ -661,6 +663,19 @@ parseUnit(const ScannedUnit &unit, TreeModel &model)
         return nullptr;
     };
 
+    // Record a namespace-scope declaration starting at stmt_line;
+    // returns its decls[] slot, or npos for names the model skips
+    // (empty, qualified, destructors, operators).
+    auto addDecl = [&](const std::string &kind, const std::string &name,
+                       int end_line) -> size_t {
+        if (name.empty() || name.find("::") != std::string::npos ||
+            name[0] == '~' || name.rfind("operator", 0) == 0)
+            return std::string::npos;
+        model.decls.push_back(
+            NamespaceDecl{kind, name, unit.path, stmt_line, end_line});
+        return model.decls.size() - 1;
+    };
+
     auto classifyBrace = [&](int line_no) {
         const std::string s = collapseWs(
             stripTemplateHeader(collapseWs(stripDeclNoise(stmt))));
@@ -672,23 +687,32 @@ parseUnit(const ScannedUnit &unit, TreeModel &model)
             return;
         }
         if (tok == "enum" || tok == "union") {
-            stack.push_back({ParseScope::Block, 0, 1});
+            static const std::regex enum_re(
+                R"(^(enum|union)(?:\s+(?:class|struct))?\s+([A-Za-z_]\w*))");
+            std::smatch m;
+            ParseScope scope{ParseScope::Block, 0, 1};
+            if (!outer && std::regex_search(s, m, enum_re))
+                scope.decl = addDecl(m[1].str(), m[2].str(), line_no);
+            stack.push_back(scope);
             stmt.clear();
             return;
         }
         static const std::regex struct_re(
-            R"(^(?:struct|class)\s+([A-Za-z_]\w*))");
+            R"(^(struct|class)\s+([A-Za-z_]\w*))");
         std::smatch m;
         if ((tok == "struct" || tok == "class") &&
             std::regex_search(s, m, struct_re)) {
             StructDecl decl;
-            decl.name = outer ? outer->name + "::" + m[1].str()
-                              : m[1].str();
+            decl.name = outer ? outer->name + "::" + m[2].str()
+                              : m[2].str();
             decl.path = unit.path;
             decl.line = stmt_line;
             model.structs.push_back(std::move(decl));
-            stack.push_back(
-                {ParseScope::Struct, model.structs.size() - 1, 1});
+            ParseScope scope{ParseScope::Struct, model.structs.size() - 1,
+                             1};
+            if (!outer)
+                scope.decl = addDecl(m[1].str(), m[2].str(), line_no);
+            stack.push_back(scope);
             stmt.clear();
             return;
         }
@@ -705,12 +729,15 @@ parseUnit(const ScannedUnit &unit, TreeModel &model)
                     ? name.substr(0,
                                   name.size() - pending_name.size() - 2)
                     : (outer ? outer->name : "");
+                ParseScope scope{ParseScope::Function, 0, 1};
                 if (outer)
                     outer->methods.insert(pending_name);
+                else
+                    scope.decl = addDecl("function", name, line_no);
                 body.clear();
                 body_text.clear();
                 body_line = stmt_line;
-                stack.push_back({ParseScope::Function, 0, 1});
+                stack.push_back(scope);
                 stmt.clear();
                 return;
             }
@@ -721,15 +748,56 @@ parseUnit(const ScannedUnit &unit, TreeModel &model)
         }
         stack.push_back({ParseScope::Block, 0, 1});
         stmt.clear();
-        (void)line_no;
     };
 
-    auto finishFunction = [&]() {
+    // A `;` at namespace scope ends a function declaration, a type
+    // alias, a constexpr constant or something the model ignores.
+    auto classifyNamespaceStatement = [&](int end_line) {
+        const std::string s = collapseWs(
+            stripTemplateHeader(collapseWs(stripDeclNoise(stmt))));
+        const std::string tok = firstToken(s);
+        static const std::set<std::string> skip = {
+            "class",  "struct",    "enum",         "union",
+            "friend", "namespace", "static_assert",
+        };
+        if (s.empty() || skip.count(tok))
+            return;
+        static const std::regex alias_re(
+            R"(^using\s+([A-Za-z_]\w*)\s*=)");
+        static const std::regex extents_re(R"((\s*\[[^\]]*\])+\s*$)");
+        std::smatch m;
+        const size_t eq = findInitEq(s);
+        const size_t paren = findDeclParen(s);
+        if (tok == "using") {
+            if (std::regex_search(s, m, alias_re))
+                addDecl("alias", m[1].str(), end_line);
+        } else if (tok == "typedef") {
+            addDecl("alias", trailingName(s), end_line);
+        } else if (eq != std::string::npos) {
+            if (referencesIdentifier(s.substr(0, eq), "constexpr"))
+                addDecl("constant",
+                        trailingName(std::regex_replace(
+                            s.substr(0, eq), extents_re, "")),
+                        end_line);
+        } else if (paren != std::string::npos &&
+                   validFunctionTail(tailAfterParams(s))) {
+            addDecl("function", trailingName(s.substr(0, paren)),
+                    end_line);
+        }
+    };
+
+    auto closeDecl = [&](const ParseScope &scope, int line_no) {
+        if (scope.decl != std::string::npos)
+            model.decls[scope.decl].endLine = line_no;
+    };
+
+    auto finishFunction = [&](int line_no) {
         FunctionDef def;
         def.className = pending_class;
         def.name = pending_name;
         def.path = unit.path;
         def.line = body_line;
+        def.endLine = line_no;
         def.body = body;
         def.bodyText = body_text;
         model.functions.push_back(std::move(def));
@@ -812,7 +880,8 @@ parseUnit(const ScannedUnit &unit, TreeModel &model)
                     ++top->braces;
                 } else if (c == '}') {
                     if (--top->braces == 0) {
-                        finishFunction();
+                        finishFunction(line_no);
+                        closeDecl(*top, line_no);
                         stack.pop_back();
                         continue;
                     }
@@ -823,23 +892,29 @@ parseUnit(const ScannedUnit &unit, TreeModel &model)
             }
             if (top && (top->kind == ParseScope::Init ||
                         top->kind == ParseScope::Block)) {
-                if (c == '{')
+                if (c == '{') {
                     ++top->braces;
-                else if (c == '}' && --top->braces == 0)
+                } else if (c == '}' && --top->braces == 0) {
+                    closeDecl(*top, line_no);
                     stack.pop_back();
+                }
                 continue;
             }
 
             if (c == '{') {
                 classifyBrace(line_no);
             } else if (c == '}') {
-                if (!stack.empty())
+                if (!stack.empty()) {
+                    closeDecl(stack.back(), line_no);
                     stack.pop_back();
+                }
                 stmt.clear();
             } else if (c == ';') {
                 if (top && top->kind == ParseScope::Struct)
                     classifyStructStatement(model.structs[top->index],
                                             line_no);
+                else if (!top || top->kind == ParseScope::Namespace)
+                    classifyNamespaceStatement(line_no);
                 stmt.clear();
             } else if (c == ':' && top &&
                        top->kind == ParseScope::Struct) {
@@ -864,13 +939,28 @@ parseUnit(const ScannedUnit &unit, TreeModel &model)
     }
 }
 
+/** Roots read only for dora-hyg-unreferenced's references. */
+const std::vector<std::string> &
+referenceOnlySubdirs()
+{
+    static const std::vector<std::string> dirs = {"examples",
+                                                  "benchmark"};
+    return dirs;
+}
+
 } // namespace
 
 TreeModel
 buildModel(std::vector<ScannedUnit> units)
 {
     TreeModel model;
-    model.units = std::move(units);
+    for (ScannedUnit &unit : units) {
+        bool ref_only = false;
+        for (const std::string &root : referenceOnlySubdirs())
+            ref_only = ref_only || hasPrefix(unit.path, (root + "/").c_str());
+        (ref_only ? model.refUnits : model.units)
+            .push_back(std::move(unit));
+    }
     for (const ScannedUnit &unit : model.units)
         parseUnit(unit, model);
     return model;
@@ -1802,6 +1892,98 @@ ruleCliFlag(const TreeModel &model, std::vector<Finding> &out)
     }
 }
 
+/**
+ * dora-hyg-unreferenced: a namespace-scope declaration in a src/
+ * header needs a reference from src/, bench/, tools/, examples/ or
+ * benchmark/ — tests do not count — or a
+ * `// dora:test-only(<reason>)` annotation. A reference is any
+ * occurrence of the name in a code view, except inside the
+ * declaration itself and inside its out-of-line definitions (a free
+ * function's own definition, or any `Name::…` member definition of a
+ * class). Matching is by name, so a shared identifier hides dead code
+ * but never flags live code.
+ */
+void
+ruleHygUnreferenced(const TreeModel &model, std::vector<Finding> &out)
+{
+    struct Span
+    {
+        const std::string *path;
+        int first, last;
+    };
+    // Per declared name: the spans where its occurrences do not count.
+    auto subject = [](const NamespaceDecl &d) {
+        return hasPrefix(d.path, "src/") && hasSuffix(d.path, ".hh");
+    };
+    std::map<std::string, std::vector<Span>> own;
+    for (const NamespaceDecl &d : model.decls)
+        if (subject(d))
+            own[d.name].push_back(Span{&d.path, d.line, d.endLine});
+    for (const FunctionDef &f : model.functions) {
+        const Span span{&f.path, f.line, f.endLine};
+        if (f.className.empty()) {
+            if (const auto it = own.find(f.name); it != own.end())
+                it->second.push_back(span);
+            continue;
+        }
+        // A member of Name, or of a class nested in it.
+        size_t begin = 0;
+        for (size_t sep = 0; sep != std::string::npos; begin = sep + 2) {
+            sep = f.className.find("::", begin);
+            const auto it = own.find(f.className.substr(begin, sep - begin));
+            if (it != own.end())
+                it->second.push_back(span);
+        }
+    }
+
+    std::set<std::string> referenced;
+    auto collect = [&](const ScannedUnit &unit) {
+        for (size_t li = 0; li < unit.code.size(); ++li) {
+            const std::string &line = unit.code[li];
+            const int line_no = static_cast<int>(li) + 1;
+            for (size_t i = 0; i < line.size();) {
+                if (!wordChar(line[i])) {
+                    ++i;
+                    continue;
+                }
+                const size_t b = i;
+                while (i < line.size() && wordChar(line[i]))
+                    ++i;
+                const auto it = own.find(line.substr(b, i - b));
+                if (it == own.end() || referenced.count(it->first))
+                    continue;
+                const bool excluded = std::any_of(
+                    it->second.begin(), it->second.end(),
+                    [&](const Span &s) {
+                        return *s.path == unit.path &&
+                            line_no >= s.first && line_no <= s.last;
+                    });
+                if (!excluded)
+                    referenced.insert(it->first);
+            }
+        }
+    };
+    for (const ScannedUnit &unit : model.units)
+        if (anyPrefix(unit.path, {"src/", "bench/", "tools/"}))
+            collect(unit);
+    for (const ScannedUnit &unit : model.refUnits)
+        collect(unit);
+
+    for (const NamespaceDecl &d : model.decls) {
+        if (!subject(d) || referenced.count(d.name))
+            continue;
+        const ScannedUnit *unit = findUnit(model, d.path);
+        if (unit && unit->hasAnnotation(d.line, "test-only"))
+            continue;
+        out.push_back(Finding{
+            d.path, d.line, "dora-hyg-unreferenced",
+            d.kind + " '" + d.name +
+                "' has no reference outside tests; delete it with the "
+                "tests that exercise only it, or annotate '// "
+                "dora:test-only(<reason>)'"});
+    }
+}
+
 } // namespace
 
 const std::vector<RuleInfo> &
@@ -1855,6 +2037,9 @@ ruleCatalog()
         {"dora-cli-flag",
          "--flag literals must be parsed via the common/cli.hh "
          "helpers, not by hand"},
+        {"dora-hyg-unreferenced",
+         "namespace-scope declarations in src/ headers need a "
+         "non-test reference or dora:test-only(reason)"},
     };
     return catalog;
 }
@@ -1870,6 +2055,7 @@ analyzeModel(const TreeModel &model, const std::string *manifestJson)
     ruleDetStreamtag(model, raw);
     ruleSerVersion(model, manifestJson, raw);
     ruleCliFlag(model, raw);
+    ruleHygUnreferenced(model, raw);
 
     std::map<std::string, const ScannedUnit *> by_path;
     for (const ScannedUnit &unit : model.units)
@@ -1941,26 +2127,35 @@ loadTree(const std::string &repoRoot,
          const std::vector<std::string> &subdirs,
          std::vector<std::string> *scannedPaths)
 {
+    std::vector<std::string> roots = subdirs;
+    for (const std::string &root : referenceOnlySubdirs())
+        if (std::find(roots.begin(), roots.end(), root) == roots.end())
+            roots.push_back(root);
     std::vector<std::string> paths;
-    for (const auto &subdir : subdirs) {
+    for (const auto &subdir : roots) {
         const fs::path root = fs::path(repoRoot) / subdir;
         if (!fs::exists(root))
             continue;
-        for (const auto &entry :
-             fs::recursive_directory_iterator(root)) {
-            if (!entry.is_regular_file())
+        for (auto it = fs::recursive_directory_iterator(root);
+             it != fs::recursive_directory_iterator(); ++it) {
+            const fs::path rel = it->path().lexically_relative(repoRoot);
+            const std::string rel_str = rel.generic_string();
+            // The benchmark's build and output trees are not source.
+            if (rel_str == "benchmark/build" || rel_str == "benchmark/out") {
+                it.disable_recursion_pending();
                 continue;
-            const std::string ext = entry.path().extension().string();
-            if (ext != ".cc" && ext != ".hh")
+            }
+            if (!it->is_regular_file())
                 continue;
-            const fs::path rel =
-                entry.path().lexically_relative(repoRoot);
+            const std::string ext = it->path().extension().string();
+            if (ext != ".cc" && ext != ".hh" && ext != ".cpp")
+                continue;
             // Golden-test fixtures are deliberate violations.
             if (*rel.begin() == "tests" &&
                 std::find(rel.begin(), rel.end(), "fixtures") !=
                     rel.end())
                 continue;
-            paths.push_back(rel.generic_string());
+            paths.push_back(rel_str);
         }
     }
     std::sort(paths.begin(), paths.end());
@@ -1969,9 +2164,13 @@ loadTree(const std::string &repoRoot,
     units.reserve(paths.size());
     for (const auto &rel : paths)
         units.push_back(scanUnit(rel, readFile(fs::path(repoRoot) / rel)));
-    if (scannedPaths)
-        *scannedPaths = std::move(paths);
-    return buildModel(std::move(units));
+    TreeModel model = buildModel(std::move(units));
+    if (scannedPaths) {
+        scannedPaths->clear();
+        for (const ScannedUnit &unit : model.units)
+            scannedPaths->push_back(unit.path);
+    }
+    return model;
 }
 
 std::vector<Finding>

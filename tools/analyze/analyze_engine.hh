@@ -20,19 +20,20 @@
  *                     `dora-hyg-*`, `dora-rob-*`, `dora-perf-*`),
  *                     each with a path scope and an allowlist
  *                     (line_rules.cc).
- *   structural rules  five rules over a brace-tracked model of the
+ *   structural rules  six rules over a brace-tracked model of the
  *                     whole tree — struct/class declarations with
  *                     their members, function definitions with their
- *                     bodies — joined across translation units
- *                     (buildModel): config-hash coverage
- *                     (`dora-cov-hash`), snapshot/restore coverage
- *                     (`dora-cov-snapshot`), RNG stream-tag
- *                     uniqueness (`dora-det-streamtag`),
- *                     serialized-layout versions against the
- *                     checked-in manifest
+ *                     bodies, namespace-scope declarations — joined
+ *                     across translation units (buildModel):
+ *                     config-hash coverage (`dora-cov-hash`),
+ *                     snapshot/restore coverage (`dora-cov-snapshot`),
+ *                     RNG stream-tag uniqueness
+ *                     (`dora-det-streamtag`), serialized-layout
+ *                     versions against the checked-in manifest
  *                     tools/analyze/serialized_layouts.json
- *                     (`dora-ser-version`), and CLI-flag parsing
- *                     locality (`dora-cli-flag`).
+ *                     (`dora-ser-version`), CLI-flag parsing locality
+ *                     (`dora-cli-flag`), and header declarations that
+ *                     only tests reach (`dora-hyg-unreferenced`).
  *
  * A finding is suppressed in place with
  *
@@ -154,8 +155,24 @@ struct FunctionDef
     std::string name;
     std::string path;
     int line = 0;          //!< line of the opening brace's statement
+    int endLine = 0;       //!< line of the closing brace
     std::string body;      //!< code view: strings blanked
     std::string bodyText;  //!< text view: strings preserved
+};
+
+/**
+ * One declaration at namespace scope: a function (declared or
+ * defined), a class/struct/union/enum with its body, a type alias or
+ * a constexpr constant. Operators and qualified (out-of-line member)
+ * names are not recorded.
+ */
+struct NamespaceDecl
+{
+    std::string kind;  //!< "function", "class", "enum", "alias", ...
+    std::string name;
+    std::string path;
+    int line = 0;      //!< first line of the declaration statement
+    int endLine = 0;   //!< its ';' or closing brace
 };
 
 /** The joined cross-TU model the rules run over. */
@@ -164,9 +181,20 @@ struct TreeModel
     std::vector<ScannedUnit> units;
     std::vector<StructDecl> structs;
     std::vector<FunctionDef> functions;
+    std::vector<NamespaceDecl> decls;
+    /**
+     * Units under the reference-only roots examples/ and benchmark/:
+     * dora-hyg-unreferenced reads their code view for references, and
+     * no rule parses or reports on them (a change outside the
+     * benchmark can neither fix nor annotate a file there).
+     */
+    std::vector<ScannedUnit> refUnits;
 };
 
-/** Parse every scanned unit into the cross-TU structural model. */
+/**
+ * Parse every scanned unit into the cross-TU structural model. Units
+ * under a reference-only root go to refUnits unparsed.
+ */
 TreeModel buildModel(std::vector<ScannedUnit> units);
 
 /**
@@ -217,11 +245,13 @@ std::vector<Finding> analyzeModel(const TreeModel &model,
                                   const std::string *manifestJson);
 
 /**
- * Walk @p subdirs (repo-relative) under @p repoRoot and scan every
- * *.cc / *.hh file into a model. Paths under tests/ with a `fixtures`
- * component are skipped — they are deliberate violations used by the
- * golden tests. When @p scannedPaths is non-null the repo-relative
- * path of every scanned file is appended (sorted).
+ * Walk @p subdirs (repo-relative) plus the reference-only roots under
+ * @p repoRoot and scan every *.cc / *.hh / *.cpp file into a model.
+ * Paths under tests/ with a `fixtures` component are skipped — they
+ * are deliberate violations used by the golden tests — and so are
+ * benchmark/build/ and benchmark/out/. When @p scannedPaths is
+ * non-null the repo-relative path of every file the rules report on
+ * is appended (sorted); reference-only files are not listed.
  */
 TreeModel loadTree(const std::string &repoRoot,
                    const std::vector<std::string> &subdirs,

@@ -7,7 +7,8 @@
  *                [subdirs...]
  *
  * Walks src/ tests/ bench/ tools/ (or the given subdirs) under the
- * repo root, scans every file once and applies both rule families
+ * repo root, plus examples/ and benchmark/ for references only, scans
+ * every file once and applies both rule families
  * (analyze_engine.hh), prints findings as
  * `path:line: [rule-id] message`, optionally writes the JSON report,
  * and exits 1 if anything was found — which is how scripts/ci.sh

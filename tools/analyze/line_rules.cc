@@ -22,14 +22,6 @@ namespace
 // ---------------------------------------------------------------- //
 
 bool
-hasSuffix(const std::string &path, const char *suffix)
-{
-    const size_t len = std::char_traits<char>::length(suffix);
-    return path.size() >= len &&
-        path.compare(path.size() - len, len, suffix) == 0;
-}
-
-bool
 fileMentions(const ScannedUnit &file, const char *token)
 {
     for (const auto &line : file.code)

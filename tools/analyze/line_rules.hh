@@ -23,6 +23,14 @@ hasPrefix(const std::string &path, const char *prefix)
 }
 
 inline bool
+hasSuffix(const std::string &path, const char *suffix)
+{
+    const size_t len = std::char_traits<char>::length(suffix);
+    return path.size() >= len &&
+        path.compare(path.size() - len, len, suffix) == 0;
+}
+
+inline bool
 anyPrefix(const std::string &path,
           std::initializer_list<const char *> prefixes)
 {
